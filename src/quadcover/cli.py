@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     try:
         require_prime(args.modulus)
         if hasattr(args, "tuple"):
-            args.tuple = SixTuple.parse(args.tuple)
+            args.tuple = SixTuple.parse(args.tuple, args.modulus)
         builder, _ = _COMMANDS[args.command]
         data, md, csv, checks = builder(args)
     except (ValueError, ArithmeticError) as err:

@@ -14,14 +14,14 @@ smooth degree-n^2 abelian covers branched exactly on the configuration.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .gf import DEFAULT_MODULUS, Vec2, is_independent, nonzero_vectors, require_prime, vadd
+from .gf import (
+    DEFAULT_MODULUS, Vec2, gl2_array, is_independent, nonzero_vectors, require_prime, vadd,
+)
 from .picard import CURVE_LABELS, incidences
 
 
@@ -34,22 +34,25 @@ class SixTuple(NamedTuple):
     v3: Vec2
 
     @classmethod
-    def from_residues(cls, res) -> "SixTuple":
+    def from_residues(cls, res, n=None) -> "SixTuple":
+        """Twelve nonnegative residues; below n too when n is given."""
         res = tuple(int(x) for x in res)
         if len(res) != 12:
             raise ValueError(f"expected 12 residues, got {len(res)}")
         if any(x < 0 for x in res):
             raise ValueError(f"residues must be nonnegative, got {res}")
+        if n is not None and any(x >= n for x in res):
+            raise ValueError(f"residues must be below the modulus {n}, got {res}")
         return cls(*((res[2 * i], res[2 * i + 1]) for i in range(6)))
 
     @classmethod
-    def parse(cls, text: str) -> "SixTuple":
+    def parse(cls, text: str, n=None) -> "SixTuple":
         """Parse '1,0,1,0,0,1,4,1,3,2,1,1' (12 comma-separated residues)."""
         try:
             parts = [int(p) for p in text.split(",")]
         except ValueError as err:
             raise ValueError(f"cannot parse six-tuple {text!r}: {err}") from None
-        return cls.from_residues(parts)
+        return cls.from_residues(parts, n)
 
     @property
     def residues(self) -> tuple[int, ...]:
@@ -135,28 +138,15 @@ def is_totally_ramified(t: SixTuple, n=DEFAULT_MODULUS) -> bool:
 
 # --- bulk operations -------------------------------------------------------
 
-# rows of the linear map from the 12 tuple coordinates to the 20
-# coordinates of the ten loop images (pairs, configuration order)
-@lru_cache(maxsize=1)
-def _image_map():
-    rows = np.zeros((20, 12), dtype=np.int64)
-    for slot in range(6):  # u1..v3 pass through
-        rows[2 * slot, 2 * slot] = 1
-        rows[2 * slot + 1, 2 * slot + 1] = 1
-    sums = {6: (0, 1, 2), 7: (0, 4, 5), 8: (1, 3, 5), 9: (2, 3, 4)}
-    for img, slots in sums.items():
-        for s in slots:
-            rows[2 * img, 2 * s] = 1
-            rows[2 * img + 1, 2 * s + 1] = 1
-    rows.flags.writeable = False
-    return rows
-
-
 def loop_image_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
-    """(N, 12) residue rows -> (N, 10, 2) loop images."""
-    rows = np.asarray(rows, dtype=np.int64)
-    flat = rows @ _image_map().T % n
-    return flat.reshape(len(rows), 10, 2)
+    """(N, 12) residue rows -> (N, 10, 2) loop images, as in loop_images."""
+    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
+    out = np.empty((len(pairs), 10, 2), dtype=np.int64)
+    out[:, :6] = pairs
+    for i, slots in enumerate(((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))):  # e0..e3
+        out[:, 6 + i] = pairs[:, slots].sum(axis=1)
+    out %= n
+    return out
 
 
 def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
@@ -174,56 +164,59 @@ def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
 
 def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Pack residue rows into base-n codes; numeric order = lex order."""
+    if n ** 12 > 2 ** 64:
+        raise ValueError(f"modulus {n} is too large: base-{n} codes of 12 residues overflow 64 bits")
     rows = np.asarray(rows, dtype=np.uint64)
     weights = (np.uint64(n) ** np.arange(11, -1, -1, dtype=np.uint64))
     return rows @ weights
 
 
-def _enumerate_chunk(i1, n):
-    """Admissible rows with first entry nz[i1]; conditions vectorized.
+# largest expanded admissible array (int16 rows) that admissible_array builds
+MAX_ARRAY_BYTES = 256 << 20
 
-    The candidate set is compressed after every rejection step, so the
-    dependent-pair checks run on rapidly shrinking arrays.
+
+def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
+    """Admissible rows with (u1, v1) = ((1,0), (0,1)), lexicographically
+    sorted: one per GL(2, Z/n)-class.
+
+    L1' and L1 are incident, so u1 and v1 are independent in every
+    admissible tuple and GL(2) acts freely and transitively on them.  The
+    search runs over the nonzero u2, u3, v2 and solves the sum condition
+    for v3, one u2 at a time.  It raises ValueError as soon as the forms
+    found prove the expanded array would exceed MAX_ARRAY_BYTES.
     """
-    nz = np.array(nonzero_vectors(n), dtype=np.int32)
+    require_prime(n)
+    nz = np.array(nonzero_vectors(n), dtype=np.int64)
     m = len(nz)
-    grid = np.indices((m, m, m, m)).reshape(4, -1)
-    u1 = np.broadcast_to(nz[i1], (grid.shape[1], 2))
-    u2, u3, v1, v2 = (nz[g] for g in grid)
-    v3 = -(u1 + u2 + u3 + v1 + v2) % n
-    keep = (v3 != 0).any(axis=1)
-    rows = np.concatenate([u1, u2, u3, v1, v2, v3], axis=1)[keep]
-    images = (rows @ _image_map().T.astype(np.int32) % n).reshape(len(rows), 10, 2)
-    ok = (images != 0).any(axis=2).all(axis=1)
-    rows, images = rows[ok], images[ok]
-    for i, j in sorted(incidences()):
-        det = images[:, i, 0] * images[:, j, 1] - images[:, i, 1] * images[:, j, 0]
-        ok = det % n != 0
-        rows, images = rows[ok], images[ok]
-    return rows.astype(np.int16)
+    max_forms = MAX_ARRAY_BYTES // (12 * 2 * len(gl2_array(n)))
+    i3, i2 = np.divmod(np.arange(m * m), m)
+    forms, count = [], 0
+    for u2 in nz:
+        rows = np.zeros((m * m, 12), dtype=np.int64)
+        rows[:, 0], rows[:, 7] = 1, 1
+        rows[:, 2:4], rows[:, 4:6], rows[:, 8:10] = u2, nz[i3], nz[i2]
+        rows[:, 10:12] = -rows[:, :10].reshape(-1, 5, 2).sum(axis=1) % n
+        rows = rows[admissibility_mask(rows, n)]
+        count += len(rows)
+        if count > max_forms:
+            raise ValueError(f"modulus {n}: admissible array over {MAX_ARRAY_BYTES >> 20} MiB")
+        forms.append(rows)
+    return np.vstack(forms)
 
 
 @lru_cache(maxsize=None)
 def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
-    """All admissible tuples as a read-only (N, 12) array sorted
+    """All admissible tuples as a read-only int16 (N, 12) array sorted
     lexicographically by the 12 residues.
 
-    The search iterates over the five free nonzero entries and solves the
-    sum condition for v3, pruning the twelve-fold loop to ~24^5 candidates
-    at n=5.  QC_THREADS > 1 splits the outer loop across a thread pool;
-    the merged result is sorted, so the output does not depend on it.
+    Every admissible tuple is g.f for exactly one GL(2) matrix g and one
+    normal form f (see normal_forms), so the array is the normal forms
+    expanded by all of GL(2, Z/n), then sorted.
     """
-    require_prime(n)
-    m = len(nonzero_vectors(n))
-    workers = int(os.environ.get("QC_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda i: _enumerate_chunk(i, n), range(m)))
-    else:
-        chunks = [_enumerate_chunk(i1, n) for i1 in range(m)]
-    rows = np.vstack(chunks)
-    order = np.argsort(encode_rows(rows, n), kind="stable")
-    rows = rows[order]
+    forms = normal_forms(n).reshape(-1, 6, 2).astype(np.int16)
+    gl2 = gl2_array(n).astype(np.int16)
+    rows = np.einsum("gij,ksj->gksi", gl2, forms).reshape(-1, 12) % n
+    rows = rows[np.argsort(encode_rows(rows, n), kind="stable")]
     rows.flags.writeable = False
     return rows
 

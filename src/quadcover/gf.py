@@ -75,12 +75,7 @@ class Mat:
 
     @classmethod
     def block_diagonal(cls, block, copies, n=DEFAULT_MODULUS):
-        b = np.asarray(block, dtype=np.int16)
-        k = b.shape[0]
-        out = np.zeros((k * copies, k * copies), dtype=np.int16)
-        for i in range(copies):
-            out[i * k:(i + 1) * k, i * k:(i + 1) * k] = b
-        return cls(out, n)
+        return cls(np.kron(np.eye(copies, dtype=np.int64), np.asarray(block, dtype=np.int64)), n)
 
     @property
     def size(self):
@@ -108,9 +103,6 @@ class Mat:
         a = self.array
         return int(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) % self.n
 
-    def is_invertible(self) -> bool:
-        return rank_mod(self.array, self.n) == self.size
-
     def __eq__(self, other):
         return isinstance(other, Mat) and self._key == other._key
 
@@ -122,47 +114,18 @@ class Mat:
         return f"Mat({rows} mod {self.n})"
 
 
-def rank_mod(a, n) -> int:
-    """Rank of an integer matrix over the field Z/n (n prime)."""
+def gl2_array(n=DEFAULT_MODULUS) -> np.ndarray:
+    """All invertible 2x2 matrices over Z/n (n prime) as a (k, 2, 2) array,
+    lexicographic in the entries (a, b, c, d); k = (n^2-1)(n^2-n)."""
     require_prime(n)
-    m = np.asarray(a, dtype=np.int64) % n
-    m = m.copy()
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, c] % n:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, c]), -1, n)
-        m[rank] = m[rank] * inv % n
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] = (m[r] - m[r, c] * m[rank]) % n
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    a, b, c, d = np.indices((n, n, n, n)).reshape(4, -1)
+    keep = (a * d - b * c) % n != 0
+    return np.stack([a, b, c, d], axis=1)[keep].reshape(-1, 2, 2)
 
 
 def gl2_enumerate(n=DEFAULT_MODULUS) -> list[Mat]:
-    """All invertible 2x2 matrices over Z/n (n prime), each exactly once.
-
-    Brute force over the n^4 candidates; the count is (n^2-1)(n^2-n).
-    """
-    require_prime(n)
-    out = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if (a * d - b * c) % n:
-                        out.append(Mat([[a, b], [c, d]], n))
-    return out
+    """All invertible 2x2 matrices over Z/n (n prime), each exactly once."""
+    return [Mat(m, n) for m in gl2_array(n)]
 
 
 def primitive_root(n) -> int:

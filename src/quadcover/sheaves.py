@@ -253,21 +253,25 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     Exhaustively asserts sheaf integrality along the way.  Used for
     orbit-invariance sweeps over the full admissible set.
     """
-    rows = np.asarray(rows, dtype=np.int64) % n
     images = loop_image_rows(rows, n)
     cls_rows = np.array(
         [curve.cls for curve in configuration().curves], dtype=np.int64
     )
     ky = np.array(canonical_class(), dtype=np.int64)
-    pg = np.zeros(len(rows), dtype=np.int64)
+    pg = np.zeros(len(images), dtype=np.int64)
     for a in range(n):
         for b in range(n):
-            coeff = (a * images[:, :, 0] + b * images[:, :, 1]) % n
+            coeff = images @ np.array([a, b])
+            coeff %= n
             weighted = coeff @ cls_rows
             if (weighted % n).any():
                 raise ArithmeticError(f"sheaf integrality fails for chi=({a},{b})")
             shifted = weighted // n + ky
-            uniq, inverse = np.unique(shifted, axis=0, return_inverse=True)
-            vals = np.array([h0(DivClass(*map(int, u))) for u in uniq], dtype=np.int64)
+            # one int64 key per class: mixed radix over the column ranges
+            low = shifted.min(axis=0)
+            radix = np.cumprod(np.concatenate([[1], shifted.max(axis=0)[:-1] - low[:-1] + 1]))
+            keys = (shifted - low) @ radix
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            vals = np.array([h0(DivClass(*map(int, shifted[i]))) for i in first], dtype=np.int64)
             pg += vals[inverse]
     return pg

@@ -136,3 +136,21 @@ def test_dump_csv(capsys):
     code, out, _ = run(capsys, "--modulus", "3", "enumerate", "--dump", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[0] == "tuple"
+
+
+def test_residue_not_below_modulus_is_rejected(capsys):
+    # 6 = 1 mod 5 would silently alias U3
+    code, out, err = run(capsys, "invariants", "6,0,1,0,0,1,4,1,3,2,1,1", "--verify")
+    assert code == 2
+    assert out == ""
+    assert "below the modulus 5" in err
+
+
+def test_oversized_modulus_is_refused(capsys):
+    # the expanded admissible array at n = 7 (11640 normal forms x 2016
+    # matrices) and the group at n = 13 are over the byte limit
+    for argv in (["--modulus", "7", "enumerate"], ["--modulus", "13", "report"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "MiB" in err

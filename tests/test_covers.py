@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from quadcover import covers
+from quadcover import covers, gf
 from quadcover.covers import SixTuple
 
 
@@ -159,8 +159,49 @@ def test_admissible_implies_totally_ramified():
         assert covers.is_totally_ramified(t)
 
 
-def test_qc_threads_same_result(monkeypatch):
-    serial = covers.admissible_array(3)
-    monkeypatch.setenv("QC_THREADS", "4")
-    threaded = covers.admissible_array.__wrapped__(3)  # bypass the cache
-    assert np.array_equal(threaded, serial)
+def _sum_zero_rows(n, **fixed):
+    """Every sum-zero residue row, optionally with some slots fixed."""
+    slots = ("u1", "u2", "u3", "v1", "v2")
+    choices = [[fixed[s]] if s in fixed else list(gf.vectors(n)) for s in slots]
+    head = np.array([sum(vs, ()) for vs in itertools.product(*choices)], dtype=np.int64)
+    tail = -head.reshape(len(head), 5, 2).sum(axis=1) % n
+    return np.concatenate([head, tail], axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_normal_form_expansion_matches_mask_oracle(n):
+    # nothing is admissible at n = 2 or 3, so both sides are empty here;
+    # the slice test below compares nonempty sets at n = 5
+    rows = _sum_zero_rows(n)
+    brute = rows[covers.admissibility_mask(rows, n)].astype(np.int16)
+    brute = brute[np.argsort(covers.encode_rows(brute, n))]
+    assert np.array_equal(covers.admissible_array(n), brute)
+
+
+def test_normal_form_expansion_matches_mask_oracle_on_a_slice():
+    # n = 5 with u1 and u2 fixed: the expansion supplies every GL(2) matrix
+    # that maps the normal forms onto this slice
+    rows = _sum_zero_rows(5, u1=(1, 0), u2=(0, 1))
+    brute = rows[covers.admissibility_mask(rows, 5)]
+    arr = covers.admissible_array(5)
+    mine = arr[(arr[:, :4] == [1, 0, 0, 1]).all(axis=1)]
+    assert len(mine) > 0
+    assert np.array_equal(mine, brute)  # both in lex order
+
+
+def test_normal_forms_are_the_fixed_slice():
+    arr = covers.admissible_array(5)
+    forms = covers.normal_forms(5)
+    assert len(forms) * 480 == len(arr) == 420 * 480
+    assert np.array_equal(forms, arr[(arr[:, [0, 1, 6, 7]] == [1, 0, 0, 1]).all(axis=1)])
+
+
+def test_encode_rows_refuses_overflowing_modulus():
+    assert covers.encode_rows(np.full((1, 12), 39), 40)[0] == 40 ** 12 - 1
+    with pytest.raises(ValueError, match="overflow"):
+        covers.encode_rows(np.full((1, 12), 40), 41)
+
+
+def test_admissible_array_refuses_oversized_modulus():
+    with pytest.raises(ValueError, match="MiB"):
+        covers.admissible_array(7)

@@ -12,6 +12,14 @@ def _identity():
     return symmetry.SymmetryElement(Mat.identity(12))
 
 
+def _apply(elements, row, n=5):
+    """Images of one sum-zero row under (k, 10, 10) group elements: the
+    first ten coordinates by the matrix, the last two by the sum."""
+    head = np.asarray(elements, dtype=np.int64) @ np.asarray(row[:10], dtype=np.int64) % n
+    tail = -head.reshape(len(head), 5, 2).sum(axis=1) % n
+    return np.concatenate([head, tail], axis=1)
+
+
 def test_s5_generator_names_and_u1_block():
     gens = symmetry.s5_generators()
     assert [g.provenance for g in gens] == ["(01)", "(02)", "(03)", "(04)"]
@@ -67,9 +75,31 @@ def test_group_closure_orders():
     assert gc.s5_order == 120
     assert gc.gl2_order == 480
     assert gc.order == 57600
-    assert len(gc.elements) == 57600
-    assert len(gc.s5_elements) == 120
-    assert _identity() in gc.s5_elements
+    assert gc.elements.shape == (57600, 10, 10) and gc.elements.dtype == np.int8
+    assert gc.s5_elements.shape == (120, 10, 10)
+    assert (gc.s5_elements == np.eye(10, dtype=np.int8)).all(axis=(1, 2)).any()
+    flat = gc.elements.reshape(len(gc.elements), 100)
+    assert len(np.unique(flat, axis=0)) == 57600
+
+
+def test_direct_product_order_matches_breadth_first_closure():
+    # independent route at n = 3: breadth-first products of 12x12 matrices
+    gc = symmetry.group_closure(3)
+    assert gc.order == len(symmetry.mulclose(symmetry.default_generators(3)))
+    assert gc.order == gc.s5_order * gc.gl2_order == 120 * 48
+
+
+def test_elements_map_a_tuple_onto_its_orbit(u1, u3):
+    # applied to one tuple, the 57600 elements sweep out exactly its orbit,
+    # each image |stabilizer| times
+    gc = symmetry.group_closure(5)
+    part = symmetry.orbit_partition(5)
+    for t in (u1, u3):
+        orb = part.orbits[part.orbit_of(t)]
+        images = _apply(gc.elements, t.residues)
+        codes, counts = np.unique(covers.encode_rows(images), return_counts=True)
+        assert np.array_equal(codes, part.codes[orb.member_indices])
+        assert (counts == orb.stabilizer_order).all()
 
 
 def test_swaps_commute_with_every_gl2_element():
@@ -109,11 +139,9 @@ def test_stabilizer_order_by_direct_count(u1, u3):
     # count closure elements fixing the tuple; must equal |G| / orbit size
     gc = symmetry.group_closure(5)
     for t, expected in ((u1, 2), (u3, 1)):
-        vec = np.array(t.residues, dtype=np.int64)
-        fixers = sum(
-            1 for g in gc.elements if tuple(g.mat.apply(vec)) == t.residues
-        )
-        assert fixers == expected
+        head = np.array(t.residues[:10], dtype=np.int64)
+        images = gc.elements.astype(np.int64) @ head % 5
+        assert int((images == head).all(axis=1).sum()) == expected
 
 
 def test_gl2_block_action_is_faithful():
@@ -129,7 +157,8 @@ def test_orbit_lookup_stable_under_group(u3):
     elements = symmetry.group_closure(5).elements
     for _ in range(25):
         g = elements[rng.randrange(len(elements))]
-        assert part.orbit_of(g.apply(u3)) == oid
+        image = _apply([g], u3.residues)[0]
+        assert part.orbit_of(SixTuple.from_residues(image)) == oid
 
 
 def test_action_preserves_admissibility_exhaustively():
@@ -166,3 +195,35 @@ def test_orbits_fails_loudly_off_closed_set(u3):
 def test_orbits_rejects_duplicates(u3):
     with pytest.raises(ValueError, match="duplicates"):
         symmetry.orbits([u3, u3])
+
+
+def test_orbit_partition_matches_generic_orbits():
+    # oracle: orbits of all seven 12x12 generator matrices acting on the
+    # rows themselves, not on GL(2)-classes
+    part = symmetry.orbit_partition(5)
+    generic = symmetry.orbits(covers.admissible_array(5), 5)
+    labels = np.full(len(part.labels), -1, dtype=np.int32)
+    for i, orb in enumerate(generic):
+        labels[orb.member_indices] = i
+    assert np.array_equal(part.labels, labels)
+    for mine, ref in zip(part.orbits, generic):
+        assert mine.representative == ref.representative
+        assert (mine.size, mine.stabilizer_order) == (ref.size, ref.stabilizer_order)
+        assert np.array_equal(mine.member_indices, ref.member_indices)
+
+
+def test_orbits_stabilizer_uses_the_given_generators():
+    # GL(2) alone (order 480) acts freely: every orbit has stabilizer 1
+    blocks = [symmetry.gl2_action(m, 5) for m in symmetry.gf.gl2_generators(5)]
+    part = symmetry.orbit_partition(5)
+    arr = covers.admissible_array(5)
+    for orb in part.orbits:
+        sub = symmetry.orbits(arr[orb.member_indices], 5, generators=blocks)
+        assert len(sub) == orb.size // 480
+        assert all(o.stabilizer_order == 480 // o.size == 1 for o in sub)
+
+
+def test_orbit_of_rejects_non_admissible():
+    part = symmetry.orbit_partition(5)
+    with pytest.raises(ValueError, match="not an admissible"):
+        part.orbit_of(SixTuple.from_residues([0] * 12))
