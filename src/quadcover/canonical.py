@@ -36,12 +36,22 @@ class CanonicalBasis(NamedTuple):
 
 def basis(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalBasis:
     """One monomial x1^e1...x10^e10 per character chi with a nonzero
-    twisted section count; e_i = (n-1) - coeff_i(chi)."""
+    twisted section count; e_i = (n-1) - coeff_i(chi).
+
+    The monomials span H^0(K) only when every such count is exactly 1,
+    which is checked: the eigenspaces are then one-dimensional and the
+    monomials independent.
+    """
     ky = canonical_class()
     entries = []
     for a in range(n):
         for b in range(n):
-            if h0(ky + sheaf(t, (a, b), n).cls) > 0:
+            count = h0(ky + sheaf(t, (a, b), n).cls)
+            if count > 1:
+                raise AssertionError(
+                    f"h0(K + L({a},{b})) = {count}: one monomial per character is not a basis"
+                )
+            if count:
                 expo = tuple(n - 1 - c for c in coeffs(t, (a, b), n))
                 entries.append(((a, b), expo))
     if not entries:
@@ -257,7 +267,8 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
     self-intersection of the movable part, and the product
     (map degree) * (image degree) = (K - F)^2 - sum of squared
     multiplicities.  When the product is prime and the image cannot be a
-    plane (four independent sections), the map is certified birational.
+    plane (four independent sections: p_g = 4 and basis checks that each
+    eigenspace is at most one-dimensional), the map is certified birational.
     """
     inv = invariants(t, n)
     if inv.pg != 4:

@@ -4,7 +4,7 @@ Subcommands cover enumeration, orbit classification, invariants, sheaf
 tables, homology, cover equations, the canonical-map analysis, and a
 combined reproduction report.  With --verify, computed results are
 compared against the embedded reference values and any drift makes the
-exit status nonzero.
+exit status nonzero.  Each command builds one Section; render writes it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 from . import golden
 from .canonical import degree_certificate
@@ -20,21 +21,27 @@ from .covers import SixTuple, admissible_array
 from .gf import require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
 from .sheaves import (
-    coeffs,
-    cover_equations,
-    invariants,
-    pg_values,
-    ram_curve_numbers,
-    sheaf_table,
+    coeffs, cover_equations, invariants, pg_values, ram_curve_numbers, sheaf_table,
 )
 from .symmetry import group_closure, orbit_partition
 
 
 def _reference_label(t: SixTuple) -> str | None:
-    for name, res in golden.REFERENCE_TUPLES.items():
-        if t.residues == res:
-            return name
-    return None
+    return next((name for name, res in golden.REFERENCE_TUPLES.items() if res == t.residues), None)
+
+
+class Section(NamedTuple):
+    """One command's result, or one part of the report.
+
+    md is a list of blocks joined by blank lines; a block is a text string
+    or a (headers, rows) table.  csv is one (headers, rows) table.  checks
+    lists the reference mismatches that --verify reports.
+    """
+
+    data: object
+    md: list
+    csv: tuple
+    checks: list
 
 
 def _md_table(headers, rows) -> str:
@@ -45,10 +52,15 @@ def _md_table(headers, rows) -> str:
     return "\n".join(out)
 
 
-def _csv_lines(headers, rows) -> str:
-    out = [",".join(headers)]
-    out.extend(",".join(str(x) for x in row) for row in rows)
-    return "\n".join(out)
+def render(section: Section, fmt: str) -> str:
+    """The text of a section in json, md or csv, newline-terminated."""
+    if fmt == "json":
+        return json.dumps(section.data, indent=2, sort_keys=True) + "\n"
+    if fmt == "md":
+        blocks = (b if isinstance(b, str) else _md_table(*b) for b in section.md)
+        return "\n\n".join(blocks) + "\n"
+    headers, rows = section.csv
+    return "\n".join(",".join(str(x) for x in row) for row in [headers, *rows]) + "\n"
 
 
 # --- per-command builders --------------------------------------------------
@@ -57,73 +69,68 @@ def _csv_lines(headers, rows) -> str:
 def _cmd_enumerate(args):
     rows = admissible_array(args.modulus)
     data = {"modulus": args.modulus, "count": int(len(rows))}
+    lines = []
     if args.dump:
         data["tuples"] = [[int(x) for x in row] for row in rows]
-    table_rows = [[",".join(str(int(x)) for x in row)] for row in rows] if args.dump else []
-    md = [f"# Admissible six-tuples (mod {args.modulus})", "", f"count: {len(rows)}"]
-    if args.dump:
-        md += [""] + [r[0] for r in table_rows]
-    csv = _csv_lines(["tuple"], table_rows) if args.dump else f"count\n{len(rows)}"
+        lines = [",".join(map(str, row)) for row in data["tuples"]]
+    # one block, so that a dump without tuples still ends in a blank line
+    body = "\n".join([f"count: {len(rows)}", *([""] + lines if args.dump else [])])
+    md = [f"# Admissible six-tuples (mod {args.modulus})", body]
+    csv = (["tuple"], [[line] for line in lines]) if args.dump else (["count"], [[len(rows)]])
     checks = []
     if args.modulus == 5 and len(rows) != golden.ADMISSIBLE_COUNT:
         checks.append(f"count {len(rows)} != {golden.ADMISSIBLE_COUNT}")
-    return data, "\n".join(md), csv, checks
+    return Section(data, md, csv, checks)
 
 
 def _cmd_orbits(args):
     n = args.modulus
     part = orbit_partition(n)
-    rows_arr = admissible_array(n)
-    entries = []
-    for i, orb in enumerate(part.orbits):
-        entry = {
+    entries = [
+        {
             "id": i,
             "size": orb.size,
             "stabilizer_order": orb.stabilizer_order,
             "representative": orb.representative.format(),
             "reference_label": None,
         }
-        if n == 5:
-            pg = int(pg_values(rows_arr[orb.member_indices[:1]], n)[0])
-            entry["pg"] = pg
-            entry["q"] = pg - 4
-        entries.append(entry)
-    if n == 5:
-        for name, res in golden.REFERENCE_TUPLES.items():
-            oid = part.orbit_of(SixTuple.from_residues(res), n)
-            entries[oid]["reference_label"] = name
-            entries[oid]["reference_tuple"] = SixTuple.from_residues(res).format()
-    data = {"modulus": n, "orbit_count": len(entries), "orbits": entries}
-    headers = ["id", "size", "stabilizer", "lex representative", "label"]
-    table = [
-        [e["id"], e["size"], e["stabilizer_order"], e["representative"], e["reference_label"] or "-"]
-        for e in entries
+        for i, orb in enumerate(part.orbits)
     ]
-    md = f"# Symmetry orbits (mod {n})\n\n" + _md_table(headers, table)
-    csv = _csv_lines(headers, table)
     checks = []
     if n == 5:
+        rows = admissible_array(n)
+        for entry, orb in zip(entries, part.orbits):
+            entry["pg"] = int(pg_values(rows[orb.member_indices[:1]], n)[0])
+            entry["q"] = entry["pg"] - 4
+        for name, res in golden.REFERENCE_TUPLES.items():
+            t = SixTuple.from_residues(res)
+            entries[part.orbit_of(t, n)].update(reference_label=name, reference_tuple=t.format())
         sizes = Counter(e["size"] for e in entries)
         if sizes != Counter(golden.ORBIT_SIZES):
             checks.append(f"orbit sizes {sorted(sizes.elements())} != {sorted(golden.ORBIT_SIZES)}")
-        labels = [e["reference_label"] for e in entries]
-        if sorted(x for x in labels if x) != ["U1", "U2", "U3", "U4"]:
+        labels = sorted(e["reference_label"] for e in entries if e["reference_label"])
+        if labels != ["U1", "U2", "U3", "U4"]:
             checks.append("reference tuples do not fall in four distinct orbits")
-    return data, md, csv, checks
+    data = {"modulus": n, "orbit_count": len(entries), "orbits": entries}
+    keys = ("id", "size", "stabilizer_order", "representative")
+    table = (
+        ["id", "size", "stabilizer", "lex representative", "label"],
+        [[e[k] for k in keys] + [e["reference_label"] or "-"] for e in entries],
+    )
+    return Section(data, [f"# Symmetry orbits (mod {n})", table], table, checks)
 
 
 def _cmd_invariants(args):
     inv = invariants(args.tuple, args.modulus)
-    data = {"k2": inv.k2, "chi": inv.chi, "pg": inv.pg, "q": inv.q}
-    md = _md_table(["k2", "chi", "pg", "q"], [[inv.k2, inv.chi, inv.pg, inv.q]])
-    csv = _csv_lines(["k2", "chi", "pg", "q"], [[inv.k2, inv.chi, inv.pg, inv.q]])
+    data = inv._asdict()
+    table = (list(data), [list(inv)])
     checks = []
     label = _reference_label(args.tuple)
     if label is None:
         checks.append("no reference invariants for this tuple")
     elif data != golden.INVARIANTS[label]:
         checks.append(f"invariants {data} != reference {golden.INVARIANTS[label]}")
-    return data, md, csv, checks
+    return Section(data, [table], table, checks)
 
 
 def _cmd_sheaf_table(args):
@@ -134,13 +141,14 @@ def _cmd_sheaf_table(args):
         "classes": {f"({a},{b})": list(cls) for (a, b), cls in table},
     }
     grid = {cs.chi: cs.cls for cs in table}
-    md_rows = [
-        [f"b={b}"] + [grid[(a, b)].format() for a in range(n)] for b in range(n)
+    md = [
+        f"# Character sheaves of {args.tuple.format()}",
+        (
+            ["L(a,b)"] + [f"a={a}" for a in range(n)],
+            [[f"b={b}"] + [grid[(a, b)].format() for a in range(n)] for b in range(n)],
+        ),
     ]
-    md = f"# Character sheaves of {args.tuple.format()}\n\n" + _md_table(
-        ["L(a,b)"] + [f"a={a}" for a in range(n)], md_rows
-    )
-    csv = _csv_lines(
+    csv = (
         ["a", "b", "h", "e0", "e1", "e2", "e3"],
         [[a, b] + list(grid[(a, b)]) for b in range(n) for a in range(n)],
     )
@@ -151,7 +159,7 @@ def _cmd_sheaf_table(args):
                 checks.append(f"sheaf ({a},{b}) = {tuple(grid[(a, b)])} != {cls}")
     else:
         checks.append("no reference sheaf table for this tuple")
-    return data, md, csv, checks
+    return Section(data, md, csv, checks)
 
 
 def _cmd_homology(args):
@@ -163,22 +171,16 @@ def _cmd_homology(args):
         "torsion": list(pres.torsion),
         "relations": [list(r) for r in pres.relations],
     }
-    md_rows = [[label] + row for label, row in zip(CURVE_LABELS, matrix)]
-    md = "\n".join(
-        [
-            "# Branch configuration pairing and complement homology",
-            "",
-            _md_table([""] + list(BASIS_LABELS), md_rows),
-            "",
-            f"free rank: {pres.rank}",
-            f"torsion: {list(pres.torsion) or 'none'}",
-        ]
-    )
-    csv = _csv_lines([""] + list(BASIS_LABELS), md_rows)
+    table = ([""] + list(BASIS_LABELS), [[label] + row for label, row in zip(CURVE_LABELS, matrix)])
+    md = [
+        "# Branch configuration pairing and complement homology",
+        table,
+        f"free rank: {pres.rank}\ntorsion: {list(pres.torsion) or 'none'}",
+    ]
     checks = []
     if pres.rank != golden.HOMOLOGY_RANK or tuple(pres.torsion) != golden.HOMOLOGY_TORSION:
         checks.append(f"homology ({pres.rank}, {pres.torsion}) != reference")
-    return data, md, csv, checks
+    return Section(data, md, table, checks)
 
 
 def _cmd_equations(args):
@@ -186,56 +188,39 @@ def _cmd_equations(args):
     data = {
         "tuple": args.tuple.format(),
         "count": len(rels),
-        "relations": [
-            {
-                "chi": list(r.chi),
-                "chi2": list(r.chi2),
-                "sigma_exponents": list(r.sigma_exponents),
-                "rhs": list(r.rhs),
-                "text": r.format(),
-            }
-            for r in rels
-        ],
+        "relations": [{**r._asdict(), "text": r.format()} for r in rels],
     }
     lines = [r.format() for r in rels]
-    md = f"# Cover equations of {args.tuple.format()}\n\n" + "\n".join(lines)
-    csv = _csv_lines(["relation"], [[line] for line in lines])
+    md = [f"# Cover equations of {args.tuple.format()}", "\n".join(lines)]
     checks = []
     if args.modulus == 5 and len(rels) != golden.COVER_RELATION_COUNT:
         checks.append(f"relation count {len(rels)} != {golden.COVER_RELATION_COUNT}")
-    return data, md, csv, checks
+    return Section(data, md, (["relation"], [[line] for line in lines]), checks)
 
 
-def _canonical_markdown(rep) -> str:
-    lines = [f"# Canonical system of {rep.tuple.format()}", ""]
-    lines.append("basis monomials (exponents on x1..x10):")
-    for chi, expo in rep.basis.entries:
-        lines.append(f"  chi={chi}: {expo}")
-    fixed = [
-        f"{m} R{i + 1} ({CURVE_LABELS[i]})"
-        for i, m in enumerate(rep.fixed_part)
-        if m
+def _canonical_markdown(rep) -> list[str]:
+    basis = [f"  chi={chi}: {expo}" for chi, expo in rep.basis.entries]
+    fixed = [f"{m} R{i + 1} ({CURVE_LABELS[i]})" for i, m in enumerate(rep.fixed_part) if m]
+    points = [
+        f"  x{bp.pair[0] + 1} . x{bp.pair[1] + 1} ({bp.labels[0]}, {bp.labels[1]}): "
+        f"ideal {bp.ideal.format()}, type {bp.type.multiplicities()}"
+        for bp in rep.base_points
     ]
-    lines.append("")
-    lines.append("fixed part: " + (" + ".join(fixed) if fixed else "none"))
-    lines.append("")
-    lines.append("base points of the movable part:")
-    for bp in rep.base_points:
-        lines.append(
-            f"  x{bp.pair[0] + 1} . x{bp.pair[1] + 1} ({bp.labels[0]}, {bp.labels[1]}): "
-            f"ideal {bp.ideal.format()}, type {bp.type.multiplicities()}"
-        )
-    lines += [
-        "",
-        f"movable self-intersection: {rep.moving_selfint}",
-        f"sum of squared multiplicities: {rep.type_square_sum}",
-        f"(map degree) x (image degree): {rep.degree_product}",
+    return [
+        f"# Canonical system of {rep.tuple.format()}",
+        "\n".join(["basis monomials (exponents on x1..x10):", *basis]),
+        "fixed part: " + (" + ".join(fixed) or "none"),
+        "\n".join(["base points of the movable part:", *points]),
+        f"movable self-intersection: {rep.moving_selfint}\n"
+        f"sum of squared multiplicities: {rep.type_square_sum}\n"
+        f"(map degree) x (image degree): {rep.degree_product}\n"
         f"birational: {rep.birational} ({rep.justification})",
     ]
-    return "\n".join(lines)
 
 
 def _check_canonical(rep) -> list[str]:
+    if _reference_label(rep.tuple) != "U3":
+        return ["no reference canonical data for this tuple"]
     ref = golden.CANONICAL_U3
     checks = []
     got_basis = {chi: expo for chi, expo in rep.basis.entries}
@@ -254,119 +239,86 @@ def _check_canonical(rep) -> list[str]:
 
 def _cmd_canonical(args):
     rep = degree_certificate(args.tuple, args.modulus)
-    data = rep.as_dict()
-    md = _canonical_markdown(rep)
-    csv = _csv_lines(
-        ["key", "value"],
-        [
-            ["fixed_part", " ".join(map(str, rep.fixed_part))],
-            ["moving_selfint", rep.moving_selfint],
-            ["type_square_sum", rep.type_square_sum],
-            ["degree_product", rep.degree_product],
-            ["birational", rep.birational],
-        ],
-    )
+    keys = ("moving_selfint", "type_square_sum", "degree_product", "birational")
+    rows = [["fixed_part", " ".join(map(str, rep.fixed_part))]]
+    rows += [[k, getattr(rep, k)] for k in keys]
+    csv = (["key", "value"], rows)
+    return Section(rep.as_dict(), _canonical_markdown(rep), csv, _check_canonical(rep))
+
+
+# --- sections that only the report has ------------------------------------
+
+
+def _group(args):
+    closure = group_closure(args.modulus)
+    data = {"s5_order": closure.s5_order, "gl2_order": closure.gl2_order, "order": closure.order}
+    table = (["swap closure", "GL2 order", "full closure"], [list(data.values())])
     checks = []
-    if _reference_label(args.tuple) == "U3":
-        checks = _check_canonical(rep)
-    else:
-        checks.append("no reference canonical data for this tuple")
-    return data, md, csv, checks
+    orders = (closure.s5_order, closure.order)
+    if args.modulus == 5 and orders != (golden.S5_ORDER, golden.GROUP_ORDER):
+        checks.append("group closure orders differ from reference")
+    return Section(data, ["# Symmetry group", table], table, checks)
+
+
+def _reference_invariants(args):
+    data, rows, checks = {}, [], []
+    for label, res in golden.REFERENCE_TUPLES.items():
+        t = SixTuple.from_residues(res)
+        inv = invariants(t, args.modulus)
+        data[label] = inv._asdict()
+        rows.append([label, t.format(), *inv])
+        if data[label] != golden.INVARIANTS[label]:
+            checks.append(f"invariants of {label} differ from reference")
+    table = (["label", "tuple", "k2", "chi", "pg", "q"], rows)
+    return Section(data, ["# Invariants of the representatives", table], table, checks)
+
+
+def _coeff_rows(args):
+    rows = {chi: tuple(coeffs(args.tuple, chi, args.modulus)) for chi in golden.COEFF_ROWS_U3}
+    table = (
+        ["(a,b)", "d1", "d2", "d3", "l1", "l2", "l3", "m0", "m1", "m2", "m3"],
+        [[f"({a},{b})"] + list(v) for (a, b), v in sorted(rows.items())],
+    )
+    checks = [] if rows == golden.COEFF_ROWS_U3 else ["U3 branch residue rows differ from reference"]
+    data = {f"({a},{b})": list(v) for (a, b), v in rows.items()}
+    title = "# Branch residues of the canonical characters of U3"
+    return Section(data, [title, table], table, checks)
+
+
+def _ram_curves(args):
+    rams = ram_curve_numbers(args.tuple, args.modulus)
+    table = (["curve", "R^2", "K.R", "genus"], [list(r) for r in rams])
+    checks = []
+    if any((r.selfint, r.kdot, r.genus) != golden.RAM_CURVE for r in rams):
+        checks.append("ramification curve numbers differ from reference")
+    return Section([r._asdict() for r in rams], ["# Ramification curves", table], table, checks)
 
 
 def _cmd_report(args):
-    n = args.modulus
-    closure = group_closure(n)
-    sections = {}
-    md_parts = []
-    all_checks = []
-
-    for name, builder in (
-        ("enumerate", _cmd_enumerate),
-        ("orbits", _cmd_orbits),
-        ("homology", _cmd_homology),
-    ):
-        data, md, _, checks = builder(args)
-        sections[name] = data
-        md_parts.append(md)
-        all_checks.extend(checks)
-
-    sections["group"] = {
-        "s5_order": closure.s5_order,
-        "gl2_order": closure.gl2_order,
-        "order": closure.order,
+    group = _group(args)  # first, so that an oversized modulus is refused before enumeration
+    parts = {
+        "enumerate": _cmd_enumerate(args),
+        "orbits": _cmd_orbits(args),
+        "homology": _cmd_homology(args),
+        "group": group,
     }
-    md_parts.append(
-        "# Symmetry group\n\n"
-        + _md_table(
-            ["swap closure", "GL2 order", "full closure"],
-            [[closure.s5_order, closure.gl2_order, closure.order]],
-        )
-    )
-    if n == 5 and (closure.s5_order, closure.order) != (golden.S5_ORDER, golden.GROUP_ORDER):
-        all_checks.append("group closure orders differ from reference")
-
-    if n == 5:
-        inv_rows = []
-        for label, res in golden.REFERENCE_TUPLES.items():
-            t = SixTuple.from_residues(res)
-            inv = invariants(t, n)
-            sections.setdefault("invariants", {})[label] = {
-                "k2": inv.k2, "chi": inv.chi, "pg": inv.pg, "q": inv.q,
-            }
-            inv_rows.append([label, t.format(), inv.k2, inv.chi, inv.pg, inv.q])
-            if sections["invariants"][label] != golden.INVARIANTS[label]:
-                all_checks.append(f"invariants of {label} differ from reference")
-        md_parts.append(
-            "# Invariants of the representatives\n\n"
-            + _md_table(["label", "tuple", "k2", "chi", "pg", "q"], inv_rows)
-        )
-
+    if args.modulus == 5:
         u3 = SixTuple.from_residues(golden.REFERENCE_TUPLES["U3"])
         args_u3 = argparse.Namespace(**{**vars(args), "tuple": u3})
-
-        data, md, _, checks = _cmd_sheaf_table(args_u3)
-        sections["sheaf_table_u3"] = data
-        md_parts.append(md)
-        all_checks.extend(checks)
-
-        coeff_rows = {chi: tuple(coeffs(u3, chi, n)) for chi in golden.COEFF_ROWS_U3}
-        sections["coeff_rows_u3"] = {f"({a},{b})": list(v) for (a, b), v in coeff_rows.items()}
-        md_parts.append(
-            "# Branch residues of the canonical characters of U3\n\n"
-            + _md_table(
-                ["(a,b)", "d1", "d2", "d3", "l1", "l2", "l3", "m0", "m1", "m2", "m3"],
-                [[f"({a},{b})"] + list(v) for (a, b), v in sorted(coeff_rows.items())],
-            )
-        )
-        if coeff_rows != golden.COEFF_ROWS_U3:
-            all_checks.append("U3 branch residue rows differ from reference")
-
-        rams = ram_curve_numbers(u3, n)
-        sections["ram_curves"] = [
-            {"label": r.label, "selfint": r.selfint, "kdot": r.kdot, "genus": r.genus}
-            for r in rams
-        ]
-        md_parts.append(
-            "# Ramification curves\n\n"
-            + _md_table(
-                ["curve", "R^2", "K.R", "genus"],
-                [[r.label, r.selfint, r.kdot, r.genus] for r in rams],
-            )
-        )
-        if any((r.selfint, r.kdot, r.genus) != golden.RAM_CURVE for r in rams):
-            all_checks.append("ramification curve numbers differ from reference")
-
-        data, md, _, checks = _cmd_canonical(args_u3)
-        sections["canonical_u3"] = data
-        md_parts.append(md)
-        all_checks.extend(checks)
-
-    csv = _csv_lines(
-        ["section", "json"],
-        [[k, json.dumps(v, sort_keys=True)] for k, v in sections.items()],
+        parts |= {
+            "invariants": _reference_invariants(args),
+            "sheaf_table_u3": _cmd_sheaf_table(args_u3),
+            "coeff_rows_u3": _coeff_rows(args_u3),
+            "ram_curves": _ram_curves(args_u3),
+            "canonical_u3": _cmd_canonical(args_u3),
+        }
+    data = {name: part.data for name, part in parts.items()}
+    return Section(
+        data,
+        [block for part in parts.values() for block in part.md],
+        (["section", "json"], [[k, json.dumps(v, sort_keys=True)] for k, v in data.items()]),
+        [problem for part in parts.values() for problem in part.checks],
     )
-    return sections, "\n\n".join(md_parts), csv, all_checks
 
 
 _COMMANDS = {
@@ -426,28 +378,26 @@ def main(argv=None) -> int:
         if hasattr(args, "tuple"):
             args.tuple = SixTuple.parse(args.tuple, args.modulus)
         builder, _ = _COMMANDS[args.command]
-        data, md, csv, checks = builder(args)
+        section = builder(args)
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    elif args.format == "md":
-        text = md + "\n"
-    else:
-        text = csv + "\n"
-
+    text = render(section, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 
     if args.verify:
-        for problem in checks:
+        for problem in section.checks:
             print(f"verify: {problem}", file=sys.stderr)
-        if checks:
+        if section.checks:
             return 1
         print("verify: all reference checks passed", file=sys.stderr)
     return 0

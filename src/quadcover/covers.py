@@ -124,6 +124,14 @@ def check_admissibility(t: SixTuple, n=DEFAULT_MODULUS) -> AdmissibilityCheck:
     return AdmissibilityCheck(True)
 
 
+def require_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> SixTuple:
+    """t itself; ValueError with the reason when it is not admissible."""
+    check = check_admissibility(t, n)
+    if not check:
+        raise ValueError(f"tuple {t.format()} is not admissible: {check.reason}")
+    return t
+
+
 def is_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> bool:
     return bool(check_admissibility(t, n))
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .covers import SixTuple, check_admissibility, loop_image_rows, loop_images
+from .covers import SixTuple, loop_image_rows, loop_images, require_admissible
 from .gf import DEFAULT_MODULUS, Vec2, chi_eval, reduce_vec, vadd
 from .picard import DivClass, ZERO, canonical_class, configuration, intersect
 
@@ -155,6 +155,12 @@ def h0(c: DivClass) -> int:
     return len(monos) - exact.rational_rank(rows)
 
 
+def _adjunction_class(n):
+    """K_Y + (n-1)/n D with D the total branch class; its pullback is the
+    canonical class of the cover (every branch curve ramifies with index n)."""
+    return canonical_class() + Fraction(n - 1, n) * configuration().total_branch_class()
+
+
 def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
     """Holomorphic invariants of the smooth cover given by an admissible
     tuple: K^2 = n^2 (K_Y + (n-1)/n D)^2 in exact rationals, p_g summed
@@ -163,15 +169,13 @@ def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
     chi = 5 is a constant of the quadrangle construction, so only the
     default modulus is supported here.
     """
-    check = check_admissibility(t, n)
-    if not check:
-        raise ValueError(f"tuple {t.format()} is not admissible: {check.reason}")
+    require_admissible(t, n)
     if n != 5:
         raise ValueError("surface invariants are only defined for modulus 5")
     ky = canonical_class()
     pg = sum(h0(ky + sheaf(t, (a, b), n).cls) for a in range(n) for b in range(n))
     chi_o = 5
-    adj = ky + Fraction(n - 1, n) * configuration().total_branch_class()
+    adj = _adjunction_class(n)
     k2 = n * n * intersect(adj, adj)
     if k2.denominator != 1:
         raise AssertionError("K^2 of the cover is not an integer")
@@ -182,10 +186,8 @@ def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
     """Numerics of the ten ramification curves upstairs: self-intersection
     equals the branch curve's, K.R comes from the projection formula, and
     the genus from adjunction."""
-    check = check_admissibility(t, n)
-    if not check:
-        raise ValueError(f"tuple {t.format()} is not admissible: {check.reason}")
-    adj = canonical_class() + Fraction(n - 1, n) * configuration().total_branch_class()
+    require_admissible(t, n)
+    adj = _adjunction_class(n)
     out = []
     for label, cls in configuration().curves:
         selfint = intersect(cls, cls)
@@ -212,16 +214,21 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
     lam' = M/d', the i-th entry is 1 iff lam*D_i + lam'*D'_i >= M, where
     D, D' are the branch residues scaled down to Z/d resp. Z/d'.
     """
+    return _carry(chi, coeffs(t, chi, n), chi2, coeffs(t, chi2, n), n)
+
+
+def _carry(chi, c1, chi2, c2, n) -> tuple[int, ...]:
+    """epsilon for given residue rows c1 of chi and c2 of chi2."""
     d1 = char_order(chi, n)
     d2 = char_order(chi2, n)
     m = lcm(d1, d2)
     lam1, lam2 = m // d1, m // d2
     step1, step2 = n // d1, n // d2
     out = []
-    for c1, c2 in zip(coeffs(t, chi, n), coeffs(t, chi2, n)):
-        if c1 % step1 or c2 % step2:
+    for r1, r2 in zip(c1, c2):
+        if r1 % step1 or r2 % step2:
             raise AssertionError("branch residue incompatible with character order")
-        out.append(1 if lam1 * (c1 // step1) + lam2 * (c2 // step2) >= m else 0)
+        out.append(1 if lam1 * (r1 // step1) + lam2 * (r2 // step2) >= m else 0)
     return tuple(out)
 
 
@@ -229,10 +236,9 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
     """The fibre-coordinate relations cutting out the cover inside the
     total space of the nontrivial eigensheaves: one relation per
     unordered pair of nontrivial characters (with repetition)."""
-    check = check_admissibility(t, n)
-    if not check:
-        raise ValueError(f"tuple {t.format()} is not admissible: {check.reason}")
+    require_admissible(t, n)
     chars = [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
+    rows = {chi: coeffs(t, chi, n) for chi in chars}
     out = []
     for i, chi in enumerate(chars):
         for chi2 in chars[i:]:
@@ -240,7 +246,7 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
                 CoverRelation(
                     chi=chi,
                     chi2=chi2,
-                    sigma_exponents=epsilon(t, chi, chi2, n),
+                    sigma_exponents=_carry(chi, rows[chi], chi2, rows[chi2], n),
                     rhs=vadd(chi, chi2, n=n),
                 )
             )

@@ -28,6 +28,13 @@ def test_basis_rejects_non_admissible():
         canonical.basis(SixTuple.from_residues([0] * 12))
 
 
+def test_basis_rejects_multidimensional_eigenspace(u3, monkeypatch):
+    # one monomial per character spans H^0(K) only when every count is 1
+    monkeypatch.setattr(canonical, "h0", lambda c: 2)
+    with pytest.raises(AssertionError, match="not a basis"):
+        canonical.basis(u3)
+
+
 def test_fixed_part(u3):
     b = canonical.basis(u3)
     fixed = canonical.fixed_part(b)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from quadcover import cli
 
@@ -154,3 +157,31 @@ def test_oversized_modulus_is_refused(capsys):
         assert code == 2
         assert out == ""
         assert "MiB" in err
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "homology", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing" in err
+
+
+# sha256 of stdout: the md and csv layouts are kept byte-stable
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("report --format md", "e973b6f7da60635700e0f91651b53b271af9d01bcd93d46182e97c48ce141c1d"),
+        ("report --format csv", "c355ae1762a65a2048781b69a5784337cf5b70982c0fe62f4db88e4bdc8a84d6"),
+        (f"canonical {U3} --format md", "0c9ad61722387d627821f6dc53b840a983636e3eac5b84f419e87cb38f0b6f3f"),
+        (f"sheaf-table {U3} --format csv", "91aff4b6048e1551466b72e8dedf8d56865a9f08a46a282f0a66e01c86577c8d"),
+        (
+            "--modulus 3 enumerate --dump --format md",  # no tuples: ends in a blank line
+            "df4175439a79f6e0b7f07a383e00b36a6b6310fb77d9de33927cc669afa66231",
+        ),
+    ],
+)
+def test_md_and_csv_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -183,6 +183,22 @@ def test_cover_equations(u3):
         sheaves.cover_equations(SixTuple.from_residues([0] * 12))
 
 
+def test_cover_equations_match_epsilon(u3):
+    # cover_equations shares its residue rows across pairs; epsilon recomputes them
+    arr = covers.admissible_array(5)
+    rng = np.random.default_rng(20)
+    tuples = [u3] + [SixTuple.from_residues(row) for row in arr[rng.choice(len(arr), 20)]]
+    for t in tuples:
+        for r in sheaves.cover_equations(t):
+            assert r.sigma_exponents == sheaves.epsilon(t, r.chi, r.chi2)
+
+
+@pytest.mark.parametrize("fn", [sheaves.invariants, sheaves.ram_curve_numbers, sheaves.cover_equations])
+def test_admissibility_guard(fn):
+    with pytest.raises(ValueError, match=r"tuple 1,0,1,0,1,0,1,0,1,0,1,0 is not admissible: condition 0"):
+        fn(SixTuple.from_residues([1, 0] * 6))
+
+
 def test_sheaf_integrality_on_random_tuples():
     rng = random.Random(100)
     arr = covers.admissible_array(5)
