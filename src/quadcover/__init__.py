@@ -23,10 +23,9 @@ from .covers import (
     SixTuple,
     admissible_array,
     check_admissibility,
-    enumerate_admissible,
     is_admissible,
-    is_totally_ramified,
     loop_images,
+    normal_forms,
 )
 from .gf import Mat, chi_eval, gl2_enumerate, is_independent
 from .picard import (
@@ -61,7 +60,6 @@ from .symmetry import (
     gl2_action,
     group_closure,
     orbit_partition,
-    orbits,
     s5_generators,
 )
 

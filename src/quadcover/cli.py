@@ -1,8 +1,8 @@
 """Command-line front end: reports for every pipeline stage.
 
-Subcommands cover enumeration, orbit classification, invariants, sheaf
-tables, homology, cover equations, the canonical-map analysis, and a
-combined reproduction report.  With --verify, computed results are
+Subcommands cover enumeration, orbit classification, the symmetry group,
+invariants, sheaf tables, homology, cover equations, the canonical-map
+analysis, and a combined reproduction report.  With --verify, computed results are
 compared against the embedded reference values and any drift makes the
 exit status nonzero.  Each command builds one Section; render writes it.
 """
@@ -15,10 +15,12 @@ import sys
 from collections import Counter
 from typing import NamedTuple
 
+import numpy as np
+
 from . import golden
 from .canonical import degree_certificate
-from .covers import SixTuple, admissible_array
-from .gf import require_prime
+from .covers import SixTuple, admissible_array, normal_forms
+from .gf import gl2_array, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
 from .sheaves import (
     coeffs, cover_equations, invariants, pg_values, ram_curve_numbers, sheaf_table,
@@ -67,19 +69,23 @@ def render(section: Section, fmt: str) -> str:
 
 
 def _cmd_enumerate(args):
-    rows = admissible_array(args.modulus)
-    data = {"modulus": args.modulus, "count": int(len(rows))}
-    lines = []
+    n = args.modulus
     if args.dump:
-        data["tuples"] = [[int(x) for x in row] for row in rows]
-        lines = [",".join(map(str, row)) for row in data["tuples"]]
-    # one block, so that a dump without tuples still ends in a blank line
-    body = "\n".join([f"count: {len(rows)}", *([""] + lines if args.dump else [])])
-    md = [f"# Admissible six-tuples (mod {args.modulus})", body]
-    csv = (["tuple"], [[line] for line in lines]) if args.dump else (["count"], [[len(rows)]])
+        tuples = [[int(x) for x in row] for row in admissible_array(n)]
+        count = len(tuples)
+    else:
+        count = len(normal_forms(n)) * len(gl2_array(n))  # GL(2) acts freely
+    data = {"modulus": n, "count": count}
+    md = [f"# Admissible six-tuples (mod {n})", f"count: {count}"]
+    csv = (["count"], [[count]])
+    if args.dump:
+        data["tuples"] = tuples
+        lines = [",".join(map(str, row)) for row in tuples]
+        md += ["\n".join(lines)] if lines else []
+        csv = (["tuple"], [[line] for line in lines])
     checks = []
-    if args.modulus == 5 and len(rows) != golden.ADMISSIBLE_COUNT:
-        checks.append(f"count {len(rows)} != {golden.ADMISSIBLE_COUNT}")
+    if n == 5 and count != golden.ADMISSIBLE_COUNT:
+        checks.append(f"count {count} != {golden.ADMISSIBLE_COUNT}")
     return Section(data, md, csv, checks)
 
 
@@ -98,10 +104,9 @@ def _cmd_orbits(args):
     ]
     checks = []
     if n == 5:
-        rows = admissible_array(n)
-        for entry, orb in zip(entries, part.orbits):
-            entry["pg"] = int(pg_values(rows[orb.member_indices[:1]], n)[0])
-            entry["q"] = entry["pg"] - 4
+        pgs = pg_values(np.array([orb.representative.residues for orb in part.orbits]), n)
+        for entry, pg in zip(entries, pgs):
+            entry["pg"], entry["q"] = int(pg), int(pg) - 4
         for name, res in golden.REFERENCE_TUPLES.items():
             t = SixTuple.from_residues(res)
             entries[part.orbit_of(t, n)].update(reference_label=name, reference_tuple=t.format())
@@ -183,6 +188,17 @@ def _cmd_homology(args):
     return Section(data, md, table, checks)
 
 
+def _cmd_group(args):
+    closure = group_closure(args.modulus)
+    data = {"s5_order": closure.s5_order, "gl2_order": closure.gl2_order, "order": closure.order}
+    table = (["swap closure", "GL2 order", "full closure"], [list(data.values())])
+    checks = []
+    orders = (closure.s5_order, closure.order)
+    if args.modulus == 5 and orders != (golden.S5_ORDER, golden.GROUP_ORDER):
+        checks.append("group closure orders differ from reference")
+    return Section(data, ["# Symmetry group", table], table, checks)
+
+
 def _cmd_equations(args):
     rels = cover_equations(args.tuple, args.modulus)
     data = {
@@ -249,17 +265,6 @@ def _cmd_canonical(args):
 # --- sections that only the report has ------------------------------------
 
 
-def _group(args):
-    closure = group_closure(args.modulus)
-    data = {"s5_order": closure.s5_order, "gl2_order": closure.gl2_order, "order": closure.order}
-    table = (["swap closure", "GL2 order", "full closure"], [list(data.values())])
-    checks = []
-    orders = (closure.s5_order, closure.order)
-    if args.modulus == 5 and orders != (golden.S5_ORDER, golden.GROUP_ORDER):
-        checks.append("group closure orders differ from reference")
-    return Section(data, ["# Symmetry group", table], table, checks)
-
-
 def _reference_invariants(args):
     data, rows, checks = {}, [], []
     for label, res in golden.REFERENCE_TUPLES.items():
@@ -295,12 +300,11 @@ def _ram_curves(args):
 
 
 def _cmd_report(args):
-    group = _group(args)  # first, so that an oversized modulus is refused before enumeration
     parts = {
         "enumerate": _cmd_enumerate(args),
         "orbits": _cmd_orbits(args),
         "homology": _cmd_homology(args),
-        "group": group,
+        "group": _cmd_group(args),
     }
     if args.modulus == 5:
         u3 = SixTuple.from_residues(golden.REFERENCE_TUPLES["U3"])
@@ -328,6 +332,7 @@ _COMMANDS = {
     "sheaf-table": (_cmd_sheaf_table, True),
     "canonical": (_cmd_canonical, True),
     "homology": (_cmd_homology, False),
+    "group": (_cmd_group, False),
     "equations": (_cmd_equations, True),
     "report": (_cmd_report, False),
 }

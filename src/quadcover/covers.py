@@ -136,14 +136,6 @@ def is_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> bool:
     return bool(check_admissibility(t, n))
 
 
-def is_totally_ramified(t: SixTuple, n=DEFAULT_MODULUS) -> bool:
-    """Whether the ten loop images span (Z/n)^2 (no unramified subcover)."""
-    images = [img for img in loop_images(t, n) if img != (0, 0)]
-    return any(
-        is_independent(v, w, n) for i, v in enumerate(images) for w in images[i + 1:]
-    )
-
-
 # --- bulk operations -------------------------------------------------------
 
 def loop_image_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
@@ -179,24 +171,36 @@ def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     return rows @ weights
 
 
-# largest expanded admissible array (int16 rows) that admissible_array builds
+# Largest array built: the expanded admissible set (int16 rows) or the
+# working rows of the normal forms.  The tests' group-element oracle
+# keeps to it too.
 MAX_ARRAY_BYTES = 256 << 20
 
 
+def _locate(sorted_codes, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of codes in sorted_codes, and the mask of codes absent."""
+    pos = np.searchsorted(sorted_codes, codes)
+    found = pos < len(sorted_codes)
+    found[found] = sorted_codes[pos[found]] == codes[found]
+    return pos, ~found
+
+
+@lru_cache(maxsize=None)
 def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissible rows with (u1, v1) = ((1,0), (0,1)), lexicographically
-    sorted: one per GL(2, Z/n)-class.
+    sorted and read-only: one per GL(2, Z/n)-class.
 
     L1' and L1 are incident, so u1 and v1 are independent in every
     admissible tuple and GL(2) acts freely and transitively on them.  The
     search runs over the nonzero u2, u3, v2 and solves the sum condition
     for v3, one u2 at a time.  It raises ValueError as soon as the forms
-    found prove the expanded array would exceed MAX_ARRAY_BYTES.
+    found would exceed MAX_ARRAY_BYTES as five int64 copies, about the
+    peak working set of orbit_partition on them.
     """
     require_prime(n)
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
     m = len(nz)
-    max_forms = MAX_ARRAY_BYTES // (12 * 2 * len(gl2_array(n)))
+    max_forms = MAX_ARRAY_BYTES // (5 * 12 * 8)
     i3, i2 = np.divmod(np.arange(m * m), m)
     forms, count = [], 0
     for u2 in nz:
@@ -207,9 +211,27 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
         rows = rows[admissibility_mask(rows, n)]
         count += len(rows)
         if count > max_forms:
-            raise ValueError(f"modulus {n}: admissible array over {MAX_ARRAY_BYTES >> 20} MiB")
+            raise ValueError(f"modulus {n}: normal forms over {MAX_ARRAY_BYTES >> 20} MiB")
         forms.append(rows)
-    return np.vstack(forms)
+    forms = np.vstack(forms)
+    forms.flags.writeable = False
+    return forms
+
+
+def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
+    """For each (N, 12) residue row, the position in normal_forms(n) of
+    g^-1 . row, where g is the matrix with columns u1 and v1: the index of
+    the row's GL(2)-class.  ValueError for a row outside every class, that
+    is, a row that is not admissible."""
+    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
+    a, c, b, d = (pairs[:, slot, i, None] for slot in (0, 3) for i in (0, 1))
+    scale = np.array([pow(x, -1, n) if x else 0 for x in range(n)])[(a * d - b * c) % n]
+    x, y = pairs[:, :, 0], pairs[:, :, 1]
+    forms = np.stack([d * x - b * y, a * y - c * x], axis=2).reshape(len(pairs), 12) * scale % n
+    pos, bad = _locate(encode_rows(normal_forms(n), n), encode_rows(forms, n))
+    if bad.any():
+        raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
+    return pos
 
 
 @lru_cache(maxsize=None)
@@ -219,16 +241,15 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
 
     Every admissible tuple is g.f for exactly one GL(2) matrix g and one
     normal form f (see normal_forms), so the array is the normal forms
-    expanded by all of GL(2, Z/n), then sorted.
+    expanded by all of GL(2, Z/n), then sorted.  ValueError when it would
+    exceed MAX_ARRAY_BYTES.
     """
-    forms = normal_forms(n).reshape(-1, 6, 2).astype(np.int16)
+    forms = normal_forms(n)
     gl2 = gl2_array(n).astype(np.int16)
+    if len(forms) * len(gl2) * 12 * 2 > MAX_ARRAY_BYTES:
+        raise ValueError(f"modulus {n}: admissible array over {MAX_ARRAY_BYTES >> 20} MiB")
+    forms = forms.reshape(-1, 6, 2).astype(np.int16)
     rows = np.einsum("gij,ksj->gksi", gl2, forms).reshape(-1, 12) % n
     rows = rows[np.argsort(encode_rows(rows, n), kind="stable")]
     rows.flags.writeable = False
     return rows
-
-
-def enumerate_admissible(n=DEFAULT_MODULUS) -> list[SixTuple]:
-    """All admissible six-tuples, lexicographically ordered."""
-    return [SixTuple.from_residues(row) for row in admissible_array(n)]

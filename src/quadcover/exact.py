@@ -115,28 +115,6 @@ def invariant_factors(a) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(k) if d[i][i])
 
 
-def integer_det(a) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
-    m = [[int(x) for x in row] for row in a]
-    k = len(m)
-    sign = 1
-    prev = 1
-    for t in range(k - 1):
-        if m[t][t] == 0:
-            for i in range(t + 1, k):
-                if m[i][t]:
-                    _swap_rows(m, t, i)
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-        prev = m[t][t]
-    return sign * m[k - 1][k - 1]
-
-
 def rational_rank(rows) -> int:
     """Rank over Q of a matrix given as an iterable of rows of ints/Fractions."""
     m = [[Fraction(x) for x in row] for row in rows]

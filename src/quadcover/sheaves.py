@@ -21,7 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .covers import SixTuple, loop_image_rows, loop_images, require_admissible
+from .covers import (
+    SixTuple, loop_image_rows, loop_images, normal_form_index, normal_forms, require_admissible,
+)
 from .gf import DEFAULT_MODULUS, Vec2, chi_eval, reduce_vec, vadd
 from .picard import DivClass, ZERO, canonical_class, configuration, intersect
 
@@ -256,28 +258,24 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
 def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Geometric genus for every residue row of an (N, 12) array at once.
 
-    Exhaustively asserts sheaf integrality along the way.  Used for
-    orbit-invariance sweeps over the full admissible set.
+    Each row is g.f for its normal form f (normal_form_index) and a GL(2)
+    matrix g.  The loop images of g.f are g applied to those of f, so
+    the character chi takes the values of chi o g on them, and g.f's n^2
+    classes are f's, permuted: p_g is evaluated on the rows' normal forms
+    only, and sheaf integrality is asserted on every class that occurs.
+    ValueError for a row that is not admissible.
     """
-    images = loop_image_rows(rows, n)
-    cls_rows = np.array(
-        [curve.cls for curve in configuration().curves], dtype=np.int64
-    )
+    used, index = np.unique(normal_form_index(rows, n), return_inverse=True)
+    images = loop_image_rows(normal_forms(n)[used], n)
+    cls_rows = np.array([curve.cls for curve in configuration().curves], dtype=np.int64)
     ky = np.array(canonical_class(), dtype=np.int64)
     pg = np.zeros(len(images), dtype=np.int64)
     for a in range(n):
         for b in range(n):
-            coeff = images @ np.array([a, b])
-            coeff %= n
-            weighted = coeff @ cls_rows
+            weighted = images @ np.array([a, b]) % n @ cls_rows
             if (weighted % n).any():
                 raise ArithmeticError(f"sheaf integrality fails for chi=({a},{b})")
-            shifted = weighted // n + ky
-            # one int64 key per class: mixed radix over the column ranges
-            low = shifted.min(axis=0)
-            radix = np.cumprod(np.concatenate([[1], shifted.max(axis=0)[:-1] - low[:-1] + 1]))
-            keys = (shifted - low) @ radix
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            vals = np.array([h0(DivClass(*map(int, shifted[i]))) for i in first], dtype=np.int64)
-            pg += vals[inverse]
-    return pg
+            classes, inverse = np.unique(weighted // n + ky, axis=0, return_inverse=True)
+            counts = [h0(DivClass(*map(int, c))) for c in classes]
+            pg += np.array(counts, dtype=np.int64)[inverse.ravel()]
+    return pg[index]

@@ -10,9 +10,11 @@ the actual cover data (admissible tuples all lie in it).  Group identity
 is therefore defined by the action on that subspace, a 10x10 matrix on
 the first ten coordinates: two elements are equal when these agree.
 With this convention the four swaps close into a group of order 120.
-They commute with GL(2), so the full group is the set product of the
-two, of order 57600, and its orbits are those of the swaps on the
-GL(2)-classes of admissible tuples.
+They commute with GL(2) and meet its blocks only in the identity, so
+the full group is the direct product of the two, of order 57600.  GL(2)
+acts freely on admissible tuples, so the orbits are the swap orbits of
+the GL(2)-classes, each labelled by its normal form, and everything here
+is computed on the normal forms alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
-from .covers import MAX_ARRAY_BYTES, SixTuple, admissible_array, encode_rows
+from .covers import SixTuple, normal_form_index, normal_forms
 from .gf import DEFAULT_MODULUS, Mat
 
 
@@ -142,14 +144,13 @@ def mulclose(gens) -> dict[bytes, Mat]:
 
 
 class GroupClosure(NamedTuple):
-    """Orders and elements of the symmetry group.  Elements are int8
-    (k, 10, 10) arrays: the action on the first ten coordinates of
+    """Orders of the symmetry group, and the swap closure as an int8
+    (k, 10, 10) array: the action on the first ten coordinates of
     sum-zero rows, whose last two follow from the sum condition."""
 
     order: int
     s5_order: int
     gl2_order: int
-    elements: np.ndarray
     s5_elements: np.ndarray
 
 
@@ -157,37 +158,35 @@ class GroupClosure(NamedTuple):
 def group_closure(n=DEFAULT_MODULUS) -> GroupClosure:
     """The group generated by the four swaps and the GL(2, Z/n) blocks.
 
-    Each swap commutes with each GL(2) generator (checked here), so the
-    group is the set product of the swap closure and all GL(2) blocks,
-    and counting the distinct products certifies its order.
+    Its order is the swap closure's times |GL(2)|, certified by two
+    checks: each swap commutes with each GL(2) generator, so the group is
+    the set product of the two subgroups; and the only swap-closure
+    element acting as a GL(2) block, kron(I5, g) on the sum-zero
+    subspace, is the identity, so no product is counted twice.
     """
     swaps = s5_generators(n)
     for s in swaps:
         for g in gf.gl2_generators(n):
             if s.mat * gl2_action(g, n).mat != gl2_action(g, n).mat * s.mat:
                 raise AssertionError(f"swap {s.provenance} does not commute with {g!r}")
-    s5 = _restrict([m.array for m in mulclose(swaps).values()], n)
-    gl2 = gf.gl2_array(n)
-    if len(s5) * len(gl2) * 100 > MAX_ARRAY_BYTES:
-        raise ValueError(f"modulus {n}: the group would exceed {MAX_ARRAY_BYTES >> 20} MiB")
-    blocks = _restrict([Mat.block_diagonal(g, 6, n).array for g in gl2], n).astype(np.int64)
-    prods = np.empty((len(s5), len(gl2), 10, 10), dtype=np.int8)
-    for i, s in enumerate(s5):
-        prods[i] = s @ blocks % n
-    prods = prods.reshape(-1, 10, 10)
-    _, first = np.unique(prods.reshape(len(prods), 100).view("V100").ravel(), return_index=True)
-    elements, s5 = prods[np.sort(first)], s5.astype(np.int8)
-    elements.flags.writeable = s5.flags.writeable = False
-    return GroupClosure(len(elements), len(s5), len(gl2), elements, s5)
+    s5 = _restrict([m.array for m in mulclose(swaps).values()], n).astype(np.int8)
+    as_block = np.einsum("ij,kab->kiajb", np.eye(5, dtype=np.int8), s5[:, :2, :2])
+    blocks = s5[(s5 == as_block.reshape(s5.shape)).all(axis=(1, 2))]
+    if len(blocks) != 1 or (blocks[0] != np.eye(10)).any():
+        raise AssertionError("the swap closure meets the GL(2) blocks outside the identity")
+    gl2_order = len(gf.gl2_array(n))
+    s5.flags.writeable = False
+    return GroupClosure(len(s5) * gl2_order, len(s5), gl2_order, s5)
 
 
 class Orbit(NamedTuple):
-    """One orbit of the symmetry group on a closed set of six-tuples."""
+    """One orbit of the symmetry group on the admissible tuples: the
+    union of the GL(2)-classes of the normal forms indexed by classes."""
 
     representative: SixTuple
     size: int
     stabilizer_order: int
-    member_indices: np.ndarray
+    classes: np.ndarray
 
 
 def _least(moves, start) -> np.ndarray:
@@ -199,117 +198,61 @@ def _least(moves, start) -> np.ndarray:
         start = step
 
 
-def _orbit_list(rows, least, lex_order, group_order) -> tuple[list[Orbit], np.ndarray]:
-    """Orbits and per-row labels from each row's least position in
-    lex_order (the lexicographic argsort) over its orbit: orbits are
-    numbered and represented by their lexicographically minimal member."""
-    ranks, labels = np.unique(least, return_inverse=True)
-    out = []
-    for oid, rank in enumerate(ranks):
-        members = np.flatnonzero(labels == oid)
-        if group_order % len(members):
-            raise AssertionError("orbit size does not divide the group order")
-        out.append(
-            Orbit(
-                representative=SixTuple.from_residues(rows[lex_order[rank]]),
-                size=len(members),
-                stabilizer_order=group_order // len(members),
-                member_indices=members,
-            )
-        )
-    return out, labels.astype(np.int32)
+def _least_member_codes(forms, n) -> np.ndarray:
+    """Code of the lexicographically least member of each form's
+    GL(2)-class.  u1 is never zero, so that member has u1 = (0,1): it is
+    the least image under the p(p-1) matrices g = [[0, a], [1, b]], a != 0.
+    As g.(x, y) = (a y, x + b y), the code of g.f is a term in a plus a
+    term in b, and the two are minimised separately."""
+    x, y = forms[:, 0::2], forms[:, 1::2]
+    weights = np.uint64(n) ** np.arange(11, -1, -1, dtype=np.uint64)
+    in_a = [(a * y % n).astype(np.uint64) @ weights[0::2] for a in range(1, n)]
+    in_b = [((x + b * y) % n).astype(np.uint64) @ weights[1::2] for b in range(n)]
+    return np.minimum.reduce(in_a) + np.minimum.reduce(in_b)
 
 
-def _locate(sorted_codes, codes) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of codes in sorted_codes, and the mask of codes absent."""
-    pos = np.searchsorted(sorted_codes, codes)
-    found = pos < len(sorted_codes)
-    found[found] = sorted_codes[pos[found]] == codes[found]
-    return pos, ~found
-
-
-def orbits(tuples, n=DEFAULT_MODULUS, generators=None) -> list[Orbit]:
-    """Partition of a closed tuple set into symmetry orbits.
-
-    Each generator matrix permutes the rows (looked up by base-n code);
-    orbits are numbered by, and represented by, their lexicographically
-    minimal member.  Stabilizer orders use the order of the group the
-    generators generate.  Raises if a generator leaves the input set.
-    """
-    if isinstance(tuples, np.ndarray):
-        rows = np.asarray(tuples, dtype=np.int64) % n
-    else:
-        rows = np.array([t.residues for t in tuples], dtype=np.int64) % n
-    if len(rows) == 0:
-        return []
-    gens = list(default_generators(n) if generators is None else generators)
-    group_order = group_closure(n).order if generators is None else len(mulclose(gens))
-    codes = encode_rows(rows, n)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    if (np.diff(sorted_codes.astype(np.int64)) == 0).any():
-        raise ValueError("input tuples contain duplicates")
-    moves = []
-    for g in gens:
-        images = g.mat.apply_rows(rows)
-        pos, bad = _locate(sorted_codes, encode_rows(images, n))
-        if bad.any():
-            stray = SixTuple.from_residues(images[bad.argmax()])
-            raise ValueError(
-                f"generator {g.provenance or g!r} maps a member to "
-                f"{stray.format()} outside the input set"
-            )
-        moves.append(order[pos])
-    return _orbit_list(rows, _least(moves, np.argsort(order)), order, group_order)[0]
+def _decode(code, n) -> SixTuple:
+    return SixTuple.from_residues(int(code) // n ** k % n for k in range(11, -1, -1))
 
 
 class OrbitPartition(NamedTuple):
-    """Orbit decomposition of the full admissible set, with a label and a
-    base-n code per tuple (aligned with the lexicographic admissible array)."""
+    """Orbit decomposition of the admissible tuples, with the orbit id
+    of each normal form (aligned with normal_forms(n))."""
 
     orbits: tuple[Orbit, ...]
     labels: np.ndarray
-    codes: np.ndarray
 
     def orbit_of(self, t: SixTuple, n=DEFAULT_MODULUS) -> int:
-        pos, bad = _locate(self.codes, encode_rows(np.array([t.residues]), n))
-        if bad[0]:
-            raise ValueError(f"{t.format()} is not an admissible tuple")
-        return int(self.labels[pos[0]])
-
-
-def _normal_form_index(rows, form_codes, n) -> np.ndarray:
-    """Position among the sorted normal-form codes of g^-1 . row for each
-    row, where g is the matrix with columns u1 and v1."""
-    pairs = np.asarray(rows, dtype=np.int64).reshape(len(rows), 6, 2)
-    a, c, b, d = (pairs[:, slot, i, None] for slot in (0, 3) for i in (0, 1))
-    scale = np.array([pow(x, -1, n) if x else 0 for x in range(n)])[(a * d - b * c) % n]
-    x, y = pairs[:, :, 0], pairs[:, :, 1]
-    forms = np.stack([d * x - b * y, a * y - c * x], axis=2).reshape(len(rows), 12) * scale % n
-    pos, bad = _locate(form_codes, encode_rows(forms, n))
-    if bad.any():
-        raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
-    return pos
+        try:
+            form = normal_form_index(np.array([t.residues]), n)[0]
+        except ValueError:
+            raise ValueError(f"{t.format()} is not an admissible tuple") from None
+        return int(self.labels[form])
 
 
 @lru_cache(maxsize=None)
 def orbit_partition(n=DEFAULT_MODULUS) -> OrbitPartition:
     """Cached orbit decomposition of all admissible tuples.
 
-    The swaps commute with GL(2), so they permute the GL(2)-classes, each
-    labelled by its normal form (u1, v1) = ((1,0), (0,1)); an orbit is the
-    union of the classes in one swap orbit.
+    The swaps commute with GL(2), so they permute the GL(2)-classes; an
+    orbit is the union of the classes in one swap orbit, and its size is
+    |GL(2)| times their number.  Orbits are numbered by, and represented
+    by, their lexicographically least member.
     """
-    rows = admissible_array(n)
-    codes = encode_rows(rows, n)
-    is_form = (rows[:, [0, 1, 6, 7]] == [1, 0, 0, 1]).all(axis=1)
-    classes = _normal_form_index(rows, codes[is_form], n)
-    moves = [
-        _normal_form_index(g.mat.apply_rows(rows[is_form]), codes[is_form], n)
-        for g in s5_generators(n)
-    ]
-    _, first = np.unique(classes, return_index=True)  # rows are sorted
-    least = _least(moves, first)[classes]
-    parts, labels = _orbit_list(rows, least, np.arange(len(rows)), group_closure(n).order)
-    labels.flags.writeable = codes.flags.writeable = False
-    return OrbitPartition(tuple(parts), labels, codes)
+    forms = normal_forms(n)
+    closure = group_closure(n)
+    moves = [normal_form_index(g.mat.apply_rows(forms), n) for g in s5_generators(n)]
+    roots, labels = np.unique(_least(moves, np.arange(len(forms))), return_inverse=True)
+    least = np.full(len(roots), np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(least, labels, _least_member_codes(forms, n))
+    order = np.argsort(least)
+    labels = np.argsort(order)[labels].astype(np.int32)
+    by_orbit = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    out = []
+    for code, classes in zip(least[order], by_orbit):
+        size = closure.gl2_order * len(classes)
+        if closure.order % size:
+            raise AssertionError("orbit size does not divide the group order")
+        out.append(Orbit(_decode(code, n), size, closure.order // size, classes))
+    labels.flags.writeable = False
+    return OrbitPartition(tuple(out), labels)

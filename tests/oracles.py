@@ -1,0 +1,200 @@
+"""Independent and expanded routes that the tests compare the package against.
+
+The package computes counts, orbits, group orders and p_g on the
+GL(2)-normal forms alone.  The functions here work on the expanded
+objects instead: every admissible row, every group element, every row's
+25 character classes.  They are slow and memory-hungry by design and
+are only meant for n <= 5.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
+from quadcover import gf
+from quadcover.covers import (
+    MAX_ARRAY_BYTES, SixTuple, _locate, admissible_array, encode_rows, loop_image_rows,
+    loop_images, normal_form_index,
+)
+from quadcover.gf import Mat, is_independent
+from quadcover.picard import DivClass, canonical_class, configuration
+from quadcover.sheaves import h0
+from quadcover.symmetry import (
+    _least, _restrict, default_generators, group_closure, mulclose, s5_generators,
+)
+
+
+def integer_det(a) -> int:
+    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
+    m = [[int(x) for x in row] for row in a]
+    k = len(m)
+    sign = 1
+    prev = 1
+    for t in range(k - 1):
+        if m[t][t] == 0:
+            for i in range(t + 1, k):
+                if m[i][t]:
+                    m[t], m[i] = m[i], m[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(t + 1, k):
+            for j in range(t + 1, k):
+                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
+        prev = m[t][t]
+    return sign * m[k - 1][k - 1]
+
+
+def enumerate_admissible(n=5) -> list[SixTuple]:
+    """All admissible six-tuples, lexicographically ordered."""
+    return [SixTuple.from_residues(row) for row in admissible_array(n)]
+
+
+def is_totally_ramified(t: SixTuple, n=5) -> bool:
+    """Whether the ten loop images span (Z/n)^2 (no unramified subcover)."""
+    images = [img for img in loop_images(t, n) if img != (0, 0)]
+    return any(
+        is_independent(v, w, n) for i, v in enumerate(images) for w in images[i + 1:]
+    )
+
+
+@lru_cache(maxsize=None)
+def group_elements(n=5) -> np.ndarray:
+    """Every element of the symmetry group as a read-only int8 (k, 10, 10)
+    array: all products of a swap-closure element and a GL(2) block,
+    deduplicated by value, so that their number is counted, not derived."""
+    s5 = group_closure(n).s5_elements.astype(np.int64)
+    gl2 = gf.gl2_array(n)
+    if len(s5) * len(gl2) * 100 > MAX_ARRAY_BYTES:
+        raise ValueError(f"modulus {n}: the group would exceed {MAX_ARRAY_BYTES >> 20} MiB")
+    blocks = _restrict([Mat.block_diagonal(g, 6, n).array for g in gl2], n).astype(np.int64)
+    prods = np.empty((len(s5), len(gl2), 10, 10), dtype=np.int8)
+    for i, s in enumerate(s5):
+        prods[i] = s @ blocks % n
+    prods = prods.reshape(-1, 10, 10)
+    _, first = np.unique(prods.reshape(len(prods), 100).view("V100").ravel(), return_index=True)
+    elements = prods[np.sort(first)]
+    elements.flags.writeable = False
+    return elements
+
+
+class Orbit(NamedTuple):
+    """One orbit on a set of rows, with the positions of its members."""
+
+    representative: SixTuple
+    size: int
+    stabilizer_order: int
+    member_indices: np.ndarray
+
+
+def _orbit_list(rows, least, lex_order, group_order):
+    """Orbits and per-row labels from each row's least position in
+    lex_order (the lexicographic argsort) over its orbit."""
+    ranks, labels = np.unique(least, return_inverse=True)
+    out = []
+    for oid, rank in enumerate(ranks):
+        members = np.flatnonzero(labels == oid)
+        if group_order % len(members):
+            raise AssertionError("orbit size does not divide the group order")
+        out.append(Orbit(SixTuple.from_residues(rows[lex_order[rank]]), len(members),
+                         group_order // len(members), members))
+    return out, labels.astype(np.int32)
+
+
+def orbits(tuples, n=5, generators=None) -> list[Orbit]:
+    """Partition of a closed tuple set into orbits of the group the
+    generators generate (default: all seven), each generator matrix
+    permuting the rows themselves.  Raises if a generator leaves the set."""
+    if isinstance(tuples, np.ndarray):
+        rows = np.asarray(tuples, dtype=np.int64) % n
+    else:
+        rows = np.array([t.residues for t in tuples], dtype=np.int64) % n
+    if len(rows) == 0:
+        return []
+    gens = list(default_generators(n) if generators is None else generators)
+    codes = encode_rows(rows, n)
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    if (np.diff(sorted_codes.astype(np.int64)) == 0).any():
+        raise ValueError("input tuples contain duplicates")
+    moves = []
+    for g in gens:
+        images = g.mat.apply_rows(rows)
+        pos, bad = _locate(sorted_codes, encode_rows(images, n))
+        if bad.any():
+            stray = SixTuple.from_residues(images[bad.argmax()])
+            raise ValueError(
+                f"generator {g.provenance or g!r} maps a member to "
+                f"{stray.format()} outside the input set"
+            )
+        moves.append(order[pos])
+    group_order = len(group_elements(n)) if generators is None else len(mulclose(gens))
+    return _orbit_list(rows, _least(moves, np.argsort(order)), order, group_order)[0]
+
+
+class ExpandedPartition(NamedTuple):
+    """Orbit decomposition of the expanded admissible array, with a label
+    and a base-n code per row (aligned with admissible_array(n))."""
+
+    orbits: tuple[Orbit, ...]
+    labels: np.ndarray
+    codes: np.ndarray
+
+    def orbit_of(self, t: SixTuple, n=5) -> int:
+        pos, bad = _locate(self.codes, encode_rows(np.array([t.residues]), n))
+        if bad[0]:
+            raise ValueError(f"{t.format()} is not an admissible tuple")
+        return int(self.labels[pos[0]])
+
+
+@lru_cache(maxsize=None)
+def expanded_partition(n=5) -> ExpandedPartition:
+    """Every admissible row labelled by its orbit: each row's GL(2)-class,
+    the swap orbits of the classes, and the least row of each orbit."""
+    rows = admissible_array(n)
+    codes = encode_rows(rows, n)
+    is_form = (rows[:, [0, 1, 6, 7]] == [1, 0, 0, 1]).all(axis=1)
+    classes = normal_form_index(rows, n)
+    moves = [normal_form_index(g.mat.apply_rows(rows[is_form]), n) for g in s5_generators(n)]
+    _, first = np.unique(classes, return_index=True)  # rows are sorted
+    least = _least(moves, first)[classes]
+    parts, labels = _orbit_list(rows, least, np.arange(len(rows)), group_closure(n).order)
+    return ExpandedPartition(tuple(parts), labels, codes)
+
+
+def pg_values_rowwise(rows, n=5) -> np.ndarray:
+    """Geometric genus of every row, from all n^2 classes of every row."""
+    images = loop_image_rows(rows, n)
+    cls_rows = np.array(
+        [curve.cls for curve in configuration().curves], dtype=np.int64
+    )
+    ky = np.array(canonical_class(), dtype=np.int64)
+    pg = np.zeros(len(images), dtype=np.int64)
+    if len(images) == 0:  # the column ranges below need a row
+        return pg
+    for a in range(n):
+        for b in range(n):
+            coeff = images @ np.array([a, b])
+            coeff %= n
+            weighted = coeff @ cls_rows
+            if (weighted % n).any():
+                raise ArithmeticError(f"sheaf integrality fails for chi=({a},{b})")
+            shifted = weighted // n + ky
+            # one int64 key per class: mixed radix over the column ranges
+            low = shifted.min(axis=0)
+            radix = np.cumprod(np.concatenate([[1], shifted.max(axis=0)[:-1] - low[:-1] + 1]))
+            keys = (shifted - low) @ radix
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            vals = np.array([h0(DivClass(*map(int, shifted[i]))) for i in first], dtype=np.int64)
+            pg += vals[inverse]
+    return pg
+
+
+@lru_cache(maxsize=None)
+def admissible_pg(n=5) -> np.ndarray:
+    """pg_values_rowwise over all of admissible_array(n), computed once."""
+    return pg_values_rowwise(admissible_array(n), n)

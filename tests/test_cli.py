@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from quadcover import cli
+from quadcover import cli, covers, symmetry
 
 U3 = "1,0,1,0,0,1,4,1,3,2,1,1"
 
@@ -151,8 +151,9 @@ def test_residue_not_below_modulus_is_rejected(capsys):
 
 def test_oversized_modulus_is_refused(capsys):
     # the expanded admissible array at n = 7 (11640 normal forms x 2016
-    # matrices) and the group at n = 13 are over the byte limit
-    for argv in (["--modulus", "7", "enumerate"], ["--modulus", "13", "report"]):
+    # matrices) and the working set of the normal forms at n = 13 are
+    # over the byte limit
+    for argv in (["--modulus", "7", "enumerate", "--dump"], ["--modulus", "13", "report"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -176,8 +177,8 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
         (f"canonical {U3} --format md", "0c9ad61722387d627821f6dc53b840a983636e3eac5b84f419e87cb38f0b6f3f"),
         (f"sheaf-table {U3} --format csv", "91aff4b6048e1551466b72e8dedf8d56865a9f08a46a282f0a66e01c86577c8d"),
         (
-            "--modulus 3 enumerate --dump --format md",  # no tuples: ends in a blank line
-            "df4175439a79f6e0b7f07a383e00b36a6b6310fb77d9de33927cc669afa66231",
+            "--modulus 3 enumerate --dump --format md",  # no tuples: ends like every md output
+            "ada624350ff1adf1b35fa2d8e480de3dba5ec4e3561de6adbf7dfe11810f4f40",
         ),
     ],
 )
@@ -185,3 +186,26 @@ def test_md_and_csv_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_modulus_7_from_the_forms(capsys):
+    # 11640 normal forms: counted, classified and grouped without expansion
+    code, out, _ = run(capsys, "--modulus", "7", "enumerate")
+    assert code == 0 and json.loads(out)["count"] == 11640 * 2016 == 23466240
+    code, out, _ = run(capsys, "--modulus", "7", "orbits")
+    assert code == 0 and json.loads(out)["orbit_count"] == 100
+    assert sum(e["size"] for e in json.loads(out)["orbits"]) == 23466240
+    code, out, _ = run(capsys, "--modulus", "7", "group", "--format", "csv")
+    assert code == 0 and out.splitlines()[1] == "120,2016,241920"
+
+
+def test_report_does_not_expand(monkeypatch, tmp_path):
+    # a cold report reads the normal forms only: no admissible array
+    def refuse(n=5):
+        raise AssertionError("admissible_array called")
+
+    monkeypatch.setattr(covers, "admissible_array", refuse)
+    monkeypatch.setattr(cli, "admissible_array", refuse)
+    symmetry.group_closure.cache_clear()
+    symmetry.orbit_partition.cache_clear()
+    assert cli.main(["report", "--verify", "--output", str(tmp_path / "r.json")]) == 0

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import enumerate_admissible, is_totally_ramified
 from quadcover import covers, gf
 from quadcover.covers import SixTuple
 
@@ -61,14 +62,14 @@ def test_enumerate_count_and_membership(representatives):
 
 
 def test_enumerate_list_form():
-    ts = covers.enumerate_admissible(5)
+    ts = enumerate_admissible(5)
     assert len(ts) == 201600
     assert all(isinstance(t, SixTuple) for t in ts[:10])
     assert ts[0].residues == tuple(covers.admissible_array(5)[0])
 
 
 def test_enumerate_n2_unpruned_brute_force():
-    pruned = {t.residues for t in covers.enumerate_admissible(2)}
+    pruned = {t.residues for t in enumerate_admissible(2)}
     brute = {
         res
         for res in itertools.product(range(2), repeat=12)
@@ -140,10 +141,10 @@ def test_condition2_matches_literal_pair_list():
 
 
 def test_totally_ramified(u3):
-    assert covers.is_totally_ramified(u3)
+    assert is_totally_ramified(u3)
     collinear = SixTuple.parse("1,0,2,0,3,0,4,0,1,0,4,0")
     assert covers.loop_images(collinear).e0 != (0, 0)
-    assert not covers.is_totally_ramified(collinear)
+    assert not is_totally_ramified(collinear)
 
 
 def test_admissible_implies_totally_ramified():
@@ -156,7 +157,7 @@ def test_admissible_implies_totally_ramified():
     rng = random.Random(7)
     for _ in range(200):
         t = SixTuple.from_residues(arr[rng.randrange(len(arr))])
-        assert covers.is_totally_ramified(t)
+        assert is_totally_ramified(t)
 
 
 def _sum_zero_rows(n, **fixed):
@@ -205,3 +206,21 @@ def test_encode_rows_refuses_overflowing_modulus():
 def test_admissible_array_refuses_oversized_modulus():
     with pytest.raises(ValueError, match="MiB"):
         covers.admissible_array(7)
+
+
+def test_normal_forms_are_cached_and_read_only():
+    forms = covers.normal_forms(5)
+    assert covers.normal_forms(5) is forms
+    with pytest.raises(ValueError, match="read-only"):
+        forms[0, 0] = 0
+
+
+def test_normal_form_index_round_trip():
+    # every row is g . forms[index] for the matrix g with columns u1 and v1
+    arr = covers.admissible_array(5)
+    rows = arr[np.random.default_rng(6).choice(len(arr), 500)].astype(np.int64)
+    forms = covers.normal_forms(5)[covers.normal_form_index(rows, 5)].reshape(-1, 6, 2)
+    g = np.stack([rows[:, 0:2], rows[:, 6:8]], axis=2)  # columns u1, v1
+    assert np.array_equal(np.einsum("kij,ksj->ksi", g, forms).reshape(-1, 12) % 5, rows)
+    with pytest.raises(ValueError, match="normal form"):
+        covers.normal_form_index(np.array([[1, 0, 1, 0, 0, 1, 4, 1, 3, 2, 1, 0]]), 5)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import sympy
 
-from quadcover import covers, golden, sheaves, symmetry
+import oracles
+from quadcover import covers, golden, sheaves
 from quadcover.covers import SixTuple
 from quadcover.picard import DivClass, ZERO, H, canonical_class, configuration, intersect
 
@@ -217,9 +218,8 @@ def test_pg_values_match_scalar(representatives):
 
 
 def test_invariants_constant_on_orbits():
-    part = symmetry.orbit_partition(5)
-    arr = covers.admissible_array(5)
-    pg = sheaves.pg_values(arr)
+    part = oracles.expanded_partition(5)
+    pg = oracles.admissible_pg(5)
     for orb in part.orbits:
         values = set(pg[orb.member_indices].tolist())
         assert len(values) == 1
@@ -227,3 +227,14 @@ def test_invariants_constant_on_orbits():
     u3 = SixTuple.parse("1,0,1,0,0,1,4,1,3,2,1,1")
     oid = part.orbit_of(u3)
     assert pg[part.orbits[oid].member_indices[0]] == 4
+
+
+def test_pg_values_match_rowwise_oracle():
+    # the form-indexed p_g against all 25 classes of every row: p_g is
+    # constant on GL(2)-classes
+    assert np.array_equal(sheaves.pg_values(covers.admissible_array(5)), oracles.admissible_pg(5))
+
+
+def test_pg_values_rejects_non_admissible_rows():
+    with pytest.raises(ValueError, match="normal form"):
+        sheaves.pg_values(np.zeros((1, 12), dtype=np.int64))

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from quadcover import covers, symmetry
+import oracles
+from quadcover import covers, gf, sheaves, symmetry
 from quadcover.covers import SixTuple
 from quadcover.gf import Mat, gl2_enumerate
 
@@ -75,11 +76,12 @@ def test_group_closure_orders():
     assert gc.s5_order == 120
     assert gc.gl2_order == 480
     assert gc.order == 57600
-    assert gc.elements.shape == (57600, 10, 10) and gc.elements.dtype == np.int8
     assert gc.s5_elements.shape == (120, 10, 10)
     assert (gc.s5_elements == np.eye(10, dtype=np.int8)).all(axis=(1, 2)).any()
-    flat = gc.elements.reshape(len(gc.elements), 100)
-    assert len(np.unique(flat, axis=0)) == 57600
+    # oracle: the products counted one by one
+    elements = oracles.group_elements(5)
+    assert elements.shape == (57600, 10, 10) and elements.dtype == np.int8
+    assert len(np.unique(elements.reshape(len(elements), 100), axis=0)) == 57600
 
 
 def test_direct_product_order_matches_breadth_first_closure():
@@ -92,11 +94,10 @@ def test_direct_product_order_matches_breadth_first_closure():
 def test_elements_map_a_tuple_onto_its_orbit(u1, u3):
     # applied to one tuple, the 57600 elements sweep out exactly its orbit,
     # each image |stabilizer| times
-    gc = symmetry.group_closure(5)
-    part = symmetry.orbit_partition(5)
+    part = oracles.expanded_partition(5)
     for t in (u1, u3):
         orb = part.orbits[part.orbit_of(t)]
-        images = _apply(gc.elements, t.residues)
+        images = _apply(oracles.group_elements(5), t.residues)
         codes, counts = np.unique(covers.encode_rows(images), return_counts=True)
         assert np.array_equal(codes, part.codes[orb.member_indices])
         assert (counts == orb.stabilizer_order).all()
@@ -125,22 +126,24 @@ def test_orbit_partition(representatives):
 
 
 def test_orbit_representative_is_lex_minimal():
+    # expand each orbit's classes by all of GL(2) and take the least member
     part = symmetry.orbit_partition(5)
-    arr = covers.admissible_array(5)
+    forms = covers.normal_forms(5).reshape(-1, 6, 2)
+    gl2 = gf.gl2_array(5)
     for orb in part.orbits:
-        members = arr[orb.member_indices]
+        members = np.einsum("gij,ksj->gksi", gl2, forms[orb.classes]).reshape(-1, 12) % 5
         codes = covers.encode_rows(members)
         rep_code = covers.encode_rows(np.array([orb.representative.residues]))[0]
         assert rep_code == codes.min()
-        assert orb.size == len(orb.member_indices)
+        assert orb.size == len(np.unique(codes))
 
 
 def test_stabilizer_order_by_direct_count(u1, u3):
     # count closure elements fixing the tuple; must equal |G| / orbit size
-    gc = symmetry.group_closure(5)
+    elements = oracles.group_elements(5)
     for t, expected in ((u1, 2), (u3, 1)):
         head = np.array(t.residues[:10], dtype=np.int64)
-        images = gc.elements.astype(np.int64) @ head % 5
+        images = elements.astype(np.int64) @ head % 5
         assert int((images == head).all(axis=1).sum()) == expected
 
 
@@ -154,7 +157,7 @@ def test_orbit_lookup_stable_under_group(u3):
     part = symmetry.orbit_partition(5)
     oid = part.orbit_of(u3)
     rng = random.Random(17)
-    elements = symmetry.group_closure(5).elements
+    elements = oracles.group_elements(5)
     for _ in range(25):
         g = elements[rng.randrange(len(elements))]
         image = _apply([g], u3.residues)[0]
@@ -175,12 +178,12 @@ def test_action_preserves_admissibility_exhaustively():
 def test_orbits_on_a_single_closed_orbit(u1):
     # one orbit is itself closed under the action; exercise the
     # list-of-SixTuple input path on the smallest one
-    part = symmetry.orbit_partition(5)
+    part = oracles.expanded_partition(5)
     arr = covers.admissible_array(5)
     orb = part.orbits[part.orbit_of(u1)]
     assert orb.size == 28800
     members = [SixTuple.from_residues(r) for r in arr[orb.member_indices]]
-    sub = symmetry.orbits(members)
+    sub = oracles.orbits(members)
     assert len(sub) == 1
     assert sub[0].size == 28800
     assert sub[0].stabilizer_order == 2
@@ -189,19 +192,19 @@ def test_orbits_on_a_single_closed_orbit(u1):
 
 def test_orbits_fails_loudly_off_closed_set(u3):
     with pytest.raises(ValueError, match="outside the input set"):
-        symmetry.orbits([u3])
+        oracles.orbits([u3])
 
 
 def test_orbits_rejects_duplicates(u3):
     with pytest.raises(ValueError, match="duplicates"):
-        symmetry.orbits([u3, u3])
+        oracles.orbits([u3, u3])
 
 
 def test_orbit_partition_matches_generic_orbits():
     # oracle: orbits of all seven 12x12 generator matrices acting on the
     # rows themselves, not on GL(2)-classes
-    part = symmetry.orbit_partition(5)
-    generic = symmetry.orbits(covers.admissible_array(5), 5)
+    part = oracles.expanded_partition(5)
+    generic = oracles.orbits(covers.admissible_array(5), 5)
     labels = np.full(len(part.labels), -1, dtype=np.int32)
     for i, orb in enumerate(generic):
         labels[orb.member_indices] = i
@@ -215,10 +218,10 @@ def test_orbit_partition_matches_generic_orbits():
 def test_orbits_stabilizer_uses_the_given_generators():
     # GL(2) alone (order 480) acts freely: every orbit has stabilizer 1
     blocks = [symmetry.gl2_action(m, 5) for m in symmetry.gf.gl2_generators(5)]
-    part = symmetry.orbit_partition(5)
+    part = oracles.expanded_partition(5)
     arr = covers.admissible_array(5)
     for orb in part.orbits:
-        sub = symmetry.orbits(arr[orb.member_indices], 5, generators=blocks)
+        sub = oracles.orbits(arr[orb.member_indices], 5, generators=blocks)
         assert len(sub) == orb.size // 480
         assert all(o.stabilizer_order == 480 // o.size == 1 for o in sub)
 
@@ -227,3 +230,31 @@ def test_orbit_of_rejects_non_admissible():
     part = symmetry.orbit_partition(5)
     with pytest.raises(ValueError, match="not an admissible"):
         part.orbit_of(SixTuple.from_residues([0] * 12))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_forms_match_expanded_path(n):
+    # nothing is admissible at n = 3, so both sides are empty there
+    part = symmetry.orbit_partition(n)
+    ref = oracles.expanded_partition(n)
+    arr = covers.admissible_array(n)
+    gl2_order = symmetry.group_closure(n).gl2_order
+    assert len(covers.normal_forms(n)) * gl2_order == len(arr)
+    assert np.array_equal(part.labels[covers.normal_form_index(arr, n)], ref.labels)
+    summary = [(o.representative, o.size, o.stabilizer_order) for o in part.orbits]
+    assert summary == [(o.representative, o.size, o.stabilizer_order) for o in ref.orbits]
+    forms_pg = np.unique(sheaves.pg_values(covers.normal_forms(n), n), return_counts=True)
+    rows_pg = np.unique(oracles.admissible_pg(n), return_counts=True)
+    assert np.array_equal(forms_pg[0], rows_pg[0])
+    assert np.array_equal(forms_pg[1] * gl2_order, rows_pg[1])
+
+
+def test_group_order_certificate_detects_a_shared_element(monkeypatch):
+    # a GL(2) scalar among the swap generators commutes with everything,
+    # but the swap closure then meets the GL(2) blocks outside the identity
+    swaps = symmetry.s5_generators
+    monkeypatch.setattr(
+        symmetry, "s5_generators", lambda n: swaps(n) + (symmetry.gl2_action([[2, 0], [0, 2]], n),)
+    )
+    with pytest.raises(AssertionError, match="meets the GL"):
+        symmetry.group_closure.__wrapped__(5)
