@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .covers import SixTuple
 from .gf import DEFAULT_MODULUS, Vec2
 from .picard import CURVE_LABELS, configuration, incidences, intersect
-from .sheaves import canonical_class, coeffs, h0, invariants, ram_curve_numbers, sheaf
+from .sheaves import character_table, invariants, ram_curve_numbers, twisted_counts
 
 
 class CanonicalBasis(NamedTuple):
@@ -42,18 +42,19 @@ def basis(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalBasis:
     which is checked: the eigenspaces are then one-dimensional and the
     monomials independent.
     """
-    ky = canonical_class()
+    table = character_table([t.residues], n).integral()
+    counts = twisted_counts(table.classes[0]).tolist()
+    expos = (n - 1 - table.residues[0]).tolist()
     entries = []
     for a in range(n):
         for b in range(n):
-            count = h0(ky + sheaf(t, (a, b), n).cls)
+            count = counts[b * n + a]
             if count > 1:
                 raise AssertionError(
                     f"h0(K + L({a},{b})) = {count}: one monomial per character is not a basis"
                 )
             if count:
-                expo = tuple(n - 1 - c for c in coeffs(t, (a, b), n))
-                entries.append(((a, b), expo))
+                entries.append(((a, b), tuple(expos[b * n + a])))
     if not entries:
         raise ValueError(f"tuple {t.format()} has no canonical sections")
     return CanonicalBasis(tuple(entries))

@@ -1,13 +1,11 @@
-"""Exact linear algebra over Z and Q for small matrices.
+"""Exact linear algebra over Z for small matrices.
 
-Everything here works on lists of Python ints / Fractions, so results
-are certified rather than sampled: Smith normal form with its unimodular
-transforms, ranks over Q, and solvability of integer linear systems.
+Everything here works on lists of Python ints, so results are certified
+rather than sampled: Smith normal form with its unimodular transforms,
+and solvability of integer linear systems.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def _identity(k):
@@ -113,33 +111,6 @@ def invariant_factors(a) -> tuple[int, ...]:
     d, _, _ = smith_normal_form(a)
     k = min(len(d), len(d[0]) if d else 0)
     return tuple(d[i][i] for i in range(k) if d[i][i])
-
-
-def rational_rank(rows) -> int:
-    """Rank over Q of a matrix given as an iterable of rows of ints/Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        _swap_rows(m, rank, pivot)
-        inv = 1 / m[rank][c]
-        m[rank] = [inv * x for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][c]:
-                _add_row(m, r, rank, -m[r][c])
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def in_image(a, b) -> bool:

@@ -1,31 +1,32 @@
 """Character sheaves of a cover datum, section counts, and surface
 invariants.
 
-Each character (a, b) pins down a divisor class: n times the class is
-the sum of the branch curves weighted by the residues of the character
-on the corresponding loop images (delta residues on the L' curves,
-lambda on the L curves, mu on the exceptional curves).  Global sections
-of such classes are counted by exact linear algebra: curves of degree d
-in the plane with assigned multiplicities at the four base points of the
-blow-up.  Everything downstream (geometric genus, irregularity, the
-canonical basis) is assembled from these counts.
+Each character (a, b) pins down a divisor class L: n L is the sum of the
+branch curves weighted by the residues of the character on the loop
+images (delta residues on the L' curves, lambda on the L curves, mu on
+the exceptional curves).  character_table evaluates all n^2 characters
+on a batch of tuples in one product; every per-character quantity here
+and in `canonical` is read from it.
+
+Y, the plane blown up in four general points, is the del Pezzo surface
+of degree 5: -K_Y is ample and its ten (-1)-curves, the branch curves,
+span the effective cone.  So h0 has a closed form: peel off the branch
+curves a class meets negatively (fixed components), then Riemann-Roch
+with vanishing higher cohomology.  p_g and chi(O_X) of the cover are
+sums over the character classes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from . import exact
-from .covers import (
-    SixTuple, loop_image_rows, loop_images, normal_form_index, normal_forms, require_admissible,
-)
-from .gf import DEFAULT_MODULUS, Vec2, chi_eval, reduce_vec, vadd
-from .picard import DivClass, ZERO, canonical_class, configuration, intersect
+from .covers import SixTuple, loop_image_rows, normal_form_index, normal_forms, require_admissible
+from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, vadd
+from .picard import DivClass, canonical_class, configuration, intersect
 
 
 class CoeffVector(NamedTuple):
@@ -82,106 +83,120 @@ class CoverRelation(NamedTuple):
         return "{} = {}w[{},{}]".format(lhs, sigma + "*" if sigma else "", *self.rhs)
 
 
+class CharacterTable(NamedTuple):
+    """The n^2 characters (a, b) on N residue rows, b-major (k = b n + a):
+    residues (N, n^2, 10) on the ten loop images, classes (N, n^2, 5) with
+    n L the residue-weighted branch sum, and errors, a message per (row,
+    k) whose weighted sum n does not divide; those classes are void."""
+
+    residues: np.ndarray
+    classes: np.ndarray
+    errors: dict[tuple[int, int], str]
+
+    def integral(self) -> "CharacterTable":
+        """self; ArithmeticError for the first void class (row-major)."""
+        for message in self.errors.values():
+            raise ArithmeticError(message)
+        return self
+
+
+_CURVE_CLASSES = np.array([curve.cls for curve in configuration().curves], dtype=np.int64)
+_KY = np.array(canonical_class(), dtype=np.int64)
+
+
+def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
+    """Every character on the loop images of an (N, 12) array of residue
+    rows, and its class: the only code that evaluates characters."""
+    chars = np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1)
+    residues = chars @ loop_image_rows(rows, n).swapaxes(1, 2) % n
+    weighted = residues @ _CURVE_CLASSES
+    classes, rest = np.divmod(weighted, n)
+    errors = {
+        (int(i), int(k)): f"weighted branch sum {DivClass(*weighted[i, k].tolist())} "
+        f"for chi={(int(k % n), int(k // n))} is not divisible by {n}"
+        for i, k in zip(*np.nonzero(rest.any(axis=2)))
+    }
+    return CharacterTable(residues, classes, errors)
+
+
+def _index(chi: Vec2, n) -> int:
+    return chi[0] % n + n * (chi[1] % n)
+
+
 def coeffs(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CoeffVector:
     """The ten residues of a character on the loop images of a tuple."""
-    return CoeffVector(*(chi_eval(chi, img, n) for img in loop_images(t, n)))
+    return CoeffVector(*character_table([t.residues], n).residues[0, _index(chi, n)].tolist())
 
 
 def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
-    """The divisor class of the chi-eigensheaf of the cover given by t.
-
-    n times the class equals the coefficient-weighted sum of the branch
-    curve classes; the division is asserted to be exact.
-    """
-    weighted = ZERO
-    for c, curve in zip(coeffs(t, chi, n), configuration().curves):
-        weighted = weighted + c * curve.cls
-    if any(x % n for x in weighted):
-        raise ArithmeticError(
-            f"weighted branch sum {weighted} for chi={chi} is not divisible by {n}"
-        )
-    return CharacterSheaf(reduce_vec(chi, n), DivClass(*(x // n for x in weighted)))
+    """The divisor class of the chi-eigensheaf of the cover given by t;
+    ArithmeticError when n does not divide its weighted branch sum."""
+    table, k = character_table([t.residues], n), _index(chi, n)
+    if (0, k) in table.errors:
+        raise ArithmeticError(table.errors[0, k])
+    return CharacterSheaf(reduce_vec(chi, n), DivClass(*table.classes[0, k].tolist()))
 
 
 def sheaf_table(t: SixTuple, n=DEFAULT_MODULUS) -> list[CharacterSheaf]:
     """All n^2 character sheaves, rows by b with a varying inside."""
-    return [sheaf(t, (a, b), n) for b in range(n) for a in range(n)]
-
-
-_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-
-
-def _falling(a, k):
-    out = 1
-    for i in range(k):
-        out *= a - i
-    return out
-
-
-def _multi_indices(order):
-    return [
-        (i, j, k)
-        for total in range(order)
-        for i in range(total + 1)
-        for j in range(total - i + 1)
-        for k in (total - i - j,)
-    ]
+    classes = character_table([t.residues], n).integral().classes[0].tolist()
+    return [CharacterSheaf((k % n, k // n), DivClass(*c)) for k, c in enumerate(classes)]
 
 
 @lru_cache(maxsize=None)
 def h0(c: DivClass) -> int:
-    """Dimension of global sections of a class d*H - sum(m_i E_i).
+    """Dimension of the global sections of a class on Y.
 
-    Identified with plane curves of degree d having multiplicity m_i at
-    the four fixed points (1:0:0), (0:1:0), (0:0:1), (1:1:1): the count
-    of degree-d monomials minus the rank of all partial-derivative
-    vanishing conditions of order below m_i, over exact rationals.
-    Negative d gives 0; negative multiplicities are dropped (exceptional
-    fixed components do not constrain sections).
+    A class D with -K.D < 0 has none, -K being ample.  A branch curve C
+    with D.C < 0 is a fixed component, so h0(D) = h0(D - C); each such
+    step lowers -K.D by one.  Otherwise D is nef, D - K is ample, h1 and
+    h2 vanish (Kawamata-Viehweg) and Riemann-Roch gives 1 + D.(D - K)/2.
     """
-    d = c.h
-    if d < 0:
-        return 0
-    mults = [max(-e, 0) for e in c[1:]]
-    monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
-    rows = []
-    for point, m in zip(_POINTS, mults):
-        for alpha in _multi_indices(m):
-            row = []
-            for expo in monos:
-                coef = 1
-                for a, o, p in zip(expo, alpha, point):
-                    coef *= _falling(a, o) * p ** max(a - o, 0)
-                row.append(coef)
-            rows.append(row)
-    return len(monos) - exact.rational_rank(rows)
+    ky = canonical_class()
+    while intersect(ky, c) <= 0:
+        fixed = next((cls for _, cls in configuration().curves if intersect(c, cls) < 0), None)
+        if fixed is None:
+            return 1 + (intersect(c, c) - intersect(c, ky)) // 2
+        c = c - fixed
+    return 0
+
+
+def twisted_counts(classes) -> np.ndarray:
+    """h0(K_Y + L) for every class L of an (..., 5) array."""
+    shifted = (classes + _KY).reshape(-1, 5)
+    keys = shifted.view("V40").ravel()  # int64 rows: one 40-byte key per class
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    counts = np.array([h0(DivClass(*c)) for c in shifted[first].tolist()], dtype=np.int64)
+    return counts[inverse].reshape(classes.shape[:-1])
+
+
+def _pg(classes) -> np.ndarray:
+    """p_g of each row of (M, n^2, 5) classes: H^0(K_X) = sum of H^0(K_Y + L)."""
+    return twisted_counts(classes).sum(axis=-1)
 
 
 def _adjunction_class(n):
-    """K_Y + (n-1)/n D with D the total branch class; its pullback is the
-    canonical class of the cover (every branch curve ramifies with index n)."""
-    return canonical_class() + Fraction(n - 1, n) * configuration().total_branch_class()
+    """n K_Y + (n-1) D, D the total branch class: n times the class that
+    pulls back to K of the cover (each branch curve ramifies with index n)."""
+    return n * canonical_class() + (n - 1) * configuration().total_branch_class()
 
 
 def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
     """Holomorphic invariants of the smooth cover given by an admissible
-    tuple: K^2 = n^2 (K_Y + (n-1)/n D)^2 in exact rationals, p_g summed
-    from the twisted canonical section counts, q = p_g + 1 - chi.
+    tuple: K^2 = (n K_Y + (n-1) D)^2, p_g summed from the twisted
+    canonical section counts, q = p_g + 1 - chi.
 
-    chi = 5 is a constant of the quadrangle construction, so only the
-    default modulus is supported here.
+    chi(O_X) is the sum of chi(L^-1) = 1 + L.(L + K_Y)/2 over the
+    character classes L, since the pushforward of O_X is the sum of the
+    L^-1 (Pardini, Crelle 417, 1991).  Only modulus 5 is supported.
     """
     require_admissible(t, n)
     if n != 5:
         raise ValueError("surface invariants are only defined for modulus 5")
-    ky = canonical_class()
-    pg = sum(h0(ky + sheaf(t, (a, b), n).cls) for a in range(n) for b in range(n))
-    chi_o = 5
-    adj = _adjunction_class(n)
-    k2 = n * n * intersect(adj, adj)
-    if k2.denominator != 1:
-        raise AssertionError("K^2 of the cover is not an integer")
-    return SurfaceInvariants(k2=int(k2), chi=chi_o, pg=pg, q=pg + 1 - chi_o)
+    classes = character_table([t.residues], n).integral().classes
+    pg, adj = int(_pg(classes)[0]), _adjunction_class(n)
+    chi_o = n * n + int(intersect(classes[0].T, (classes[0] + _KY).T).sum()) // 2
+    return SurfaceInvariants(k2=intersect(adj, adj), chi=chi_o, pg=pg, q=pg + 1 - chi_o)
 
 
 def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
@@ -193,10 +208,7 @@ def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
     out = []
     for label, cls in configuration().curves:
         selfint = intersect(cls, cls)
-        kdot = n * intersect(adj, cls)
-        if kdot.denominator != 1:
-            raise AssertionError(f"K.R is not an integer on {label}")
-        kdot = int(kdot)
+        kdot = intersect(adj, cls)
         if (selfint + kdot) % 2:
             raise AssertionError(f"adjunction parity fails on {label}")
         out.append(RamCurve(label, selfint, kdot, (selfint + kdot) // 2 + 1))
@@ -216,7 +228,8 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
     lam' = M/d', the i-th entry is 1 iff lam*D_i + lam'*D'_i >= M, where
     D, D' are the branch residues scaled down to Z/d resp. Z/d'.
     """
-    return _carry(chi, coeffs(t, chi, n), chi2, coeffs(t, chi2, n), n)
+    rows = character_table([t.residues], n).residues[0]
+    return _carry(chi, rows[_index(chi, n)].tolist(), chi2, rows[_index(chi2, n)].tolist(), n)
 
 
 def _carry(chi, c1, chi2, c2, n) -> tuple[int, ...]:
@@ -240,42 +253,23 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
     unordered pair of nontrivial characters (with repetition)."""
     require_admissible(t, n)
     chars = [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
-    rows = {chi: coeffs(t, chi, n) for chi in chars}
-    out = []
-    for i, chi in enumerate(chars):
-        for chi2 in chars[i:]:
-            out.append(
-                CoverRelation(
-                    chi=chi,
-                    chi2=chi2,
-                    sigma_exponents=_carry(chi, rows[chi], chi2, rows[chi2], n),
-                    rhs=vadd(chi, chi2, n=n),
-                )
-            )
-    return tuple(out)
+    residues = character_table([t.residues], n).residues[0].tolist()
+    rows = {chi: residues[_index(chi, n)] for chi in chars}
+    return tuple(
+        CoverRelation(chi, chi2, _carry(chi, rows[chi], chi2, rows[chi2], n), vadd(chi, chi2, n=n))
+        for i, chi in enumerate(chars)
+        for chi2 in chars[i:]
+    )
 
 
 def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Geometric genus for every residue row of an (N, 12) array at once.
 
     Each row is g.f for its normal form f (normal_form_index) and a GL(2)
-    matrix g.  The loop images of g.f are g applied to those of f, so
-    the character chi takes the values of chi o g on them, and g.f's n^2
-    classes are f's, permuted: p_g is evaluated on the rows' normal forms
-    only, and sheaf integrality is asserted on every class that occurs.
-    ValueError for a row that is not admissible.
-    """
+    matrix g; chi takes the values of chi o g on the loop images of g.f,
+    so g.f's classes are f's, permuted: p_g is read off the forms, 2^20
+    table residues at a time.  ValueError for a row that is not admissible."""
     used, index = np.unique(normal_form_index(rows, n), return_inverse=True)
-    images = loop_image_rows(normal_forms(n)[used], n)
-    cls_rows = np.array([curve.cls for curve in configuration().curves], dtype=np.int64)
-    ky = np.array(canonical_class(), dtype=np.int64)
-    pg = np.zeros(len(images), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            weighted = images @ np.array([a, b]) % n @ cls_rows
-            if (weighted % n).any():
-                raise ArithmeticError(f"sheaf integrality fails for chi=({a},{b})")
-            classes, inverse = np.unique(weighted // n + ky, axis=0, return_inverse=True)
-            counts = [h0(DivClass(*map(int, c))) for c in classes]
-            pg += np.array(counts, dtype=np.int64)[inverse.ravel()]
-    return pg[index]
+    forms, step = normal_forms(n)[used], (1 << 20) // (10 * n * n)
+    tables = (character_table(forms[i:i + step], n) for i in range(0, max(len(forms), 1), step))
+    return np.concatenate([_pg(table.integral().classes) for table in tables])[index]

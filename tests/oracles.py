@@ -1,14 +1,17 @@
 """Independent and expanded routes that the tests compare the package against.
 
 The package computes counts, orbits, group orders and p_g on the
-GL(2)-normal forms alone.  The functions here work on the expanded
-objects instead: every admissible row, every group element, every row's
-25 character classes.  They are slow and memory-hungry by design and
-are only meant for n <= 5.
+GL(2)-normal forms alone, characters in one table, and section counts
+in closed form.  The functions here work on the expanded objects
+instead: every admissible row, every group element, every row's 25
+character classes, one character at a time, and section counts as
+interpolation ranks.  They are slow and memory-hungry by design and are
+only meant for n <= 5.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -19,9 +22,9 @@ from quadcover.covers import (
     MAX_ARRAY_BYTES, SixTuple, _locate, admissible_array, encode_rows, loop_image_rows,
     loop_images, normal_form_index,
 )
-from quadcover.gf import Mat, is_independent
-from quadcover.picard import DivClass, canonical_class, configuration
-from quadcover.sheaves import h0
+from quadcover.gf import Mat, chi_eval, is_independent, reduce_vec
+from quadcover.picard import ZERO, DivClass, canonical_class, configuration
+from quadcover.sheaves import CharacterSheaf
 from quadcover.symmetry import (
     _least, _restrict, default_generators, group_closure, mulclose, s5_generators,
 )
@@ -47,6 +50,96 @@ def integer_det(a) -> int:
                 m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
         prev = m[t][t]
     return sign * m[k - 1][k - 1]
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of a matrix given as an iterable of rows of ints/Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][c]
+        m[rank] = [inv * x for x in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+def _falling(a, k):
+    out = 1
+    for i in range(k):
+        out *= a - i
+    return out
+
+
+def _multi_indices(order):
+    return [
+        (i, j, k)
+        for total in range(order)
+        for i in range(total + 1)
+        for j in range(total - i + 1)
+        for k in (total - i - j,)
+    ]
+
+
+@lru_cache(maxsize=None)
+def h0_rank(c: DivClass) -> int:
+    """Dimension of global sections of a class d*H - sum(m_i E_i), by
+    interpolation: plane curves of degree d with multiplicity m_i at the
+    four points (1:0:0), (0:1:0), (0:0:1), (1:1:1), counted as the
+    degree-d monomials minus the rank of all partial-derivative vanishing
+    conditions of order below m_i, over exact rationals.  Negative d
+    gives 0; negative multiplicities are dropped (exceptional fixed
+    components do not constrain sections)."""
+    d = c.h
+    if d < 0:
+        return 0
+    mults = [max(-e, 0) for e in c[1:]]
+    monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    rows = []
+    for point, m in zip(_POINTS, mults):
+        for alpha in _multi_indices(m):
+            row = []
+            for expo in monos:
+                coef = 1
+                for a, o, p in zip(expo, alpha, point):
+                    coef *= _falling(a, o) * p ** max(a - o, 0)
+                row.append(coef)
+            rows.append(row)
+    return len(monos) - rational_rank(rows)
+
+
+def coeffs_scalar(t: SixTuple, chi, n=5) -> tuple[int, ...]:
+    """The residues of one character, by chi_eval on each loop image."""
+    return tuple(chi_eval(chi, img, n) for img in loop_images(t, n))
+
+
+def sheaf_scalar(t: SixTuple, chi, n=5) -> CharacterSheaf:
+    """The chi-eigensheaf class one character at a time: the weighted
+    branch sum of coeffs_scalar and its exact division by n
+    (ArithmeticError when n does not divide it)."""
+    weighted = ZERO
+    for c, curve in zip(coeffs_scalar(t, chi, n), configuration().curves):
+        weighted = weighted + c * curve.cls
+    if any(x % n for x in weighted):
+        raise ArithmeticError(
+            f"weighted branch sum {weighted} for chi={chi} is not divisible by {n}"
+        )
+    return CharacterSheaf(reduce_vec(chi, n), DivClass(*(x // n for x in weighted)))
 
 
 def enumerate_admissible(n=5) -> list[SixTuple]:
@@ -167,7 +260,8 @@ def expanded_partition(n=5) -> ExpandedPartition:
 
 
 def pg_values_rowwise(rows, n=5) -> np.ndarray:
-    """Geometric genus of every row, from all n^2 classes of every row."""
+    """Geometric genus of every row, from all n^2 classes of every row,
+    with the section counts by interpolation (h0_rank)."""
     images = loop_image_rows(rows, n)
     cls_rows = np.array(
         [curve.cls for curve in configuration().curves], dtype=np.int64
@@ -189,7 +283,7 @@ def pg_values_rowwise(rows, n=5) -> np.ndarray:
             radix = np.cumprod(np.concatenate([[1], shifted.max(axis=0)[:-1] - low[:-1] + 1]))
             keys = (shifted - low) @ radix
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            vals = np.array([h0(DivClass(*map(int, shifted[i]))) for i in first], dtype=np.int64)
+            vals = np.array([h0_rank(DivClass(*map(int, shifted[i]))) for i in first], dtype=np.int64)
             pg += vals[inverse]
     return pg
 

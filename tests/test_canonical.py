@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from quadcover import canonical, golden
+from quadcover import canonical, golden, sheaves
 from quadcover.canonical import MonomialIdeal2D
 from quadcover.covers import SixTuple
 
@@ -30,7 +30,7 @@ def test_basis_rejects_non_admissible():
 
 def test_basis_rejects_multidimensional_eigenspace(u3, monkeypatch):
     # one monomial per character spans H^0(K) only when every count is 1
-    monkeypatch.setattr(canonical, "h0", lambda c: 2)
+    monkeypatch.setattr(sheaves, "h0", lambda c: 2)
     with pytest.raises(AssertionError, match="not a basis"):
         canonical.basis(u3)
 

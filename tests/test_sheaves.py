@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from quadcover import covers, golden, sheaves
@@ -97,6 +98,71 @@ def test_h0_oracle_on_shifted_classes(u3):
     for cs in sheaves.sheaf_table(u3):
         shifted = k + cs.cls
         assert sheaves.h0(shifted) == _oracle_h0(shifted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 9), st.lists(st.integers(-6, 3), min_size=4, max_size=4))
+def test_h0_closed_form_matches_rank(d, es):
+    cls = DivClass(d, *es)
+    assert sheaves.h0(cls) == oracles.h0_rank(cls)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_h0_closed_form_on_every_twisted_class(p):
+    # every class K + L_chi of every normal form, in chunks to bound memory
+    forms = covers.normal_forms(p)
+    seen = set()
+    for start in range(0, len(forms), 2000):
+        classes = sheaves.character_table(forms[start:start + 2000], p).integral().classes
+        seen.update(map(tuple, (classes + canonical_class()).reshape(-1, 5).tolist()))
+    assert seen
+    for c in seen:
+        assert sheaves.h0(DivClass(*c)) == oracles.h0_rank(DivClass(*c))
+
+
+def test_chi_derived_on_all_normal_forms():
+    p = 5
+    euler = 2 * p * p - 10 * p + 15  # e(X) over the strata of Y
+    for row in covers.normal_forms(p):
+        inv = sheaves.invariants(SixTuple.from_residues(row))
+        assert inv.chi == 5
+        assert 12 * inv.chi == inv.k2 + euler  # Noether
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as err:
+        return str(err)
+
+
+def _parity_tuples(kind, representatives):
+    rng = np.random.default_rng(31)
+    if kind == "reference":
+        return list(representatives.values())
+    if kind == "admissible":
+        arr = covers.admissible_array(5)
+        rows = arr[rng.choice(len(arr), 200, replace=False)]
+    else:
+        rows = rng.integers(0, 5, (1000, 12))
+        rows = rows[(rows.reshape(-1, 6, 2).sum(axis=1) % 5).any(axis=1)][:200]
+    return [SixTuple.from_residues(row) for row in rows]
+
+
+@pytest.mark.parametrize("kind", ["reference", "admissible", "non_sum_zero"])
+def test_table_matches_scalar_oracle(kind, representatives):
+    chars = [(a, b) for b in range(5) for a in range(5)]
+    outcomes = set()
+    for t in _parity_tuples(kind, representatives):
+        for chi in chars:
+            assert sheaves.coeffs(t, chi) == oracles.coeffs_scalar(t, chi)
+        expected = [_outcome(oracles.sheaf_scalar, t, chi) for chi in chars]
+        assert [_outcome(sheaves.sheaf, t, chi) for chi in chars] == expected
+        errors = [e for e in expected if isinstance(e, str)]
+        assert _outcome(sheaves.sheaf_table, t) == (errors[0] if errors else expected)
+        outcomes.add((bool(errors), len(errors) < len(chars)))
+    # non-sum-zero rows fail for some characters and not for others
+    assert outcomes == ({(True, True)} if kind == "non_sum_zero" else {(False, True)})
 
 
 def test_invariants_golden(representatives):
