@@ -19,20 +19,17 @@ from .canonical import (
 )
 from .covers import (
     AdmissibilityCheck,
-    LoopImages,
     SixTuple,
     admissible_array,
     check_admissibility,
     is_admissible,
-    loop_images,
     normal_forms,
 )
-from .gf import Mat, chi_eval, gl2_enumerate, is_independent
+from .gf import Mat, gl2_enumerate
 from .picard import (
     BranchCurve,
     Configuration,
     DivClass,
-    QDivClass,
     canonical_class,
     configuration,
     h1_complement,

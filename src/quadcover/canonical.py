@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .covers import SixTuple
-from .gf import DEFAULT_MODULUS, Vec2
+from .gf import DEFAULT_MODULUS, Vec2, is_prime
 from .picard import CURVE_LABELS, configuration, incidences, intersect
 from .sheaves import character_table, invariants, ram_curve_numbers, twisted_counts
 
@@ -259,10 +259,6 @@ class CanonicalReport(NamedTuple):
         }
 
 
-def _is_prime(k):
-    return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
-
-
 def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
     """Canonical-map certificate: fixed part, base points with types, the
     self-intersection of the movable part, and the product
@@ -301,7 +297,7 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
 
     square_sum = sum(bp.type.square_sum() for bp in points)
     degree_product = moving - square_sum
-    if _is_prime(degree_product):
+    if is_prime(degree_product):
         birational, why = True, "prime-degree argument"
     else:
         birational, why = False, "not certified: composite degree product"

@@ -2,9 +2,8 @@
 
 A six-tuple (u1, u2, u3, v1, v2, v3) of vectors in (Z/n)^2 assigns images
 to small loops around the six line components of the quadrangle; the
-images of the exceptional loops are forced by the homology relations
-
-    e0 = u1 + u2 + u3,      ei = ui + vj + vk  ({i,j,k} = {1,2,3}).
+images of the exceptional loops are forced by the homology relations,
+picard.LOOP_RELATIONS, which LOOP_SLOTS reads once.
 
 A tuple is admissible when (0) the six entries sum to zero, (1) all ten
 loop images are nonzero, and (2) the images at each of the 15 incident
@@ -19,10 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import (
-    DEFAULT_MODULUS, Vec2, gl2_array, is_independent, nonzero_vectors, require_prime, vadd,
-)
-from .picard import CURVE_LABELS, incidences
+from .gf import DEFAULT_MODULUS, Vec2, gl2_array, nonzero_vectors, require_prime
+from .picard import CURVE_LABELS, LOOP_RELATIONS, incidences
 
 
 class SixTuple(NamedTuple):
@@ -62,27 +59,14 @@ class SixTuple(NamedTuple):
         return ",".join(str(x) for x in self.residues)
 
 
-class LoopImages(NamedTuple):
-    u1: Vec2
-    u2: Vec2
-    u3: Vec2
-    v1: Vec2
-    v2: Vec2
-    v3: Vec2
-    e0: Vec2
-    e1: Vec2
-    e2: Vec2
-    e3: Vec2
+# Row c is the loop image of curve c in terms of the six line slots: the
+# identity on the lines, and eh solved from picard's relation row h.
+LOOP_SLOTS = np.vstack([np.eye(6, dtype=np.int64), -np.array([r[:6] for r in LOOP_RELATIONS[:4]])])
 
 
-def loop_images(t: SixTuple, n=DEFAULT_MODULUS) -> LoopImages:
-    """Images of loops around all ten branch curves, in configuration order."""
-    u1, u2, u3, v1, v2, v3 = ((x % n, y % n) for x, y in t)
-    e0 = vadd(u1, u2, u3, n=n)
-    e1 = vadd(u1, v2, v3, n=n)
-    e2 = vadd(u2, v1, v3, n=n)
-    e3 = vadd(u3, v1, v2, n=n)
-    return LoopImages(u1, u2, u3, v1, v2, v3, e0, e1, e2, e3)
+def loop_image_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
+    """(N, 12) residue rows -> (N, 10, 2) loop images in configuration order."""
+    return LOOP_SLOTS @ np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2) % n
 
 
 class AdmissibilityCheck(NamedTuple):
@@ -110,18 +94,44 @@ class AdmissibilityCheck(NamedTuple):
         return "condition 2: dependent images at ({}, {})".format(*self.curves)
 
 
+_INCIDENT = np.array(sorted(incidences()))
+# (condition, curves) of each column of _failures
+_REASONS = (
+    ((0, None),)
+    + tuple((1, (label,)) for label in CURVE_LABELS)
+    + tuple((2, (CURVE_LABELS[i], CURVE_LABELS[j])) for i, j in _INCIDENT)
+)
+
+
+def _failures(rows, n) -> np.ndarray:
+    """(N, 26) failed conditions of (N, 12) residue rows: a nonzero sum,
+    then a zero image at each curve, then dependent images at each
+    incident pair in sorted order."""
+    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
+    images = loop_image_rows(pairs, n)
+    cross = images[:, _INCIDENT[:, 0]] * images[:, _INCIDENT[:, 1], ::-1]
+    return np.concatenate(
+        [(pairs.sum(axis=1) % n).any(axis=1, keepdims=True), ~images.any(axis=2),
+         (cross[..., 0] - cross[..., 1]) % n == 0],
+        axis=1,
+    )
+
+
+def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
+    """Admissibility of each row of an (N, 12) array of residue rows,
+    2^14 rows at a time: _failures holds about 1 KiB per row."""
+    rows, step = np.asarray(rows, dtype=np.int64).reshape(-1, 12), 1 << 14
+    return np.concatenate(
+        [~_failures(rows[i:i + step], n).any(axis=1) for i in range(0, max(len(rows), 1), step)]
+    )
+
+
 def check_admissibility(t: SixTuple, n=DEFAULT_MODULUS) -> AdmissibilityCheck:
-    total = vadd(*t, n=n)
-    if total != (0, 0):
-        return AdmissibilityCheck(False, 0, None)
-    images = loop_images(t, n)
-    for label, img in zip(CURVE_LABELS, images):
-        if img == (0, 0):
-            return AdmissibilityCheck(False, 1, (label,))
-    for i, j in sorted(incidences()):
-        if not is_independent(images[i], images[j], n):
-            return AdmissibilityCheck(False, 2, (CURVE_LABELS[i], CURVE_LABELS[j]))
-    return AdmissibilityCheck(True)
+    """The first condition that t fails, in the column order of _failures."""
+    failed = _failures([t.residues], n)[0]
+    if not failed.any():
+        return AdmissibilityCheck(True)
+    return AdmissibilityCheck(False, *_REASONS[failed.argmax()])
 
 
 def require_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> SixTuple:
@@ -134,32 +144,6 @@ def require_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> SixTuple:
 
 def is_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> bool:
     return bool(check_admissibility(t, n))
-
-
-# --- bulk operations -------------------------------------------------------
-
-def loop_image_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
-    """(N, 12) residue rows -> (N, 10, 2) loop images, as in loop_images."""
-    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
-    out = np.empty((len(pairs), 10, 2), dtype=np.int64)
-    out[:, :6] = pairs
-    for i, slots in enumerate(((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))):  # e0..e3
-        out[:, 6 + i] = pairs[:, slots].sum(axis=1)
-    out %= n
-    return out
-
-
-def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
-    """Vectorized admissibility over an (N, 12) array of residue rows."""
-    rows = np.asarray(rows, dtype=np.int64) % n
-    pairs = rows.reshape(len(rows), 6, 2)
-    ok = (pairs.sum(axis=1) % n == 0).all(axis=1)
-    images = loop_image_rows(rows, n)
-    ok &= (images != 0).any(axis=2).all(axis=1)
-    for i, j in sorted(incidences()):
-        det = images[:, i, 0] * images[:, j, 1] - images[:, i, 1] * images[:, j, 0]
-        ok &= det % n != 0
-    return ok
 
 
 def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:

@@ -8,6 +8,8 @@ arrays, suitable as elements of multiplicative closures.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 Vec2 = tuple[int, int]
@@ -15,8 +17,12 @@ Vec2 = tuple[int, int]
 DEFAULT_MODULUS = 5
 
 
+def is_prime(k) -> bool:
+    return k >= 2 and all(k % d for d in range(2, isqrt(k) + 1))
+
+
 def require_prime(n):
-    if n < 2 or any(n % d == 0 for d in range(2, int(n ** 0.5) + 1)):
+    if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
     return n
 
@@ -31,16 +37,6 @@ def vadd(*vectors, n=DEFAULT_MODULUS) -> Vec2:
     return (x, y)
 
 
-def chi_eval(chi, v, n=DEFAULT_MODULUS) -> int:
-    """Pairing [a*x + b*y] of a character chi=(a,b) with a vector v=(x,y)."""
-    return (chi[0] * v[0] + chi[1] * v[1]) % n
-
-
-def is_independent(v, w, n=DEFAULT_MODULUS) -> bool:
-    """True iff {v, w} spans (Z/n)^2, i.e. the 2x2 determinant is nonzero."""
-    return (v[0] * w[1] - v[1] * w[0]) % n != 0
-
-
 def vectors(n=DEFAULT_MODULUS) -> tuple[Vec2, ...]:
     """All of (Z/n)^2 in lexicographic order."""
     return tuple((x, y) for x in range(n) for y in range(n))
@@ -53,8 +49,8 @@ def nonzero_vectors(n=DEFAULT_MODULUS) -> tuple[Vec2, ...]:
 class Mat:
     """Immutable k x k matrix over Z/n, hashable, with entries in {0,..,n-1}.
 
-    Supports * (matrix product mod n) and application to coordinate
-    vectors, which is all the closure and orbit machinery needs.
+    Supports * (matrix product mod n) and application to rows of
+    coordinate vectors, which is all the closure and orbit machinery needs.
     """
 
     __slots__ = ("array", "n", "_key")
@@ -87,11 +83,6 @@ class Mat:
         if other.n != self.n:
             raise ValueError("modulus mismatch")
         return Mat(self.array.astype(np.int64) @ other.array, self.n)
-
-    def apply(self, coords):
-        """Image of a coordinate vector (length = matrix size) as a tuple."""
-        v = np.asarray(coords, dtype=np.int64) % self.n
-        return tuple(int(x) for x in (self.array.astype(np.int64) @ v) % self.n)
 
     def apply_rows(self, rows):
         """Apply to every row of an (N, k) array; returns an (N, k) array."""

@@ -12,6 +12,13 @@ where Lj' is the strict transform of the line through P0 and Pj, and Lj
 the one through Pi and Pk ({i,j,k} = {1,2,3}).  Every 10-vector in this
 package (loop images, branch coefficients, monomial exponents) uses this
 order.
+
+Y is the quintic del Pezzo surface and the ten curves are its ten
+(-1)-curves.  Its automorphism group Sym(5) permutes them as it permutes
+the 2-subsets of {0, ..., 4} (Hirzebruch, Arrangements of lines and
+algebraic surfaces, 1983): CURVE_PAIRS labels each curve by one, two
+curves meet exactly when their labels are disjoint, and exchanging the
+point P0 with Ph is the transposition (0 h).
 """
 
 from __future__ import annotations
@@ -23,14 +30,16 @@ from . import exact
 
 BASIS_LABELS = ("H", "E0", "E1", "E2", "E3")
 CURVE_LABELS = ("L1'", "L2'", "L3'", "L1", "L2", "L3", "E0", "E1", "E2", "E3")
+CURVE_PAIRS = (
+    (2, 3), (1, 3), (1, 2), (1, 4), (2, 4), (3, 4), (0, 4), (0, 1), (0, 2), (0, 3),
+)
 
 
 class DivClass(NamedTuple):
     """Divisor class h*H + e0*E0 + ... + e3*E3.
 
-    Entries are integers; the same container with Fraction entries serves
-    as the rational analogue (QDivClass).  Tuple concatenation semantics
-    of + and * are replaced by vector arithmetic.
+    Tuple concatenation semantics of + and * are replaced by vector
+    arithmetic.
     """
 
     h: int
@@ -55,9 +64,6 @@ class DivClass(NamedTuple):
 
     __rmul__ = __mul__
 
-    def dot(self, other) -> int:
-        return intersect(self, other)
-
     def format(self) -> str:
         """Human form like '3H - E0 - 2E1', '0' for the trivial class."""
         parts = []
@@ -72,8 +78,6 @@ class DivClass(NamedTuple):
                 parts.append(f"+ {body}" if coef > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
 
-
-QDivClass = DivClass  # rational entries via fractions.Fraction
 
 ZERO = DivClass(0, 0, 0, 0, 0)
 H = DivClass(1, 0, 0, 0, 0)
@@ -111,9 +115,6 @@ class Configuration(NamedTuple):
         for c in self.curves:
             total = total + c.cls
         return total
-
-    def index(self, label: str) -> int:
-        return CURVE_LABELS.index(label)
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +158,9 @@ class H1Presentation(NamedTuple):
 
 # Relations among small loops (l1', l2', l3', l1, l2, l3, e0, e1, e2, e3)
 # around the branch curves: e0 = l1'+l2'+l3', ei = li'+lj+lk, and the sum
-# of all six line loops vanishes.
-_RELATIONS = (
+# of all six line loops vanishes.  Row h < 4 writes eh through the line
+# loops; covers.LOOP_SLOTS reads the exceptional loop images from it.
+LOOP_RELATIONS = (
     (-1, -1, -1, 0, 0, 0, 1, 0, 0, 0),
     (-1, 0, 0, 0, -1, -1, 0, 1, 0, 0),
     (0, -1, 0, -1, 0, -1, 0, 0, 1, 0),
@@ -179,7 +181,7 @@ def h1_complement() -> H1Presentation:
     factors = exact.invariant_factors(r)
     rank = len(r) - len(factors)
     torsion = tuple(f for f in factors if f != 1)
-    for rel in _RELATIONS:
+    for rel in LOOP_RELATIONS:
         if not exact.in_image(r, list(rel)):
             raise AssertionError(f"loop relation {rel} does not hold in the cokernel")
-    return H1Presentation(rank, torsion, _RELATIONS)
+    return H1Presentation(rank, torsion, LOOP_RELATIONS)

@@ -1,17 +1,22 @@
 """The symmetry group of the construction acting on six-tuples.
 
-Generators are the four point-swap transformations (linear in the twelve
-tuple coordinates) and GL(2, Z/n) acting diagonally on all six slots.
-Both kinds are stored as 12x12 matrices.
+It is GL(2, Z/n) x Sym(5), both factors stored as 12x12 matrices.
+GL(2, Z/n) acts diagonally on the six slots, as kron(I6, g).  Sym(5) is
+the automorphism group of Y and permutes the branch curves as it permutes
+their 2-subset labels (picard.CURVE_PAIRS).  A permutation puts into each
+line slot the loop image (covers.LOOP_SLOTS) of the curve that its label
+is sent to, as kron(A, I2).  The point swaps (0h) are the transpositions
+(0 h), which generate Sym(5).
 
-The swap formulas use the loop relation u1+..+v3 = 0, so as literal
-matrices they are involutions only on the sum-zero subspace that carries
-the actual cover data (admissible tuples all lie in it).  Group identity
-is therefore defined by the action on that subspace, a 10x10 matrix on
-the first ten coordinates: two elements are equal when these agree.
-With this convention the four swaps close into a group of order 120.
-They commute with GL(2) and meet its blocks only in the identity, so
-the full group is the direct product of the two, of order 57600.  GL(2)
+The loop images of the exceptional curves use the relation u1+..+v3 = 0,
+so as literal matrices the swaps are involutions only on the sum-zero
+subspace that carries the actual cover data (admissible tuples all lie in
+it).  Group identity is therefore defined by the action on that subspace,
+a 10x10 matrix on the first ten coordinates: two elements are equal when
+these agree.  The 120 permutations act in 120 distinct ways.
+kron(A, I2) and kron(I6, g) commute, both products being kron(A, g), and
+the swap group meets the GL(2) blocks only in the identity, so the full
+group is the direct product of the two, of order 57600 at n = 5.  GL(2)
 acts freely on admissible tuples, so the orbits are the swap orbits of
 the GL(2)-classes, each labelled by its normal form, and everything here
 is computed on the normal forms alone.
@@ -21,13 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gf
-from .covers import SixTuple, normal_form_index, normal_forms
+from .covers import LOOP_SLOTS, SixTuple, normal_form_index, normal_forms
 from .gf import DEFAULT_MODULUS, Mat
+from .picard import CURVE_PAIRS
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +64,7 @@ class SymmetryElement:
     provenance: str | None = None
 
     def apply(self, t: SixTuple) -> SixTuple:
-        return SixTuple.from_residues(self.mat.apply(t.residues))
+        return SixTuple.from_residues(self.mat.apply_rows([t.residues])[0])
 
     def __mul__(self, other: "SymmetryElement") -> "SymmetryElement":
         return SymmetryElement(self.mat * other.mat)
@@ -77,31 +84,22 @@ class SymmetryElement:
         return f"SymmetryElement({tag} mod {self.mat.n})"
 
 
-# Slot-level coefficient rows of the four swaps, acting on
-# (u1, u2, u3, v1, v2, v3).  Swap (0h) exchanges the slot of each line
-# through the h-th point with the matching exceptional slot:
-#   (01): u2<->e3, u3<->e2, v1<->e0     (02): u1<->e3, u3<->e1, v2<->e0
-#   (03): u1<->e2, u2<->e1, v3<->e0     (04): v1<->e1, v2<->e2, v3<->e3
-# with e0 = u1+u2+u3 and ei = ui+vj+vk substituted on the right.
-_SWAP_SLOTS = {
-    "(01)": ((1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0), (0, 1, 0, 1, 0, 1),
-             (1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)),
-    "(02)": ((0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 1, 1),
-             (0, 0, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1)),
-    "(03)": ((0, 1, 0, 1, 0, 1), (1, 0, 0, 0, 1, 1), (0, 0, 1, 0, 0, 0),
-             (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (1, 1, 1, 0, 0, 0)),
-    "(04)": ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
-             (1, 0, 0, 0, 1, 1), (0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 1, 0)),
-}
+_LABELLED = {frozenset(pair): c for c, pair in enumerate(CURVE_PAIRS)}
+
+
+def _swap_matrices(perms) -> np.ndarray:
+    """(k, 12, 12) matrices of k permutations of {0, ..., 4}: slot j takes
+    the loop image of the curve whose label is the image of curve j's."""
+    curves = [[_LABELLED[frozenset(s[a] for a in CURVE_PAIRS[j])] for j in range(6)] for s in perms]
+    return np.kron(LOOP_SLOTS[curves], np.eye(2, dtype=np.int64))
 
 
 def s5_generators(n=DEFAULT_MODULUS) -> tuple[SymmetryElement, ...]:
-    """The four point swaps as matrices (each slot row acting on both
-    coordinates); they generate a group of order 120 on the sum-zero
-    subspace."""
+    """The four point swaps (0h), the transpositions (0 h) of the labels;
+    they generate a group of order 120 on the sum-zero subspace."""
+    swaps = [[{0: h, h: 0}.get(a, a) for a in range(5)] for h in range(1, 5)]
     return tuple(
-        SymmetryElement(Mat(np.kron(rows, np.eye(2, dtype=np.int64)), n), name)
-        for name, rows in _SWAP_SLOTS.items()
+        SymmetryElement(Mat(m, n), f"(0{h})") for h, m in enumerate(_swap_matrices(swaps), 1)
     )
 
 
@@ -122,27 +120,6 @@ def default_generators(n=DEFAULT_MODULUS) -> tuple[SymmetryElement, ...]:
     return s5_generators(n) + tuple(gl2_action(g, n) for g in gf.gl2_generators(n))
 
 
-def mulclose(gens) -> dict[bytes, Mat]:
-    """Multiplicative closure of 12x12 matrices keyed by their action on
-    the sum-zero subspace; values are representative matrices."""
-    mats = [g.mat if isinstance(g, SymmetryElement) else g for g in gens]
-    els = {}
-    for g in mats:
-        els.setdefault(_restricted(g), g)
-    boundary = list(els.values())
-    while boundary:
-        fresh = []
-        for a in mats:
-            for b in boundary:
-                c = a * b
-                k = _restricted(c)
-                if k not in els:
-                    els[k] = c
-                    fresh.append(c)
-        boundary = fresh
-    return els
-
-
 class GroupClosure(NamedTuple):
     """Orders of the symmetry group, and the swap closure as an int8
     (k, 10, 10) array: the action on the first ten coordinates of
@@ -154,22 +131,25 @@ class GroupClosure(NamedTuple):
     s5_elements: np.ndarray
 
 
+def _sym5_actions(n) -> np.ndarray:
+    """The distinct actions of the 120 label permutations on the sum-zero
+    subspace, as an int8 (k, 10, 10) array."""
+    return np.unique(_restrict(_swap_matrices(permutations(range(5))), n).astype(np.int8), axis=0)
+
+
 @lru_cache(maxsize=None)
 def group_closure(n=DEFAULT_MODULUS) -> GroupClosure:
     """The group generated by the four swaps and the GL(2, Z/n) blocks.
 
-    Its order is the swap closure's times |GL(2)|, certified by two
-    checks: each swap commutes with each GL(2) generator, so the group is
-    the set product of the two subgroups; and the only swap-closure
-    element acting as a GL(2) block, kron(I5, g) on the sum-zero
-    subspace, is the identity, so no product is counted twice.
+    The swaps generate the actions of all of Sym(5), since the
+    transpositions (0 h) generate it and picard's relations are
+    Sym(5)-equivariant; those actions are counted.  Each swap commutes
+    with each GL(2) block, so the group is the set product of the two
+    subgroups.  Its order is the product of theirs because the only swap
+    action that is a GL(2) block, kron(I5, g) on the sum-zero subspace,
+    is the identity; that is checked.
     """
-    swaps = s5_generators(n)
-    for s in swaps:
-        for g in gf.gl2_generators(n):
-            if s.mat * gl2_action(g, n).mat != gl2_action(g, n).mat * s.mat:
-                raise AssertionError(f"swap {s.provenance} does not commute with {g!r}")
-    s5 = _restrict([m.array for m in mulclose(swaps).values()], n).astype(np.int8)
+    s5 = _sym5_actions(n)
     as_block = np.einsum("ij,kab->kiajb", np.eye(5, dtype=np.int8), s5[:, :2, :2])
     blocks = s5[(s5 == as_block.reshape(s5.shape)).all(axis=(1, 2))]
     if len(blocks) != 1 or (blocks[0] != np.eye(10)).any():

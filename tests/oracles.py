@@ -1,12 +1,15 @@
 """Independent and expanded routes that the tests compare the package against.
 
 The package computes counts, orbits, group orders and p_g on the
-GL(2)-normal forms alone, characters in one table, and section counts
-in closed form.  The functions here work on the expanded objects
-instead: every admissible row, every group element, every row's 25
-character classes, one character at a time, and section counts as
-interpolation ranks.  They are slow and memory-hungry by design and are
-only meant for n <= 5.
+GL(2)-normal forms alone, characters in one table, section counts in
+closed form, admissibility as one failure matrix, and the swaps from the
+curve labels.  The functions here work on the expanded objects instead:
+every admissible row, every group element, every row's 25 character
+classes, one character at a time, section counts as interpolation ranks,
+one tuple's loop images and incident pairs at a time, a hand-written
+swap table and breadth-first closures.  They are slow and memory-hungry
+by design and are only meant for n <= 5 (the closures and the swap table
+for n <= 7).
 """
 
 from __future__ import annotations
@@ -19,15 +22,108 @@ import numpy as np
 
 from quadcover import gf
 from quadcover.covers import (
-    MAX_ARRAY_BYTES, SixTuple, _locate, admissible_array, encode_rows, loop_image_rows,
-    loop_images, normal_form_index,
+    MAX_ARRAY_BYTES, AdmissibilityCheck, SixTuple, _locate, admissible_array, encode_rows,
+    loop_image_rows, normal_form_index,
 )
-from quadcover.gf import Mat, chi_eval, is_independent, reduce_vec
-from quadcover.picard import ZERO, DivClass, canonical_class, configuration
+from quadcover.gf import Mat, reduce_vec, vadd
+from quadcover.picard import (
+    CURVE_LABELS, ZERO, DivClass, canonical_class, configuration, incidences,
+)
 from quadcover.sheaves import CharacterSheaf
 from quadcover.symmetry import (
-    _least, _restrict, default_generators, group_closure, mulclose, s5_generators,
+    SymmetryElement, _least, _restrict, _restricted, default_generators, group_closure,
+    s5_generators,
 )
+
+
+def chi_eval(chi, v, n=5) -> int:
+    """Pairing [a*x + b*y] of a character chi=(a,b) with a vector v=(x,y)."""
+    return (chi[0] * v[0] + chi[1] * v[1]) % n
+
+
+def is_independent(v, w, n=5) -> bool:
+    """True iff {v, w} spans (Z/n)^2, i.e. the 2x2 determinant is nonzero."""
+    return (v[0] * w[1] - v[1] * w[0]) % n != 0
+
+
+class LoopImages(NamedTuple):
+    u1: tuple[int, int]
+    u2: tuple[int, int]
+    u3: tuple[int, int]
+    v1: tuple[int, int]
+    v2: tuple[int, int]
+    v3: tuple[int, int]
+    e0: tuple[int, int]
+    e1: tuple[int, int]
+    e2: tuple[int, int]
+    e3: tuple[int, int]
+
+
+def loop_images(t: SixTuple, n=5) -> LoopImages:
+    """Images of loops around all ten branch curves, in configuration
+    order, with the relations e0 = u1+u2+u3, ei = ui+vj+vk written out."""
+    u1, u2, u3, v1, v2, v3 = ((x % n, y % n) for x, y in t)
+    e0 = vadd(u1, u2, u3, n=n)
+    e1 = vadd(u1, v2, v3, n=n)
+    e2 = vadd(u2, v1, v3, n=n)
+    e3 = vadd(u3, v1, v2, n=n)
+    return LoopImages(u1, u2, u3, v1, v2, v3, e0, e1, e2, e3)
+
+
+def check_admissibility(t: SixTuple, n=5) -> AdmissibilityCheck:
+    """The admissibility conditions one at a time, stopping at the first
+    failure: the sum, each loop image, each incident pair in sorted order."""
+    if vadd(*t, n=n) != (0, 0):
+        return AdmissibilityCheck(False, 0, None)
+    images = loop_images(t, n)
+    for label, img in zip(CURVE_LABELS, images):
+        if img == (0, 0):
+            return AdmissibilityCheck(False, 1, (label,))
+    for i, j in sorted(incidences()):
+        if not is_independent(images[i], images[j], n):
+            return AdmissibilityCheck(False, 2, (CURVE_LABELS[i], CURVE_LABELS[j]))
+    return AdmissibilityCheck(True)
+
+
+# Slot-level coefficient rows of the four swaps, acting on
+# (u1, u2, u3, v1, v2, v3), written out by hand.  Swap (0h) exchanges the
+# slot of each line through the h-th point with the matching exceptional
+# slot:
+#   (01): u2<->e3, u3<->e2, v1<->e0     (02): u1<->e3, u3<->e1, v2<->e0
+#   (03): u1<->e2, u2<->e1, v3<->e0     (04): v1<->e1, v2<->e2, v3<->e3
+# with e0 = u1+u2+u3 and ei = ui+vj+vk substituted on the right.
+SWAP_SLOTS = {
+    "(01)": ((1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0), (0, 1, 0, 1, 0, 1),
+             (1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)),
+    "(02)": ((0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 1, 1),
+             (0, 0, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1)),
+    "(03)": ((0, 1, 0, 1, 0, 1), (1, 0, 0, 0, 1, 1), (0, 0, 1, 0, 0, 0),
+             (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (1, 1, 1, 0, 0, 0)),
+    "(04)": ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+             (1, 0, 0, 0, 1, 1), (0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 1, 0)),
+}
+
+
+def mulclose(gens) -> dict[bytes, Mat]:
+    """Multiplicative closure of 12x12 matrices, breadth first, keyed by
+    their action on the sum-zero subspace; values are representative
+    matrices."""
+    mats = [g.mat if isinstance(g, SymmetryElement) else g for g in gens]
+    els = {}
+    for g in mats:
+        els.setdefault(_restricted(g), g)
+    boundary = list(els.values())
+    while boundary:
+        fresh = []
+        for a in mats:
+            for b in boundary:
+                c = a * b
+                k = _restricted(c)
+                if k not in els:
+                    els[k] = c
+                    fresh.append(c)
+        boundary = fresh
+    return els
 
 
 def integer_det(a) -> int:
@@ -158,9 +254,10 @@ def is_totally_ramified(t: SixTuple, n=5) -> bool:
 @lru_cache(maxsize=None)
 def group_elements(n=5) -> np.ndarray:
     """Every element of the symmetry group as a read-only int8 (k, 10, 10)
-    array: all products of a swap-closure element and a GL(2) block,
-    deduplicated by value, so that their number is counted, not derived."""
-    s5 = group_closure(n).s5_elements.astype(np.int64)
+    array: all products of an element of the breadth-first swap closure
+    and a GL(2) block, deduplicated by value, so that their number is
+    counted, not derived."""
+    s5 = _restrict([m.array for m in mulclose(s5_generators(n)).values()], n).astype(np.int64)
     gl2 = gf.gl2_array(n)
     if len(s5) * len(gl2) * 100 > MAX_ARRAY_BYTES:
         raise ValueError(f"modulus {n}: the group would exceed {MAX_ARRAY_BYTES >> 20} MiB")

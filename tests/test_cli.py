@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,14 @@ def test_report_verify_and_byte_stable(tmp_path):
     assert data["group"] == {"s5_order": 120, "gl2_order": 480, "order": 57600}
     assert data["invariants"]["U3"] == {"k2": 45, "chi": 5, "pg": 4, "q": 0}
     assert data["canonical_u3"]["degree_product"] == 19
+
+
+def test_report_verify_stdout_equals_the_golden_report(capsys):
+    # the benchmark's golden file, read only: report stdout must not drift
+    golden = Path(__file__).parents[1] / "perfbench" / "golden_report.json"
+    code, out, _ = run(capsys, "report", "--verify")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_round_trip_representative(capsys):

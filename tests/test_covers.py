@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from oracles import enumerate_admissible, is_totally_ramified
 from quadcover import covers, gf
 from quadcover.covers import SixTuple
@@ -20,17 +21,25 @@ def test_parse_and_format(u3):
 
 
 def test_loop_images_u3(u3):
-    li = covers.loop_images(u3)
-    assert li.e0 == (2, 1)
-    assert li.e1 == (0, 3)
-    assert li.e2 == (1, 2)
-    assert li.e3 == (2, 4)
+    images = covers.loop_image_rows([u3.residues])[0]
+    assert images[:6].ravel().tolist() == list(u3.residues)
+    assert images[6:].tolist() == [[2, 1], [0, 3], [1, 2], [2, 4]]  # e0..e3
 
 
 def test_loop_images_zero_and_u1(u1):
-    zero = SixTuple.from_residues([0] * 12)
-    assert all(img == (0, 0) for img in covers.loop_images(zero))
-    assert covers.loop_images(u1).e0 == (2, 1)
+    assert not covers.loop_image_rows([[0] * 12]).any()
+    assert covers.loop_image_rows([u1.residues])[0, 6].tolist() == [2, 1]
+
+
+def test_loop_slots_are_the_relation_rows():
+    # the exceptional rows of LOOP_SLOTS solve picard's relations; the
+    # scalar oracle writes the same relations out by hand
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, 7, size=(2000, 12))
+    images = covers.loop_image_rows(rows, 7)
+    for row, mine in zip(rows, images):
+        ref = oracles.loop_images(SixTuple.from_residues(row), 7)
+        assert [tuple(v) for v in mine.tolist()] == list(ref)
 
 
 def test_admissibility_examples(u3):
@@ -73,7 +82,7 @@ def test_enumerate_n2_unpruned_brute_force():
     brute = {
         res
         for res in itertools.product(range(2), repeat=12)
-        if covers.is_admissible(SixTuple.from_residues(res), 2)
+        if oracles.check_admissibility(SixTuple.from_residues(res), 2)
     }
     assert pruned == brute
 
@@ -92,13 +101,32 @@ def test_mask_agrees_with_scalar_predicate():
     rows = np.array(rows, dtype=np.int16)
     mask = covers.admissibility_mask(rows, 5)
     for row, ok in zip(rows, mask):
-        assert covers.is_admissible(SixTuple.from_residues(row), 5) == bool(ok)
+        assert bool(oracles.check_admissibility(SixTuple.from_residues(row), 5)) == bool(ok)
+
+
+def test_admissibility_parity_with_the_scalar_oracle():
+    # 20000 sum-zero rows (every condition fails somewhere among them) and
+    # 20000 arbitrary ones: the mask and the one-row check with its reason
+    # agree with the conditions checked one at a time
+    rng = np.random.default_rng(20000)
+    sum_zero = rng.integers(0, 5, size=(20000, 12))
+    sum_zero[:, 10:] = -sum_zero[:, :10].reshape(-1, 5, 2).sum(axis=1) % 5
+    rows = np.vstack([sum_zero, rng.integers(0, 5, size=(20000, 12))])
+    mask = covers.admissibility_mask(rows, 5)
+    conditions = set()
+    for row, ok in zip(rows, mask):
+        t = SixTuple.from_residues(row)
+        ref = oracles.check_admissibility(t, 5)
+        assert covers.check_admissibility(t, 5) == ref
+        assert bool(ok) == ref.ok
+        conditions.add(ref.condition)
+    assert conditions == {None, 0, 1, 2}
 
 
 def _literal_pair_list(t, n=5):
     """The fifteen vector pairs of the admissibility definition, written
     out, as opposed to the incident-pair formulation the code uses."""
-    u1, u2, u3, v1, v2, v3 = covers.loop_images(t, n)[:6]
+    u1, u2, u3, v1, v2, v3 = oracles.loop_images(t, n)[:6]
     from quadcover.gf import vadd
 
     su = vadd(u1, u2, u3, n=n)
@@ -116,7 +144,7 @@ def _literal_pair_list(t, n=5):
 
 
 def test_condition2_matches_literal_pair_list():
-    from quadcover.gf import is_independent
+    from oracles import is_independent
     from quadcover.picard import incidences
 
     rng = random.Random(606)
@@ -130,7 +158,7 @@ def test_condition2_matches_literal_pair_list():
         rows.append([x for v in vecs for x in v] + [sx, sy])
     for row in rows:
         t = SixTuple.from_residues(row)
-        images = covers.loop_images(t, 5)
+        images = oracles.loop_images(t, 5)
         via_incidences = all(
             is_independent(images[i], images[j], 5) for i, j in incidences()
         )
@@ -143,7 +171,7 @@ def test_condition2_matches_literal_pair_list():
 def test_totally_ramified(u3):
     assert is_totally_ramified(u3)
     collinear = SixTuple.parse("1,0,2,0,3,0,4,0,1,0,4,0")
-    assert covers.loop_images(collinear).e0 != (0, 0)
+    assert covers.loop_image_rows([collinear.residues])[0, 6].any()  # e0 != 0
     assert not is_totally_ramified(collinear)
 
 

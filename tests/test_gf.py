@@ -1,40 +1,41 @@
 import pytest
 
+import oracles
 from quadcover import gf
 
 
 def test_chi_eval_examples():
-    assert gf.chi_eval((1, 3), (0, 1)) == 3
-    assert gf.chi_eval((0, 0), (4, 4)) == 0
-    assert gf.chi_eval((2, 1), (4, 1)) == 4
+    assert oracles.chi_eval((1, 3), (0, 1)) == 3
+    assert oracles.chi_eval((0, 0), (4, 4)) == 0
+    assert oracles.chi_eval((2, 1), (4, 1)) == 4
 
 
 def test_chi_eval_zero_and_bilinear():
     vs = gf.vectors(5)
     for v in vs:
-        assert gf.chi_eval((0, 0), v) == 0
-        assert gf.chi_eval(v, (0, 0)) == 0
+        assert oracles.chi_eval((0, 0), v) == 0
+        assert oracles.chi_eval(v, (0, 0)) == 0
     for chi in vs:
         for v in vs:
             for w in vs:
-                lhs = gf.chi_eval(chi, gf.vadd(v, w))
-                rhs = (gf.chi_eval(chi, v) + gf.chi_eval(chi, w)) % 5
+                lhs = oracles.chi_eval(chi, gf.vadd(v, w))
+                rhs = (oracles.chi_eval(chi, v) + oracles.chi_eval(chi, w)) % 5
                 assert lhs == rhs
 
 
 def test_is_independent_examples():
-    assert gf.is_independent((1, 0), (0, 1))
-    assert not gf.is_independent((1, 0), (2, 0))
-    assert gf.is_independent((1, 0), (4, 1))
+    assert oracles.is_independent((1, 0), (0, 1))
+    assert not oracles.is_independent((1, 0), (2, 0))
+    assert oracles.is_independent((1, 0), (4, 1))
 
 
 def test_is_independent_symmetric_and_zero():
     vs = gf.vectors(5)
     for v in vs:
-        assert not gf.is_independent(v, (0, 0))
-        assert not gf.is_independent((0, 0), v)
+        assert not oracles.is_independent(v, (0, 0))
+        assert not oracles.is_independent((0, 0), v)
         for w in vs:
-            assert gf.is_independent(v, w) == gf.is_independent(w, v)
+            assert oracles.is_independent(v, w) == oracles.is_independent(w, v)
 
 
 def test_gl2_enumerate_count_oracle():
@@ -82,6 +83,13 @@ def test_gl2_generators_generate():
         assert els == set(gf.gl2_enumerate(n))
 
 
+def test_is_prime():
+    assert [k for k in range(-3, 30) if gf.is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert gf.require_prime(19) == 19
+    with pytest.raises(ValueError, match="not prime"):
+        gf.require_prime(25)
+
+
 def test_primitive_root():
     assert gf.primitive_root(2) == 1
     assert gf.primitive_root(3) == 2
@@ -90,7 +98,7 @@ def test_primitive_root():
 
 def test_mat_basics():
     m = gf.Mat([[1, 2], [3, 4]], 5)
-    assert m.apply((1, 0)) == (1, 3)
+    assert m.apply_rows([(1, 0)]).tolist() == [[1, 3]]
     assert (m * gf.Mat.identity(2, 5)) == m
     assert m.det() == 3  # -2 mod 5
     assert gf.Mat([[1, 2], [2, 4]], 5).det() == 0
@@ -103,4 +111,4 @@ def test_mat_basics():
 def test_mat_block_diagonal():
     b = gf.Mat.block_diagonal([[2, 1], [1, 1]], 3, 5)
     assert b.size == 6
-    assert b.apply((1, 0, 0, 1, 1, 1)) == (2, 1, 1, 1, 3, 2)
+    assert b.apply_rows([(1, 0, 0, 1, 1, 1)]).tolist() == [[2, 1, 1, 1, 3, 2]]

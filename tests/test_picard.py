@@ -49,7 +49,7 @@ def test_configuration_classes():
 def test_incidences():
     pairs = picard.incidences()
     assert len(pairs) == 15
-    idx = picard.configuration().index
+    idx = picard.CURVE_LABELS.index
     assert (idx("L1'"), idx("E0")) in pairs
     assert (idx("L1'"), idx("L2'")) not in pairs
     assert intersect(H - E[0] - E[1], H - E[0] - E[2]) == 0
@@ -64,6 +64,17 @@ def test_incidences():
         expected.add(tuple(sorted((idx(f"L{j}"), idx(f"E{i}")))))
         expected.add(tuple(sorted((idx(f"L{j}"), idx(f"E{k}")))))
     assert pairs == expected
+
+
+def test_curve_labels_meet_when_disjoint():
+    # the 2-subset labels on which Sym(5) acts: two curves meet exactly
+    # when their labels are disjoint
+    labels = picard.CURVE_PAIRS
+    assert sorted(labels) == sorted((i, j) for i in range(5) for j in range(i + 1, 5))
+    disjoint = {
+        (i, j) for i in range(10) for j in range(i + 1, 10) if not set(labels[i]) & set(labels[j])
+    }
+    assert disjoint == picard.incidences()
 
 
 def test_intersection_matrix_rows():

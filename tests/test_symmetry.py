@@ -87,7 +87,7 @@ def test_group_closure_orders():
 def test_direct_product_order_matches_breadth_first_closure():
     # independent route at n = 3: breadth-first products of 12x12 matrices
     gc = symmetry.group_closure(3)
-    assert gc.order == len(symmetry.mulclose(symmetry.default_generators(3)))
+    assert gc.order == len(oracles.mulclose(symmetry.default_generators(3)))
     assert gc.order == gc.s5_order * gc.gl2_order == 120 * 48
 
 
@@ -150,7 +150,7 @@ def test_stabilizer_order_by_direct_count(u1, u3):
 def test_gl2_block_action_is_faithful():
     # closure of the block generators alone, keyed on the sum-zero action
     blocks = [symmetry.gl2_action(m) for m in symmetry.gf.gl2_generators(5)]
-    assert len(symmetry.mulclose(blocks)) == 480
+    assert len(oracles.mulclose(blocks)) == 480
 
 
 def test_orbit_lookup_stable_under_group(u3):
@@ -250,11 +250,31 @@ def test_forms_match_expanded_path(n):
 
 
 def test_group_order_certificate_detects_a_shared_element(monkeypatch):
-    # a GL(2) scalar among the swap generators commutes with everything,
-    # but the swap closure then meets the GL(2) blocks outside the identity
-    swaps = symmetry.s5_generators
-    monkeypatch.setattr(
-        symmetry, "s5_generators", lambda n: swaps(n) + (symmetry.gl2_action([[2, 0], [0, 2]], n),)
-    )
+    # a GL(2) scalar placed among the Sym(5) actions commutes with
+    # everything, but the swap closure then meets the GL(2) blocks outside
+    # the identity
+    actions = symmetry._sym5_actions
+
+    def with_scalar(n):
+        scalar = symmetry.gl2_action([[2, 0], [0, 2]], n).mat.array
+        return np.concatenate([actions(n), symmetry._restrict([scalar], n).astype(np.int8)])
+
+    monkeypatch.setattr(symmetry, "_sym5_actions", with_scalar)
     with pytest.raises(AssertionError, match="meets the GL"):
         symmetry.group_closure.__wrapped__(5)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_swaps_from_labels_match_the_hand_written_table(n):
+    gens = symmetry.s5_generators(n)
+    assert [g.provenance for g in gens] == list(oracles.SWAP_SLOTS)
+    for g, rows in zip(gens, oracles.SWAP_SLOTS.values()):
+        assert np.array_equal(g.mat.array, np.kron(rows, np.eye(2, dtype=np.int64)) % n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_sym5_actions_match_the_breadth_first_closure(n):
+    closure = oracles.mulclose(symmetry.s5_generators(n)).values()
+    expected = np.unique(symmetry._restrict([m.array for m in closure], n).astype(np.int8), axis=0)
+    assert len(expected) == 120
+    assert np.array_equal(symmetry.group_closure(n).s5_elements, expected)
