@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .covers import SixTuple
+from .covers import SixTuple, require_admissible
 from .gf import DEFAULT_MODULUS, Vec2, is_prime
 from .picard import CURVE_LABELS, configuration, incidences, intersect
-from .sheaves import character_table, invariants, ram_curve_numbers, twisted_counts
+from .sheaves import adjunction_class, character_table, twisted_counts
 
 
 class CanonicalBasis(NamedTuple):
@@ -264,27 +264,30 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
     self-intersection of the movable part, and the product
     (map degree) * (image degree) = (K - F)^2 - sum of squared
     multiplicities.  When the product is prime and the image cannot be a
-    plane (four independent sections: p_g = 4 and basis checks that each
-    eigenspace is at most one-dimensional), the map is certified birational.
+    plane (four basis monomials, each eigenspace at most one-dimensional),
+    the map is certified birational.  K^2 and K.R_i are read off the
+    adjunction class.  Modulus 5 only.
     """
-    inv = invariants(t, n)
-    if inv.pg != 4:
+    require_admissible(t, n)
+    if n != 5:
+        raise ValueError("surface invariants are only defined for modulus 5")
+    b = basis(t, n)
+    if len(b.entries) != 4:
         raise ValueError(
-            f"tuple {t.format()} has pg={inv.pg}; the canonical image is not "
+            f"tuple {t.format()} has pg={len(b.entries)}; the canonical image is not "
             "a surface in 3-space"
         )
-    b = basis(t, n)
     fixed = fixed_part(b)
-    rams = ram_curve_numbers(t, n)
+    adj = adjunction_class(n)
     curves = configuration().curves
 
-    k_dot_f = sum(f * r.kdot for f, r in zip(fixed, rams))
+    k_dot_f = sum(f * intersect(adj, c.cls) for f, c in zip(fixed, curves))
     f_squared = sum(
         fixed[i] * fixed[j] * intersect(curves[i].cls, curves[j].cls)
         for i in range(10)
         for j in range(10)
     )
-    moving = inv.k2 - 2 * k_dot_f + f_squared
+    moving = intersect(adj, adj) - 2 * k_dot_f + f_squared
 
     points = []
     for pair in sorted(incidences()):

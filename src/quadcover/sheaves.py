@@ -19,13 +19,13 @@ sums over the character classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .covers import SixTuple, loop_image_rows, normal_form_index, normal_forms, require_admissible
-from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, vadd
+from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, require_prime, vadd
 from .picard import DivClass, canonical_class, configuration, intersect
 
 
@@ -75,10 +75,7 @@ class CoverRelation(NamedTuple):
     rhs: Vec2
 
     def format(self) -> str:
-        sigma = "".join(
-            f"s{i + 1}" if e == 1 else ""
-            for i, e in enumerate(self.sigma_exponents)
-        )
+        sigma = "".join(f"s{i + 1}" for i, e in enumerate(self.sigma_exponents) if e)
         lhs = "w[{},{}]*w[{},{}]".format(*self.chi, *self.chi2)
         return "{} = {}w[{},{}]".format(lhs, sigma + "*" if sigma else "", *self.rhs)
 
@@ -86,17 +83,24 @@ class CoverRelation(NamedTuple):
 class CharacterTable(NamedTuple):
     """The n^2 characters (a, b) on N residue rows, b-major (k = b n + a):
     residues (N, n^2, 10) on the ten loop images, classes (N, n^2, 5) with
-    n L the residue-weighted branch sum, and errors, a message per (row,
-    k) whose weighted sum n does not divide; those classes are void."""
+    n L the residue-weighted branch sum, and void (N, n^2), true where n
+    does not divide that sum; those classes are void."""
 
     residues: np.ndarray
     classes: np.ndarray
-    errors: dict[tuple[int, int], str]
+    void: np.ndarray
+
+    def void_error(self, i, k) -> ArithmeticError:
+        """The error for the void class of row i and character k = b n + a."""
+        n = isqrt(self.void.shape[1])
+        weighted = DivClass(*(self.residues[i, k] @ _CURVE_CLASSES).tolist())
+        chi = (int(k) % n, int(k) // n)
+        return ArithmeticError(f"weighted branch sum {weighted} for chi={chi} is not divisible by {n}")
 
     def integral(self) -> "CharacterTable":
         """self; ArithmeticError for the first void class (row-major)."""
-        for message in self.errors.values():
-            raise ArithmeticError(message)
+        if self.void.any():
+            raise self.void_error(*np.argwhere(self.void)[0])
         return self
 
 
@@ -109,14 +113,8 @@ def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
     rows, and its class: the only code that evaluates characters."""
     chars = np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1)
     residues = chars @ loop_image_rows(rows, n).swapaxes(1, 2) % n
-    weighted = residues @ _CURVE_CLASSES
-    classes, rest = np.divmod(weighted, n)
-    errors = {
-        (int(i), int(k)): f"weighted branch sum {DivClass(*weighted[i, k].tolist())} "
-        f"for chi={(int(k % n), int(k // n))} is not divisible by {n}"
-        for i, k in zip(*np.nonzero(rest.any(axis=2)))
-    }
-    return CharacterTable(residues, classes, errors)
+    classes, rest = np.divmod(residues @ _CURVE_CLASSES, n)
+    return CharacterTable(residues, classes, rest.any(axis=2))
 
 
 def _index(chi: Vec2, n) -> int:
@@ -132,8 +130,8 @@ def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
     """The divisor class of the chi-eigensheaf of the cover given by t;
     ArithmeticError when n does not divide its weighted branch sum."""
     table, k = character_table([t.residues], n), _index(chi, n)
-    if (0, k) in table.errors:
-        raise ArithmeticError(table.errors[0, k])
+    if table.void[0, k]:
+        raise table.void_error(0, k)
     return CharacterSheaf(reduce_vec(chi, n), DivClass(*table.classes[0, k].tolist()))
 
 
@@ -175,7 +173,7 @@ def _pg(classes) -> np.ndarray:
     return twisted_counts(classes).sum(axis=-1)
 
 
-def _adjunction_class(n):
+def adjunction_class(n):
     """n K_Y + (n-1) D, D the total branch class: n times the class that
     pulls back to K of the cover (each branch curve ramifies with index n)."""
     return n * canonical_class() + (n - 1) * configuration().total_branch_class()
@@ -194,7 +192,7 @@ def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
     if n != 5:
         raise ValueError("surface invariants are only defined for modulus 5")
     classes = character_table([t.residues], n).integral().classes
-    pg, adj = int(_pg(classes)[0]), _adjunction_class(n)
+    pg, adj = int(_pg(classes)[0]), adjunction_class(n)
     chi_o = n * n + int(intersect(classes[0].T, (classes[0] + _KY).T).sum()) // 2
     return SurfaceInvariants(k2=intersect(adj, adj), chi=chi_o, pg=pg, q=pg + 1 - chi_o)
 
@@ -204,7 +202,7 @@ def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
     equals the branch curve's, K.R comes from the projection formula, and
     the genus from adjunction."""
     require_admissible(t, n)
-    adj = _adjunction_class(n)
+    adj = adjunction_class(n)
     out = []
     for label, cls in configuration().curves:
         selfint = intersect(cls, cls)
@@ -215,50 +213,29 @@ def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
     return tuple(out)
 
 
-def char_order(chi: Vec2, n=DEFAULT_MODULUS) -> int:
-    a, b = reduce_vec(chi, n)
-    return n // gcd(a, b, n)
-
-
 def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int, ...]:
-    """The carry vector of a character pair: 1 on the branch curves where
-    the weighted residues of chi and chi2 overflow past the common order.
-
-    With d, d' the character orders, M their lcm and lam = M/d,
-    lam' = M/d', the i-th entry is 1 iff lam*D_i + lam'*D'_i >= M, where
-    D, D' are the branch residues scaled down to Z/d resp. Z/d'.
-    """
+    """The carry vector of a character pair: entry i is Pardini's
+    floor((r_i(chi) + r_i(chi2)) / p), r_i the residues on branch curve i,
+    whose inertia group has order p (its loop image is a nonzero vector of
+    (Z/p)^2).  So the carry is r_i(chi) + r_i(chi2) >= p; n must be prime."""
+    require_prime(n)
     rows = character_table([t.residues], n).residues[0]
-    return _carry(chi, rows[_index(chi, n)].tolist(), chi2, rows[_index(chi2, n)].tolist(), n)
-
-
-def _carry(chi, c1, chi2, c2, n) -> tuple[int, ...]:
-    """epsilon for given residue rows c1 of chi and c2 of chi2."""
-    d1 = char_order(chi, n)
-    d2 = char_order(chi2, n)
-    m = lcm(d1, d2)
-    lam1, lam2 = m // d1, m // d2
-    step1, step2 = n // d1, n // d2
-    out = []
-    for r1, r2 in zip(c1, c2):
-        if r1 % step1 or r2 % step2:
-            raise AssertionError("branch residue incompatible with character order")
-        out.append(1 if lam1 * (r1 // step1) + lam2 * (r2 // step2) >= m else 0)
-    return tuple(out)
+    return tuple((rows[_index(chi, n)] + rows[_index(chi2, n)] >= n).astype(int).tolist())
 
 
 def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]:
     """The fibre-coordinate relations cutting out the cover inside the
     total space of the nontrivial eigensheaves: one relation per
     unordered pair of nontrivial characters (with repetition)."""
+    require_prime(n)
     require_admissible(t, n)
-    chars = [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
-    residues = character_table([t.residues], n).residues[0].tolist()
-    rows = {chi: residues[_index(chi, n)] for chi in chars}
+    chars = [(a, b) for a in range(n) for b in range(n)][1:]
+    rows = character_table([t.residues], n).residues[0, [_index(chi, n) for chi in chars]]
+    i, j = np.triu_indices(len(chars))
+    carries = (rows[i] + rows[j] >= n).astype(int).tolist()
     return tuple(
-        CoverRelation(chi, chi2, _carry(chi, rows[chi], chi2, rows[chi2], n), vadd(chi, chi2, n=n))
-        for i, chi in enumerate(chars)
-        for chi2 in chars[i:]
+        CoverRelation(chars[a], chars[b], tuple(eps), vadd(chars[a], chars[b], n=n))
+        for a, b, eps in zip(i.tolist(), j.tolist(), carries)
     )
 
 

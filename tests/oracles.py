@@ -5,10 +5,11 @@ GL(2)-normal forms alone, characters in one table, section counts in
 closed form, admissibility as one failure matrix, and the swaps from the
 curve labels.  The functions here work on the expanded objects instead:
 every admissible row, every group element, every row's 25 character
-classes, one character at a time, section counts as interpolation ranks,
-one tuple's loop images and incident pairs at a time, a hand-written
-swap table and breadth-first closures.  They are slow and memory-hungry
-by design and are only meant for n <= 5 (the closures and the swap table
+classes, one character at a time, carries over the lcm of the character
+orders, section counts as interpolation ranks, one tuple's loop images
+and incident pairs at a time, a hand-written swap table and
+breadth-first closures.  They are slow and memory-hungry by design and
+are only meant for n <= 5 (the closures, the swap table and the carries
 for n <= 7).
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -236,6 +238,30 @@ def sheaf_scalar(t: SixTuple, chi, n=5) -> CharacterSheaf:
             f"weighted branch sum {weighted} for chi={chi} is not divisible by {n}"
         )
     return CharacterSheaf(reduce_vec(chi, n), DivClass(*(x // n for x in weighted)))
+
+
+def char_order(chi, n=5) -> int:
+    a, b = reduce_vec(chi, n)
+    return n // gcd(a, b, n)
+
+
+def epsilon_by_order(chi, c1, chi2, c2, n=5) -> tuple[int, ...]:
+    """The carry vector of a character pair from residue rows c1 of chi and
+    c2 of chi2, for any modulus: with d, d' the character orders, M their
+    lcm and lam = M/d, lam' = M/d', the i-th entry is 1 iff
+    lam*D_i + lam'*D'_i >= M, where D, D' are the branch residues scaled
+    down to Z/d resp. Z/d'."""
+    d1 = char_order(chi, n)
+    d2 = char_order(chi2, n)
+    m = lcm(d1, d2)
+    lam1, lam2 = m // d1, m // d2
+    step1, step2 = n // d1, n // d2
+    out = []
+    for r1, r2 in zip(c1, c2):
+        if r1 % step1 or r2 % step2:
+            raise AssertionError("branch residue incompatible with character order")
+        out.append(1 if lam1 * (r1 // step1) + lam2 * (r2 // step2) >= m else 0)
+    return tuple(out)
 
 
 def enumerate_admissible(n=5) -> list[SixTuple]:

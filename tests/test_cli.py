@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quadcover import cli, covers, symmetry
+from quadcover import canonical, cli, covers, symmetry
 
 U3 = "1,0,1,0,0,1,4,1,3,2,1,1"
 
@@ -104,6 +104,17 @@ def test_canonical_verify(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["degree_product"] == 19
+
+
+def test_canonical_other_modulus_exits_2(capsys):
+    # this form has an eigenspace with h0(K + L_chi) = 2, so it has no
+    # monomial basis; the modulus guard comes first
+    form = "1,0,0,1,0,1,0,1,1,0,5,4"
+    with pytest.raises(AssertionError, match="not a basis"):
+        canonical.basis(covers.SixTuple.parse(form), 7)
+    code, out, err = run(capsys, "--modulus", "7", "canonical", form)
+    assert (code, out) == (2, "")
+    assert "modulus 5" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from quadcover import covers, golden, sheaves
+from quadcover import covers, gf, golden, sheaves
 from quadcover.covers import SixTuple
 from quadcover.picard import DivClass, ZERO, H, canonical_class, configuration, intersect
 
@@ -209,9 +209,10 @@ def test_ram_curves(u3):
 
 
 def test_char_order():
-    assert sheaves.char_order((0, 0)) == 1
-    assert sheaves.char_order((2, 1)) == 5
-    assert sheaves.char_order((0, 3)) == 5
+    assert oracles.char_order((0, 0)) == 1
+    assert oracles.char_order((2, 1)) == 5
+    assert oracles.char_order((0, 3)) == 5
+    assert oracles.char_order((2, 2), 4) == 2
 
 
 def test_epsilon_examples(u3):
@@ -248,6 +249,51 @@ def test_cover_equations(u3):
     assert diag[0].format() == "w[2,1]*w[2,1] = s4s5s6s8s9s10*w[4,2]"
     with pytest.raises(ValueError):
         sheaves.cover_equations(SixTuple.from_residues([0] * 12))
+
+
+def test_carries_need_a_prime_modulus(u3):
+    with pytest.raises(ValueError, match="not prime"):
+        sheaves.cover_equations(u3, 4)
+    with pytest.raises(ValueError, match="not prime"):
+        sheaves.epsilon(u3, (1, 0), (1, 0), 4)
+
+
+@pytest.mark.parametrize("p, count", [(5, None), (7, 200)])
+def test_cover_equations_match_order_oracle(p, count):
+    # every pair of every form at p = 5, of seeded forms at p = 7; the
+    # oracle carries over character orders from the scalar residues
+    forms = covers.normal_forms(p)
+    if count is not None:
+        forms = forms[np.random.default_rng(41).choice(len(forms), count, replace=False)]
+    chars = [(a, b) for a in range(p) for b in range(p)][1:]
+    pairs = [(chi, chi2) for i, chi in enumerate(chars) for chi2 in chars[i:]]
+    for row in forms:
+        t = SixTuple.from_residues(row)
+        rels = sheaves.cover_equations(t, p)
+        assert [(r.chi, r.chi2) for r in rels] == pairs
+        rows = {chi: oracles.coeffs_scalar(t, chi, p) for chi in chars}
+        for r in rels:
+            assert r.sigma_exponents == oracles.epsilon_by_order(
+                r.chi, rows[r.chi], r.chi2, rows[r.chi2], p
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 7]), st.data())
+def test_carry_identity_on_gl2_images(p, data):
+    # L_chi + L_chi2 - L_(chi + chi2) = sum of eps_i C_i on g.f
+    forms, mats = covers.normal_forms(p), gf.gl2_array(p)
+    f = forms[data.draw(st.integers(0, len(forms) - 1))]
+    g = mats[data.draw(st.integers(0, len(mats) - 1))]
+    t = SixTuple.from_residues((f.reshape(6, 2) @ g.T % p).ravel())
+    assert covers.is_admissible(t, p)
+    character = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    chi, chi2 = data.draw(character), data.draw(character)
+    total = ZERO
+    for e, curve in zip(sheaves.epsilon(t, chi, chi2, p), configuration().curves):
+        total = total + e * curve.cls
+    l1, l2 = sheaves.sheaf(t, chi, p).cls, sheaves.sheaf(t, chi2, p).cls
+    assert l1 + l2 - sheaves.sheaf(t, gf.vadd(chi, chi2, n=p), p).cls == total
 
 
 def test_cover_equations_match_epsilon(u3):
