@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .covers import SixTuple, require_admissible
 from .gf import DEFAULT_MODULUS, Vec2, is_prime
-from .picard import CURVE_LABELS, configuration, incidences, intersect
-from .sheaves import adjunction_class, character_table, twisted_counts
+from .picard import CURVE_LABELS, DivClass, incidences, intersect
+from .sheaves import CURVE_CLASSES, adjunction_class, character_table, twisted_counts
 
 
 class CanonicalBasis(NamedTuple):
@@ -104,14 +104,15 @@ class MonomialIdeal2D:
 
 
 def _reduce_generators(pairs):
-    pairs = set(tuple(map(int, p)) for p in pairs)
-    if not pairs:
+    """The minimal pairs: in sorted order, those whose b is below every b before."""
+    minimal, low = set(), None
+    for a, b in sorted({(int(a), int(b)) for a, b in pairs}):
+        if low is None or b < low:
+            minimal.add((a, b))
+            low = b
+    if not minimal:
         raise ValueError("empty generator set")
-    return {
-        p
-        for p in pairs
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs)
-    }
+    return minimal
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,20 @@ class BasePointType:
             if len(node.children) > 1:
                 return False
             node = node.children[0] if node.children else None
-            if node is None:
-                break
         return True
 
     def as_chain(self) -> tuple[int, ...]:
         if not self.is_chain:
             raise ValueError(f"type {self.multiplicities()} branches")
         return self.multiplicities()
+
+
+def _local_ideals(b: CanonicalBasis, fixed, pairs) -> list[MonomialIdeal2D]:
+    """local_ideal at each incident pair, the fixed part divided out once."""
+    rows = [[e - f for e, f in zip(expo, fixed)] for expo in b.exponent_rows()]
+    if any(x < 0 for row in rows for x in row):
+        raise ValueError("fixed part exceeds a basis exponent")
+    return [MonomialIdeal2D.from_exponents((row[i], row[j]) for row in rows) for i, j in pairs]
 
 
 def local_ideal(b: CanonicalBasis, fixed, pair, n=DEFAULT_MODULUS) -> MonomialIdeal2D:
@@ -168,13 +175,7 @@ def local_ideal(b: CanonicalBasis, fixed, pair, n=DEFAULT_MODULUS) -> MonomialId
     i, j = sorted(pair)
     if (i, j) not in incidences():
         raise ValueError(f"curves {CURVE_LABELS[i]} and {CURVE_LABELS[j]} do not meet")
-    pairs = []
-    for _, expo in b.entries:
-        res = tuple(e - f for e, f in zip(expo, fixed))
-        if any(x < 0 for x in res):
-            raise ValueError("fixed part exceeds a basis exponent")
-        pairs.append((res[i], res[j]))
-    return MonomialIdeal2D.from_exponents(pairs)
+    return _local_ideals(b, fixed, [(i, j)])[0]
 
 
 def resolve_type(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePointType:
@@ -265,8 +266,8 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
     (map degree) * (image degree) = (K - F)^2 - sum of squared
     multiplicities.  When the product is prime and the image cannot be a
     plane (four basis monomials, each eigenspace at most one-dimensional),
-    the map is certified birational.  K^2 and K.R_i are read off the
-    adjunction class.  Modulus 5 only.
+    the map is certified birational.  (K - F)^2 is the self-intersection
+    of the adjunction class less the class of F.  Modulus 5 only.
     """
     require_admissible(t, n)
     if n != 5:
@@ -278,25 +279,14 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
             "a surface in 3-space"
         )
     fixed = fixed_part(b)
-    adj = adjunction_class(n)
-    curves = configuration().curves
+    moving_part = adjunction_class(n) - DivClass(*(fixed @ CURVE_CLASSES).tolist())
+    moving = intersect(moving_part, moving_part)
 
-    k_dot_f = sum(f * intersect(adj, c.cls) for f, c in zip(fixed, curves))
-    f_squared = sum(
-        fixed[i] * fixed[j] * intersect(curves[i].cls, curves[j].cls)
-        for i in range(10)
-        for j in range(10)
-    )
-    moving = intersect(adj, adj) - 2 * k_dot_f + f_squared
-
-    points = []
-    for pair in sorted(incidences()):
-        ideal = local_ideal(b, fixed, pair, n)
-        if ideal.is_unit:
-            continue
-        bp_type = resolve_type(ideal)
-        labels = (CURVE_LABELS[pair[0]], CURVE_LABELS[pair[1]])
-        points.append(BasePoint(pair, labels, ideal, bp_type))
+    points, pairs = [], sorted(incidences())
+    for (i, j), ideal in zip(pairs, _local_ideals(b, fixed, pairs)):
+        if not ideal.is_unit:
+            labels = (CURVE_LABELS[i], CURVE_LABELS[j])
+            points.append(BasePoint((i, j), labels, ideal, resolve_type(ideal)))
 
     square_sum = sum(bp.type.square_sum() for bp in points)
     degree_product = moving - square_sum

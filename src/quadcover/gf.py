@@ -31,12 +31,6 @@ def reduce_vec(v, n=DEFAULT_MODULUS) -> Vec2:
     return (v[0] % n, v[1] % n)
 
 
-def vadd(*vectors, n=DEFAULT_MODULUS) -> Vec2:
-    x = sum(v[0] for v in vectors) % n
-    y = sum(v[1] for v in vectors) % n
-    return (x, y)
-
-
 def vectors(n=DEFAULT_MODULUS) -> tuple[Vec2, ...]:
     """All of (Z/n)^2 in lexicographic order."""
     return tuple((x, y) for x in range(n) for y in range(n))

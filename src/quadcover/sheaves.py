@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covers import SixTuple, loop_image_rows, normal_form_index, normal_forms, require_admissible
-from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, require_prime, vadd
+from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, require_prime
 from .picard import DivClass, canonical_class, configuration, intersect
 
 
@@ -93,7 +93,7 @@ class CharacterTable(NamedTuple):
     def void_error(self, i, k) -> ArithmeticError:
         """The error for the void class of row i and character k = b n + a."""
         n = isqrt(self.void.shape[1])
-        weighted = DivClass(*(self.residues[i, k] @ _CURVE_CLASSES).tolist())
+        weighted = DivClass(*(self.residues[i, k] @ CURVE_CLASSES).tolist())
         chi = (int(k) % n, int(k) // n)
         return ArithmeticError(f"weighted branch sum {weighted} for chi={chi} is not divisible by {n}")
 
@@ -104,7 +104,7 @@ class CharacterTable(NamedTuple):
         return self
 
 
-_CURVE_CLASSES = np.array([curve.cls for curve in configuration().curves], dtype=np.int64)
+CURVE_CLASSES = np.array([curve.cls for curve in configuration().curves], dtype=np.int64)
 _KY = np.array(canonical_class(), dtype=np.int64)
 
 
@@ -113,7 +113,7 @@ def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
     rows, and its class: the only code that evaluates characters."""
     chars = np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1)
     residues = chars @ loop_image_rows(rows, n).swapaxes(1, 2) % n
-    classes, rest = np.divmod(residues @ _CURVE_CLASSES, n)
+    classes, rest = np.divmod(residues @ CURVE_CLASSES, n)
     return CharacterTable(residues, classes, rest.any(axis=2))
 
 
@@ -173,7 +173,8 @@ def _pg(classes) -> np.ndarray:
     return twisted_counts(classes).sum(axis=-1)
 
 
-def adjunction_class(n):
+@lru_cache(maxsize=None)
+def adjunction_class(n) -> DivClass:
     """n K_Y + (n-1) D, D the total branch class: n times the class that
     pulls back to K of the cover (each branch curve ramifies with index n)."""
     return n * canonical_class() + (n - 1) * configuration().total_branch_class()
@@ -200,8 +201,13 @@ def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
 def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
     """Numerics of the ten ramification curves upstairs: self-intersection
     equals the branch curve's, K.R comes from the projection formula, and
-    the genus from adjunction."""
+    the genus from adjunction.  They depend on n alone; t must be admissible."""
     require_admissible(t, n)
+    return _ram_curves(n)
+
+
+@lru_cache(maxsize=None)
+def _ram_curves(n) -> tuple[RamCurve, ...]:
     adj = adjunction_class(n)
     out = []
     for label, cls in configuration().curves:
@@ -223,19 +229,29 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
     return tuple((rows[_index(chi, n)] + rows[_index(chi2, n)] >= n).astype(int).tolist())
 
 
+@lru_cache(maxsize=None)
+def _character_pairs(n):
+    """The pairs of nontrivial characters, with repetition, ordered by (a, b):
+    their (2, pairs) columns b n + a in the character table, and (chi, chi2, chi + chi2)."""
+    chars = np.stack(np.divmod(np.arange(1, n * n), n), axis=1)
+    first, second = (chars[k] for k in np.triu_indices(len(chars)))
+    heads = zip(*(map(tuple, c.tolist()) for c in (first, second, (first + second) % n)))
+    columns = np.stack([first, second]) @ (1, n)
+    columns.flags.writeable = False
+    return columns, tuple(heads)
+
+
 def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]:
     """The fibre-coordinate relations cutting out the cover inside the
     total space of the nontrivial eigensheaves: one relation per
     unordered pair of nontrivial characters (with repetition)."""
     require_prime(n)
     require_admissible(t, n)
-    chars = [(a, b) for a in range(n) for b in range(n)][1:]
-    rows = character_table([t.residues], n).residues[0, [_index(chi, n) for chi in chars]]
-    i, j = np.triu_indices(len(chars))
-    carries = (rows[i] + rows[j] >= n).astype(int).tolist()
+    columns, heads = _character_pairs(n)
+    rows = character_table([t.residues], n).residues[0]
+    carries = (rows[columns].sum(axis=0) >= n).astype(int).tolist()
     return tuple(
-        CoverRelation(chars[a], chars[b], tuple(eps), vadd(chars[a], chars[b], n=n))
-        for a, b, eps in zip(i.tolist(), j.tolist(), carries)
+        CoverRelation(chi, chi2, tuple(eps), rhs) for (chi, chi2, rhs), eps in zip(heads, carries)
     )
 
 

@@ -7,8 +7,9 @@ curve labels.  The functions here work on the expanded objects instead:
 every admissible row, every group element, every row's 25 character
 classes, one character at a time, carries over the lcm of the character
 orders, section counts as interpolation ranks, one tuple's loop images
-and incident pairs at a time, a hand-written swap table and
-breadth-first closures.  They are slow and memory-hungry by design and
+and incident pairs at a time, a hand-written swap table,
+breadth-first closures, minimal generators by pairwise domination and
+base-point multiplicities from the Newton polygon.  They are slow and memory-hungry by design and
 are only meant for n <= 5 (the closures, the swap table and the carries
 for n <= 7).
 """
@@ -27,7 +28,7 @@ from quadcover.covers import (
     MAX_ARRAY_BYTES, AdmissibilityCheck, SixTuple, _locate, admissible_array, encode_rows,
     loop_image_rows, normal_form_index,
 )
-from quadcover.gf import Mat, reduce_vec, vadd
+from quadcover.gf import Mat, reduce_vec
 from quadcover.picard import (
     CURVE_LABELS, ZERO, DivClass, canonical_class, configuration, incidences,
 )
@@ -36,6 +37,11 @@ from quadcover.symmetry import (
     SymmetryElement, _least, _restrict, _restricted, default_generators, group_closure,
     s5_generators,
 )
+
+
+def vadd(*vectors, n=5) -> tuple[int, int]:
+    """The sum of 2-vectors over Z/n, one coordinate at a time."""
+    return (sum(v[0] for v in vectors) % n, sum(v[1] for v in vectors) % n)
 
 
 def chi_eval(chi, v, n=5) -> int:
@@ -415,3 +421,35 @@ def pg_values_rowwise(rows, n=5) -> np.ndarray:
 def admissible_pg(n=5) -> np.ndarray:
     """pg_values_rowwise over all of admissible_array(n), computed once."""
     return pg_values_rowwise(admissible_array(n), n)
+
+
+def reduce_generators_pairwise(pairs):
+    """The minimal exponent pairs of a monomial ideal: those that no other
+    pair dominates componentwise, every pair tested against every other."""
+    pairs = set(tuple(map(int, p)) for p in pairs)
+    if not pairs:
+        raise ValueError("empty generator set")
+    return {
+        p
+        for p in pairs
+        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs)
+    }
+
+
+def newton_multiplicity(generators) -> int:
+    """Samuel multiplicity of a monomial ideal of finite colength in two
+    variables: twice the area between the axes and its Newton polygon
+    (B. Teissier, Monomial ideals, binomial ideals, polynomial ideals,
+    2004).  The polygon is the lower convex hull of the exponent pairs,
+    from (0, b) to (a, 0); no blow-up is involved."""
+    hull = []
+    for p in sorted(generators):
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+            - (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+        ) <= 0:
+            hull.pop()
+        hull.append(p)
+    if hull[0][0] or hull[-1][1]:
+        raise ValueError(f"{sorted(generators)} does not have finite colength")
+    return sum(q[0] * p[1] - p[0] * q[1] for p, q in zip(hull, hull[1:]))

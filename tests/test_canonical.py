@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from quadcover import canonical, golden, sheaves
+import oracles
+from quadcover import canonical, covers, golden, sheaves
 from quadcover.canonical import MonomialIdeal2D
 from quadcover.covers import SixTuple
 
@@ -58,6 +62,29 @@ def test_ideal_reduction():
     assert I((0, 2), (1, 1)).common_factor() == (0, 1)
     assert I((1, 2), (2, 1)).common_factor() == (1, 1)
     assert I((2, 0), (1, 2), (0, 3)).format() == "(x^2, xy^2, y^3)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=12),
+    st.booleans(),
+    st.booleans(),
+)
+def test_staircase_matches_pairwise_domination(pairs, unit, as_numpy):
+    pairs = pairs + pairs[::2]  # duplicates
+    if unit:
+        pairs.append((0, 0))
+    if as_numpy:
+        pairs = np.array(pairs, dtype=np.int64)
+    minimal = canonical._reduce_generators(pairs)
+    assert minimal == oracles.reduce_generators_pairwise(pairs)
+    assert all(type(x) is int for pair in minimal for x in pair)
+
+
+def test_empty_generator_set_is_refused():
+    for reduce in (canonical._reduce_generators, oracles.reduce_generators_pairwise):
+        with pytest.raises(ValueError, match="empty generator set"):
+            reduce([])
 
 
 def test_local_ideals_u3(u3):
@@ -200,6 +227,23 @@ def test_degree_certificate_u3(u3):
     assert labels == [
         ("L1'", "L1"), ("L1'", "E1"), ("L2'", "E2"), ("L3'", "E0"), ("L3", "E2"),
     ]
+
+
+def test_degree_certificate_on_every_regular_form():
+    # all 120 normal forms with p_g = 4; the Newton polygon gives each base
+    # point's square sum without the blow-up recursion
+    forms = covers.normal_forms(5)
+    regular = forms[sheaves.pg_values(forms) == 4]
+    assert len(regular) == 120
+    types = Counter()
+    for row in regular:
+        rep = canonical.degree_certificate(SixTuple.from_residues(row))
+        assert (rep.moving_selfint, rep.type_square_sum, rep.degree_product) == (38, 19, 19)
+        assert rep.birational
+        for bp in rep.base_points:
+            types[bp.type.as_chain()] += 1
+            assert oracles.newton_multiplicity(bp.ideal.generators) == bp.type.square_sum()
+    assert types == {(1, 1): 240, (1, 1, 1): 120, (2, 1, 1): 240}
 
 
 def test_degree_certificate_rejects_irregular(u1):

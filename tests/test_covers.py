@@ -127,12 +127,10 @@ def _literal_pair_list(t, n=5):
     """The fifteen vector pairs of the admissibility definition, written
     out, as opposed to the incident-pair formulation the code uses."""
     u1, u2, u3, v1, v2, v3 = oracles.loop_images(t, n)[:6]
-    from quadcover.gf import vadd
-
-    su = vadd(u1, u2, u3, n=n)
-    e1 = vadd(u1, v2, v3, n=n)
-    e2 = vadd(u2, v1, v3, n=n)
-    e3 = vadd(u3, v1, v2, n=n)
+    su = oracles.vadd(u1, u2, u3, n=n)
+    e1 = oracles.vadd(u1, v2, v3, n=n)
+    e2 = oracles.vadd(u2, v1, v3, n=n)
+    e3 = oracles.vadd(u3, v1, v2, n=n)
     return [
         (u1, v1), (u2, v2), (u3, v3),
         (u1, su), (u2, su), (u3, su),

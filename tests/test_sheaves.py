@@ -276,6 +276,7 @@ def test_cover_equations_match_order_oracle(p, count):
             assert r.sigma_exponents == oracles.epsilon_by_order(
                 r.chi, rows[r.chi], r.chi2, rows[r.chi2], p
             )
+            assert r.rhs == oracles.vadd(r.chi, r.chi2, n=p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,7 +294,7 @@ def test_carry_identity_on_gl2_images(p, data):
     for e, curve in zip(sheaves.epsilon(t, chi, chi2, p), configuration().curves):
         total = total + e * curve.cls
     l1, l2 = sheaves.sheaf(t, chi, p).cls, sheaves.sheaf(t, chi2, p).cls
-    assert l1 + l2 - sheaves.sheaf(t, gf.vadd(chi, chi2, n=p), p).cls == total
+    assert l1 + l2 - sheaves.sheaf(t, oracles.vadd(chi, chi2, n=p), p).cls == total
 
 
 def test_cover_equations_match_epsilon(u3):
@@ -304,6 +305,15 @@ def test_cover_equations_match_epsilon(u3):
     for t in tuples:
         for r in sheaves.cover_equations(t):
             assert r.sigma_exponents == sheaves.epsilon(t, r.chi, r.chi2)
+
+
+def test_character_pairs_are_built_once_per_modulus(u3):
+    f7 = SixTuple.from_residues(covers.normal_forms(7)[0])
+    sheaves._character_pairs.cache_clear()
+    sheaves.cover_equations(u3, 5)
+    sheaves.cover_equations(u3, 5)
+    sheaves.cover_equations(f7, 7)
+    assert sheaves._character_pairs.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("fn", [sheaves.invariants, sheaves.ram_curve_numbers, sheaves.cover_equations])
