@@ -155,18 +155,10 @@ def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     return rows @ weights
 
 
-# Largest array built: the expanded admissible set (int16 rows) or the
-# working rows of the normal forms.  The tests' group-element oracle
-# keeps to it too.
+# Largest array built: the expanded admissible set (int16 rows), the
+# working rows of the normal forms or a class table of normal_form_index.
+# The tests' group-element oracle keeps to it too.
 MAX_ARRAY_BYTES = 256 << 20
-
-
-def _locate(sorted_codes, codes) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of codes in sorted_codes, and the mask of codes absent."""
-    pos = np.searchsorted(sorted_codes, codes)
-    found = pos < len(sorted_codes)
-    found[found] = sorted_codes[pos[found]] == codes[found]
-    return pos, ~found
 
 
 @lru_cache(maxsize=None)
@@ -202,20 +194,61 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     return forms
 
 
+@lru_cache(maxsize=None)
+def _vec_table(n) -> np.ndarray:
+    """Read-only int16 table of g^-1 w for every matrix g with columns u1
+    and v1 and every vector w, in vector codes x + n y: entry
+    (code(u1) + n^2 code(v1)) n^2 + code(w), or -1 where det g = 0."""
+    a, c, b, d = (np.arange(n ** 4)[:, None] // n ** k % n for k in range(4))
+    x, y = np.arange(n * n) % n, np.arange(n * n) // n
+    det = (a * d - b * c) % n
+    scale = np.array([pow(v, -1, n) if v else 0 for v in range(n)])[det]
+    table = (d * x - b * y) * scale % n + n * ((a * y - c * x) * scale % n)
+    table[det[:, 0] == 0] = -1
+    table = table.astype(np.int16).ravel()
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _form_table(n) -> np.ndarray:
+    """Read-only int32 table of positions in normal_forms(n), at
+    code(u2) + n^2 code(u3) + n^4 code(v2) of each form (the sum condition
+    gives its v3), and -1 where no form has those vectors."""
+    forms = normal_forms(n)
+    table = np.full(n ** 6, -1, dtype=np.int32)
+    table[forms[:, [2, 3, 4, 5, 8, 9]] @ n ** np.arange(6)] = np.arange(len(forms))
+    table.flags.writeable = False
+    return table
+
+
 def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """For each (N, 12) residue row, the position in normal_forms(n) of
     g^-1 . row, where g is the matrix with columns u1 and v1: the index of
     the row's GL(2)-class.  ValueError for a row outside every class, that
-    is, a row that is not admissible."""
-    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
-    a, c, b, d = (pairs[:, slot, i, None] for slot in (0, 3) for i in (0, 1))
-    scale = np.array([pow(x, -1, n) if x else 0 for x in range(n)])[(a * d - b * c) % n]
-    x, y = pairs[:, :, 0], pairs[:, :, 1]
-    forms = np.stack([d * x - b * y, a * y - c * x], axis=2).reshape(len(pairs), 12) * scale % n
-    pos, bad = _locate(encode_rows(normal_forms(n), n), encode_rows(forms, n))
-    if bad.any():
+    is, a row that is not admissible.
+
+    g^-1 maps u2, u3 and v2 to the free vectors of the form (_vec_table),
+    which locate it (_form_table), and keeps the sum zero exactly when
+    the row's sum is zero; so a row fails when det g = 0, when no form
+    has those vectors, or when its own sum is nonzero."""
+    if n ** 6 * (2 + 4) > MAX_ARRAY_BYTES:
+        raise ValueError(f"modulus {n}: class tables over {MAX_ARRAY_BYTES >> 20} MiB")
+    form, vec = _form_table(n), _vec_table(n)  # the forms first: they refuse large n
+    rows = np.asarray(rows).reshape(-1, 12)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        rows = rows % n
+    # one contiguous column per residue; the table sizes keep 6 n^2 below 2^15
+    cols = np.ascontiguousarray(rows.T, dtype=np.int16)
+    code = cols[0::2] + n * cols[1::2]  # (6, N) vector codes, slots in tuple order
+    g = (code[0] + n * n * code[3].astype(np.intp)) * (n * n)
+    # where det g = 0 all three read -1: their key wraps, and u2 < 0 rejects them
+    u2, u3, v2 = (vec[g + code[s]] for s in (1, 2, 4))
+    index = form[u2 + n * n * (u3 + n * n * v2.astype(np.intp))]
+    total = cols.reshape(6, 2, -1).sum(axis=0, dtype=np.int16)  # below 6n
+    if (u2 < 0).any() or (index < 0).any() or (total % n).any():
         raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
-    return pos
+    return index
 
 
 @lru_cache(maxsize=None)

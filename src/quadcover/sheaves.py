@@ -260,9 +260,12 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
 
     Each row is g.f for its normal form f (normal_form_index) and a GL(2)
     matrix g; chi takes the values of chi o g on the loop images of g.f,
-    so g.f's classes are f's, permuted: p_g is read off the forms, 2^20
-    table residues at a time.  ValueError for a row that is not admissible."""
-    used, index = np.unique(normal_form_index(rows, n), return_inverse=True)
-    forms, step = normal_forms(n)[used], (1 << 20) // (10 * n * n)
-    tables = (character_table(forms[i:i + step], n) for i in range(0, max(len(forms), 1), step))
-    return np.concatenate([_pg(table.integral().classes) for table in tables])[index]
+    so g.f's classes are f's, permuted: p_g is read off the forms that
+    occur, 2^20 table residues at a time.  ValueError for a row that is not
+    admissible."""
+    index, forms, step = normal_form_index(rows, n), normal_forms(n), (1 << 20) // (10 * n * n)
+    used = np.flatnonzero(np.bincount(index, minlength=len(forms)))
+    tables = (character_table(forms[used[i:i + step]], n) for i in range(0, max(len(used), 1), step))
+    pg = np.zeros(len(forms), dtype=np.int64)
+    pg[used] = np.concatenate([_pg(table.integral().classes) for table in tables])
+    return pg[index]

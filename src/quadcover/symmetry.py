@@ -133,8 +133,12 @@ class GroupClosure(NamedTuple):
 
 def _sym5_actions(n) -> np.ndarray:
     """The distinct actions of the 120 label permutations on the sum-zero
-    subspace, as an int8 (k, 10, 10) array."""
-    return np.unique(_restrict(_swap_matrices(permutations(range(5))), n).astype(np.int8), axis=0)
+    subspace, as an int8 (k, 10, 10) array in lexicographic order."""
+    actions = _restrict(_swap_matrices(permutations(range(5))), n).astype(np.int8)
+    # one 100-byte key per action; its residues are below 128, so byte
+    # order is lexicographic order
+    _, first = np.unique(actions.reshape(len(actions), 100).view("V100").ravel(), return_index=True)
+    return actions[first]
 
 
 @lru_cache(maxsize=None)

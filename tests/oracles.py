@@ -1,17 +1,18 @@
 """Independent and expanded routes that the tests compare the package against.
 
 The package computes counts, orbits, group orders and p_g on the
-GL(2)-normal forms alone, characters in one table, section counts in
-closed form, admissibility as one failure matrix, and the swaps from the
-curve labels.  The functions here work on the expanded objects instead:
-every admissible row, every group element, every row's 25 character
-classes, one character at a time, carries over the lcm of the character
-orders, section counts as interpolation ranks, one tuple's loop images
-and incident pairs at a time, a hand-written swap table,
-breadth-first closures, minimal generators by pairwise domination and
-base-point multiplicities from the Newton polygon.  They are slow and memory-hungry by design and
-are only meant for n <= 5 (the closures, the swap table and the carries
-for n <= 7).
+GL(2)-normal forms alone, finds a row's form by table lookup, characters
+in one table, section counts in closed form, admissibility as one
+failure matrix, and the swaps from the curve labels.  The functions here
+work on the expanded objects instead: every admissible row, every group
+element, each row's form by search among the encoded forms, every row's
+25 character classes, one character at a time, carries over the lcm of
+the character orders, section counts as interpolation ranks, one
+tuple's loop images and incident pairs at a time, a hand-written swap
+table, breadth-first closures, minimal generators by pairwise
+domination and base-point multiplicities from the Newton polygon.  They
+are slow and memory-hungry by design and are only meant for n <= 5 (the
+closures, the swap table, the search and the carries for n <= 7).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from quadcover import gf
 from quadcover.covers import (
-    MAX_ARRAY_BYTES, AdmissibilityCheck, SixTuple, _locate, admissible_array, encode_rows,
-    loop_image_rows, normal_form_index,
+    MAX_ARRAY_BYTES, AdmissibilityCheck, SixTuple, admissible_array, encode_rows,
+    loop_image_rows, normal_forms,
 )
 from quadcover.gf import Mat, reduce_vec
 from quadcover.picard import (
@@ -304,6 +305,30 @@ def group_elements(n=5) -> np.ndarray:
     return elements
 
 
+def _locate(sorted_codes, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of codes in sorted_codes, and the mask of codes absent."""
+    pos = np.searchsorted(sorted_codes, codes)
+    found = pos < len(sorted_codes)
+    found[found] = sorted_codes[pos[found]] == codes[found]
+    return pos, ~found
+
+
+def normal_form_index_by_search(rows, n=5) -> np.ndarray:
+    """normal_form_index by arithmetic and search: all twelve residues
+    of g^-1 . row, for g the matrix with columns u1 and v1, encoded and
+    searched among the encoded normal forms.  ValueError for a row
+    outside every class."""
+    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
+    a, c, b, d = (pairs[:, slot, i, None] for slot in (0, 3) for i in (0, 1))
+    scale = np.array([pow(x, -1, n) if x else 0 for x in range(n)])[(a * d - b * c) % n]
+    x, y = pairs[:, :, 0], pairs[:, :, 1]
+    forms = np.stack([d * x - b * y, a * y - c * x], axis=2).reshape(len(pairs), 12) * scale % n
+    pos, bad = _locate(encode_rows(normal_forms(n), n), encode_rows(forms, n))
+    if bad.any():
+        raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
+    return pos
+
+
 class Orbit(NamedTuple):
     """One orbit on a set of rows, with the positions of its members."""
 
@@ -380,8 +405,10 @@ def expanded_partition(n=5) -> ExpandedPartition:
     rows = admissible_array(n)
     codes = encode_rows(rows, n)
     is_form = (rows[:, [0, 1, 6, 7]] == [1, 0, 0, 1]).all(axis=1)
-    classes = normal_form_index(rows, n)
-    moves = [normal_form_index(g.mat.apply_rows(rows[is_form]), n) for g in s5_generators(n)]
+    classes = normal_form_index_by_search(rows, n)
+    moves = [
+        normal_form_index_by_search(g.mat.apply_rows(rows[is_form]), n) for g in s5_generators(n)
+    ]
     _, first = np.unique(classes, return_index=True)  # rows are sorted
     least = _least(moves, first)[classes]
     parts, labels = _orbit_list(rows, least, np.arange(len(rows)), group_closure(n).order)

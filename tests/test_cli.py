@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,6 +145,22 @@ def test_report_verify_stdout_equals_the_golden_report(capsys):
     code, out, _ = run(capsys, "report", "--verify")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+def test_report_does_not_import_numpy_ma():
+    # numpy.ma costs a cold report about 30 ms; np.unique over rows
+    # (axis=0) imports it, the void-view keys do not
+    script = (
+        "import contextlib, io, sys\n"
+        "from quadcover import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['report', '--verify'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 def test_round_trip_representative(capsys):

@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import enumerate_admissible, is_totally_ramified
-from quadcover import covers, gf
+from quadcover import covers, gf, symmetry
 from quadcover.covers import SixTuple
 
 
@@ -250,3 +251,136 @@ def test_normal_form_index_round_trip():
     assert np.array_equal(np.einsum("kij,ksj->ksi", g, forms).reshape(-1, 12) % 5, rows)
     with pytest.raises(ValueError, match="normal form"):
         covers.normal_form_index(np.array([[1, 0, 1, 0, 0, 1, 4, 1, 3, 2, 1, 0]]), 5)
+
+
+def test_normal_form_index_matches_search_on_every_row():
+    arr = covers.admissible_array(5)
+    rows = arr[np.random.default_rng(12).permutation(len(arr))]
+    assert np.array_equal(covers.normal_form_index(rows, 5), oracles.normal_form_index_by_search(rows, 5))
+
+
+def test_normal_form_index_matches_search_on_gl2_images_at_7():
+    forms, mats = covers.normal_forms(7), gf.gl2_array(7)
+    rng = np.random.default_rng(7)
+    which = rng.integers(len(forms), size=3000)
+    g = mats[rng.integers(len(mats), size=3000)]
+    rows = np.einsum("kij,ksj->ksi", g, forms[which].reshape(-1, 6, 2)).reshape(-1, 12) % 7
+    index = covers.normal_form_index(rows, 7)
+    assert np.array_equal(index, which)
+    assert np.array_equal(index, oracles.normal_form_index_by_search(rows, 7))
+
+
+def _raises(fn, row, n):
+    try:
+        fn(np.array([row]), n)
+    except ValueError as err:
+        assert "normal form" in str(err)
+        return True
+    return False
+
+
+def test_normal_form_index_raises_where_the_search_does():
+    # seeded non-admissible rows: every failed condition, and a singular
+    # (u1, v1) apart from them, makes both routes raise
+    rng = np.random.default_rng(2024)
+    sum_zero = rng.integers(0, 5, size=(2000, 12))
+    sum_zero[:, 10:] = -sum_zero[:, :10].reshape(-1, 5, 2).sum(axis=1) % 5
+    rows = np.vstack([sum_zero, rng.integers(0, 5, size=(500, 12))])
+    kinds = set()
+    for row in rows:
+        check = oracles.check_admissibility(SixTuple.from_residues(row), 5)
+        if check:
+            continue
+        singular = not oracles.is_independent(row[0:2], row[6:8], 5)
+        kinds.add("det" if singular else check.condition)
+        assert _raises(covers.normal_form_index, row, 5)
+        assert _raises(oracles.normal_form_index_by_search, row, 5)
+    assert kinds == {"det", 0, 1, 2}
+
+
+def test_normal_form_index_reduces_residues_out_of_range():
+    arr = covers.admissible_array(5)
+    rng = np.random.default_rng(55)
+    rows = arr[rng.choice(len(arr), 500)].astype(np.int64)
+    shifted = rows + 5 * rng.integers(-3, 4, size=rows.shape)
+    assert shifted.min() < 0 and shifted.max() >= 5
+    expected = covers.normal_form_index(rows, 5)
+    assert np.array_equal(covers.normal_form_index(shifted, 5), expected)
+    assert np.array_equal(oracles.normal_form_index_by_search(shifted, 5), expected)
+    bad = np.array([1, 0, 1, 0, 0, 1, 4, 1, 3, 2, 1, 0]) + 5 * np.array([-1, 2] * 6)
+    assert _raises(covers.normal_form_index, bad, 5)
+    assert _raises(oracles.normal_form_index_by_search, bad, 5)
+
+
+def test_normal_form_index_of_no_rows():
+    none = np.zeros((0, 12), dtype=np.int64)
+    assert covers.normal_form_index(none, 5).shape == (0,)
+    assert oracles.normal_form_index_by_search(none, 5).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_vec_table_inverts_every_matrix(n):
+    # entry (code(u1) + n^2 code(v1)) n^2 + code(w) is g^-1 w for g = (u1 v1),
+    # checked by applying g, and -1 exactly where g is singular
+    table = covers._vec_table(n).reshape(n ** 4, n * n).astype(np.int64)
+    k, w = np.arange(n ** 4)[:, None], np.arange(n * n)
+    u1x, u1y, v1x, v1y = (k // n ** e % n for e in range(4))
+    singular = (u1x * v1y - u1y * v1x) % n == 0
+    assert np.array_equal(table < 0, np.broadcast_to(singular, table.shape))
+    x, y = table % n, table // n
+    image = (u1x * x + v1x * y) % n + n * ((u1y * x + v1y * y) % n)
+    assert np.array_equal(np.where(singular, w, image), np.broadcast_to(w, table.shape))
+
+
+def test_class_tables_are_built_once_per_modulus_and_read_only(u3):
+    tables = (covers._vec_table, covers._form_table)
+    for table in tables:
+        table.cache_clear()
+    covers.normal_form_index([u3.residues], 5)
+    covers.normal_form_index(covers.admissible_array(5), 5)
+    part = symmetry.orbit_partition.__wrapped__(7)
+    assert [t.cache_info().misses for t in tables] == [2, 2]
+    part.orbit_of(SixTuple.from_residues(covers.normal_forms(7)[-1]), 7)
+    assert [t.cache_info().misses for t in tables] == [2, 2]
+    for n in (5, 7):
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table(n)[0] = 0
+    assert covers._vec_table(5).nbytes == 5 ** 6 * 2 and covers._form_table(5).nbytes == 5 ** 6 * 4
+    # both tables count against the byte limit: 19^6 * 6 bytes exceed it
+    with pytest.raises(ValueError, match="class tables over 256 MiB"):
+        covers.normal_form_index(np.zeros((0, 12), dtype=np.int64), 19)
+
+
+def _draw_gl2_image(data, n):
+    """A random form f and matrix g, and the row g . f."""
+    forms, mats = covers.normal_forms(n), gf.gl2_array(n)
+    f = forms[data.draw(st.integers(0, len(forms) - 1))]
+    g = mats[data.draw(st.integers(0, len(mats) - 1))]
+    return f, g, (f.reshape(6, 2) @ g.T % n).ravel()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_form_index_round_trip_at_7(data):
+    # g . forms[index] == row on random g . f, with g the matrix of (u1, v1)
+    f, g, row = _draw_gl2_image(data, 7)
+    form = covers.normal_forms(7)[covers.normal_form_index([row], 7)[0]]
+    assert np.array_equal(form, f)
+    assert np.array_equal((form.reshape(6, 2) @ g.T % 7).ravel(), row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generators_preserve_admissibility_at_7(data):
+    # on sum-zero rows, admissible (g . f) or not, every generator of the
+    # group keeps admissibility as the one-condition-at-a-time check sees it
+    if data.draw(st.booleans()):
+        row = _draw_gl2_image(data, 7)[2]
+    else:
+        head = data.draw(st.lists(st.integers(0, 6), min_size=10, max_size=10))
+        row = np.array(head + [-sum(head[0::2]) % 7, -sum(head[1::2]) % 7])
+    ok = oracles.check_admissibility(SixTuple.from_residues(row), 7).ok
+    for gen in symmetry.default_generators(7):
+        image = SixTuple.from_residues(gen.mat.apply_rows([row])[0])
+        assert oracles.check_admissibility(image, 7).ok == ok

@@ -357,6 +357,11 @@ def test_pg_values_match_rowwise_oracle():
     assert np.array_equal(sheaves.pg_values(covers.admissible_array(5)), oracles.admissible_pg(5))
 
 
+def test_pg_values_of_no_rows():
+    pg = sheaves.pg_values(np.zeros((0, 12), dtype=np.int64))
+    assert pg.shape == (0,) and pg.dtype == np.int64
+
+
 def test_pg_values_rejects_non_admissible_rows():
     with pytest.raises(ValueError, match="normal form"):
         sheaves.pg_values(np.zeros((1, 12), dtype=np.int64))

@@ -272,8 +272,9 @@ def test_swaps_from_labels_match_the_hand_written_table(n):
         assert np.array_equal(g.mat.array, np.kron(rows, np.eye(2, dtype=np.int64)) % n)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 11])
 def test_sym5_actions_match_the_breadth_first_closure(n):
+    # content and lexicographic order, as np.unique over the rows gives them
     closure = oracles.mulclose(symmetry.s5_generators(n)).values()
     expected = np.unique(symmetry._restrict([m.array for m in closure], n).astype(np.int8), axis=0)
     assert len(expected) == 120
