@@ -186,32 +186,33 @@ def resolve_type(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePointType:
     m = 0 the point is not a base point.  Otherwise blow up: in one
     chart (a, b) becomes (a+b-m, b), in the other (a, a+b-m), and the
     only possible infinitely-near base points are the two chart origins,
-    which are resolved recursively.
+    which are resolved recursively.  A chart has no common factor
+    either: its least a + b - m is 0 and its least b (or a) is unchanged.
     """
     if ideal.common_factor() != (0, 0):
         raise ValueError(
             f"ideal {ideal.format()} has a common factor: fixed-curve leakage"
         )
+    gens = ideal.sorted_generators()
     if _depth_budget is None:
         # depth <= number of infinitely-near points <= local intersection
         # multiplicity of two generic members <= (max generator degree)^2
-        top = max(a + b for a, b in ideal.generators)
+        top = max(a + b for a, b in gens)
         _depth_budget = top * top + 1
-    gens = ideal.sorted_generators()
+    return _resolve(gens, _depth_budget)
+
+
+def _resolve(gens, budget) -> BasePointType:
+    """resolve_type on the sorted minimal generators, no common factor."""
     m = min(a + b for a, b in gens)
     if m == 0:
         return BasePointType()
-    if _depth_budget <= 0:
+    if budget <= 0:
+        ideal = MonomialIdeal2D(frozenset(gens))
         raise RuntimeError(f"blow-up of {ideal.format()} does not terminate")
-    chart_a = MonomialIdeal2D.from_exponents((a + b - m, b) for a, b in gens)
-    chart_b = MonomialIdeal2D.from_exponents((a, a + b - m) for a, b in gens)
-    children = tuple(
-        child
-        for chart in (chart_a, chart_b)
-        for child in (resolve_type(chart, _depth_budget - 1),)
-        if child
-    )
-    return BasePointType(m, children)
+    charts = (((a + b - m, b) for a, b in gens), ((a, a + b - m) for a, b in gens))
+    children = (_resolve(tuple(sorted(_reduce_generators(c))), budget - 1) for c in charts)
+    return BasePointType(m, tuple(child for child in children if child))
 
 
 class BasePoint(NamedTuple):

@@ -19,6 +19,7 @@ sums over the character classes.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product, repeat
 from math import isqrt
 from typing import NamedTuple
 
@@ -108,11 +109,24 @@ CURVE_CLASSES = np.array([curve.cls for curve in configuration().curves], dtype=
 _KY = np.array(canonical_class(), dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _characters(n) -> np.ndarray:
+    """The n^2 characters (a, b), b-major, as a read-only (n^2, 2) array."""
+    chars = np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1)
+    chars.flags.writeable = False
+    return chars
+
+
+@lru_cache(maxsize=None)
+def _character_tuples(n) -> tuple[Vec2, ...]:
+    """The rows of _characters(n) as (a, b) tuples."""
+    return tuple(map(tuple, _characters(n).tolist()))
+
+
 def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
     """Every character on the loop images of an (N, 12) array of residue
     rows, and its class: the only code that evaluates characters."""
-    chars = np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1)
-    residues = chars @ loop_image_rows(rows, n).swapaxes(1, 2) % n
+    residues = _characters(n) @ loop_image_rows(rows, n).swapaxes(1, 2) % n
     classes, rest = np.divmod(residues @ CURVE_CLASSES, n)
     return CharacterTable(residues, classes, rest.any(axis=2))
 
@@ -138,7 +152,8 @@ def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
 def sheaf_table(t: SixTuple, n=DEFAULT_MODULUS) -> list[CharacterSheaf]:
     """All n^2 character sheaves, rows by b with a varying inside."""
     classes = character_table([t.residues], n).integral().classes[0].tolist()
-    return [CharacterSheaf((k % n, k // n), DivClass(*c)) for k, c in enumerate(classes)]
+    pairs = zip(_character_tuples(n), map(DivClass._make, classes))
+    return list(map(tuple.__new__, repeat(CharacterSheaf), pairs))
 
 
 @lru_cache(maxsize=None)
@@ -232,13 +247,18 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
 @lru_cache(maxsize=None)
 def _character_pairs(n):
     """The pairs of nontrivial characters, with repetition, ordered by (a, b):
-    their (2, pairs) columns b n + a in the character table, and (chi, chi2, chi + chi2)."""
+    their (2, pairs) columns b n + a in the character table, and columns chi, chi2, chi + chi2."""
     chars = np.stack(np.divmod(np.arange(1, n * n), n), axis=1)
     first, second = (chars[k] for k in np.triu_indices(len(chars)))
-    heads = zip(*(map(tuple, c.tolist()) for c in (first, second, (first + second) % n)))
+    heads = (tuple(map(tuple, c.tolist())) for c in (first, second, (first + second) % n))
     columns = np.stack([first, second]) @ (1, n)
     columns.flags.writeable = False
     return columns, tuple(heads)
+
+
+# the carry tuple of every 10-bit code: entry i is bit i
+_CARRIES = tuple(bits[::-1] for bits in product((0, 1), repeat=10))
+_BITS = 1 << np.arange(10)
 
 
 def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]:
@@ -247,12 +267,10 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
     unordered pair of nontrivial characters (with repetition)."""
     require_prime(n)
     require_admissible(t, n)
-    columns, heads = _character_pairs(n)
+    columns, (chi, chi2, rhs) = _character_pairs(n)
     rows = character_table([t.residues], n).residues[0]
-    carries = (rows[columns].sum(axis=0) >= n).astype(int).tolist()
-    return tuple(
-        CoverRelation(chi, chi2, tuple(eps), rhs) for (chi, chi2, rhs), eps in zip(heads, carries)
-    )
+    eps = map(_CARRIES.__getitem__, ((rows[columns].sum(axis=0) >= n) @ _BITS).tolist())
+    return tuple(map(tuple.__new__, repeat(CoverRelation), zip(chi, chi2, eps, rhs)))
 
 
 def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:

@@ -10,9 +10,10 @@ element, each row's form by search among the encoded forms, every row's
 the character orders, section counts as interpolation ranks, one
 tuple's loop images and incident pairs at a time, a hand-written swap
 table, breadth-first closures, minimal generators by pairwise
-domination and base-point multiplicities from the Newton polygon.  They
-are slow and memory-hungry by design and are only meant for n <= 5 (the
-closures, the swap table, the search and the carries for n <= 7).
+domination, base-point multiplicities from the Newton polygon and the
+blow-up recursion on whole ideals.  They are slow and memory-hungry by
+design and are only meant for n <= 5 (the closures, the swap table, the
+search and the carries for n <= 7).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from quadcover import gf
+from quadcover.canonical import BasePointType, MonomialIdeal2D
 from quadcover.covers import (
     MAX_ARRAY_BYTES, AdmissibilityCheck, SixTuple, admissible_array, encode_rows,
     loop_image_rows, normal_forms,
@@ -480,3 +482,24 @@ def newton_multiplicity(generators) -> int:
     if hull[0][0] or hull[-1][1]:
         raise ValueError(f"{sorted(generators)} does not have finite colength")
     return sum(q[0] * p[1] - p[0] * q[1] for p, q in zip(hull, hull[1:]))
+
+
+def resolve_type_by_ideals(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePointType:
+    """The blow-up recursion of `canonical.resolve_type` on whole ideals:
+    each chart is built as a MonomialIdeal2D and checked for a common
+    factor again before it is resolved."""
+    if ideal.common_factor() != (0, 0):
+        raise ValueError(f"ideal {ideal.format()} has a common factor: fixed-curve leakage")
+    if _depth_budget is None:
+        top = max(a + b for a, b in ideal.generators)
+        _depth_budget = top * top + 1
+    gens = ideal.sorted_generators()
+    m = min(a + b for a, b in gens)
+    if m == 0:
+        return BasePointType()
+    if _depth_budget <= 0:
+        raise RuntimeError(f"blow-up of {ideal.format()} does not terminate")
+    chart_a = MonomialIdeal2D.from_exponents((a + b - m, b) for a, b in gens)
+    chart_b = MonomialIdeal2D.from_exponents((a, a + b - m) for a, b in gens)
+    children = (resolve_type_by_ideals(c, _depth_budget - 1) for c in (chart_a, chart_b))
+    return BasePointType(m, tuple(child for child in children if child))

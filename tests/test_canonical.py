@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from quadcover import canonical, covers, golden, sheaves
@@ -147,6 +147,44 @@ def test_resolve_type_square_sums():
     assert canonical.resolve_type(I((1, 0), (0, 1))).multiplicities() == (1,)
 
 
+def _without_common_factor(pairs):
+    """The ideal of the exponent pairs with its common factor divided out."""
+    low_a, low_b = min(a for a, _ in pairs), min(b for _, b in pairs)
+    return MonomialIdeal2D.from_exponents((a - low_a, b - low_b) for a, b in pairs)
+
+
+_exponent_pairs = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponent_pairs)
+@example([(3, 0), (1, 1), (0, 3)])  # branches after the first blow-up
+@example([(4, 0), (2, 1), (0, 5)])
+def test_resolve_type_matches_ideal_recursion(pairs):
+    ideal = _without_common_factor(pairs)
+    assert canonical.resolve_type(ideal) == oracles.resolve_type_by_ideals(ideal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponent_pairs)
+@example([(3, 0), (1, 1), (0, 3)])
+def test_charts_have_no_common_factor(pairs):
+    # the least a + b - m is 0 and the least b (or a) does not change
+    gens = _without_common_factor(pairs).sorted_generators()
+    m = min(a + b for a, b in gens)
+    for chart in ((a + b - m, b) for a, b in gens), ((a, a + b - m) for a, b in gens):
+        assert MonomialIdeal2D.from_exponents(chart).common_factor() == (0, 0)
+
+
+def test_resolve_type_depth_budget():
+    # (x^3, y) needs three blow-ups; the message names the chart left over
+    ideal = I((3, 0), (0, 1))
+    for resolve in (canonical.resolve_type, oracles.resolve_type_by_ideals):
+        with pytest.raises(RuntimeError, match=r"^blow-up of \(x\^2, y\) does not terminate$"):
+            resolve(ideal, 1)
+    assert canonical.resolve_type(ideal, 3).multiplicities() == (1, 1, 1)
+
+
 def test_blowup_shrinks_generator_degree_sum(u3):
     # re-derive the chart substitutions and check the descent on the five
     # actual base ideals
@@ -231,7 +269,8 @@ def test_degree_certificate_u3(u3):
 
 def test_degree_certificate_on_every_regular_form():
     # all 120 normal forms with p_g = 4; the Newton polygon gives each base
-    # point's square sum without the blow-up recursion
+    # point's square sum without the blow-up recursion, and the recursion on
+    # whole ideals its type
     forms = covers.normal_forms(5)
     regular = forms[sheaves.pg_values(forms) == 4]
     assert len(regular) == 120
@@ -243,6 +282,7 @@ def test_degree_certificate_on_every_regular_form():
         for bp in rep.base_points:
             types[bp.type.as_chain()] += 1
             assert oracles.newton_multiplicity(bp.ideal.generators) == bp.type.square_sum()
+            assert bp.type == oracles.resolve_type_by_ideals(bp.ideal)
     assert types == {(1, 1): 240, (1, 1, 1): 120, (2, 1, 1): 240}
 
 

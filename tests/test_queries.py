@@ -51,7 +51,8 @@ def test_queries_pass_the_benchmark_gate(representatives):
 
 def test_regular_query_checks_and_tabulates_once_per_call(u3, monkeypatch):
     # invariants, cover_equations and degree_certificate check admissibility;
-    # each of the four calls builds one character table
+    # each of the four calls builds one character table, from characters
+    # built once per modulus
     counts = Counter()
 
     def count(module, name, fn):
@@ -64,5 +65,7 @@ def test_regular_query_checks_and_tabulates_once_per_call(u3, monkeypatch):
     count(covers, "check_admissibility", covers.check_admissibility)
     for module in (sheaves, canonical):
         count(module, "character_table", table)
+    sheaves._characters.cache_clear()
     assert query(u3)["degree_product"] == 19
     assert counts == {"check_admissibility": 3, "character_table": 4}
+    assert sheaves._characters.cache_info().misses == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from quadcover import covers, gf, golden, sheaves
@@ -316,6 +316,31 @@ def test_character_pairs_are_built_once_per_modulus(u3):
     assert sheaves._character_pairs.cache_info().misses == 2
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_record_types(p):
+    # records are built at C level from per-modulus constants: their types
+    # and their Python ints must be the ones the NamedTuple constructors give
+    forms = covers.normal_forms(p)
+    for row in forms[np.random.default_rng(p).choice(len(forms), 10, replace=False)]:
+        t = SixTuple.from_residues(row)
+        for r in sheaves.cover_equations(t, p):
+            assert type(r) is sheaves.CoverRelation
+            assert type(r.sigma_exponents) is tuple and len(r.sigma_exponents) == 10
+            assert all(type(x) is int for x in r.sigma_exponents + r.chi + r.chi2 + r.rhs)
+        table = sheaves.sheaf_table(t, p)
+        assert len(table) == p * p
+        for cs in table:
+            assert type(cs) is sheaves.CharacterSheaf and type(cs.cls) is DivClass
+            assert all(type(x) is int for x in cs.chi + cs.cls)
+
+
+def test_carry_tuples_read_the_code_bits():
+    assert len(sheaves._CARRIES) == 1024
+    for code, carries in enumerate(sheaves._CARRIES):
+        assert carries == tuple(int(bit) for bit in reversed(f"{code:010b}"))
+    assert np.array_equal(np.array(sheaves._CARRIES) @ sheaves._BITS, np.arange(1024))
+
+
 @pytest.mark.parametrize("fn", [sheaves.invariants, sheaves.ram_curve_numbers, sheaves.cover_equations])
 def test_admissibility_guard(fn):
     with pytest.raises(ValueError, match=r"tuple 1,0,1,0,1,0,1,0,1,0,1,0 is not admissible: condition 0"):
@@ -330,6 +355,23 @@ def test_sheaf_integrality_on_random_tuples():
         for a in range(5):
             for b in range(5):
                 sheaves.sheaf(t, (a, b))  # raises ArithmeticError on failure
+
+
+@seed(7)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sheaf_integrality_at_7(data):
+    # on g.f every class is integral and chi(O_X) = sum of 1 + L.(L + K_Y)/2
+    # is (7 p^2 - 30 p + 35)/12 = 14
+    p, ky = 7, canonical_class()
+    forms, mats = covers.normal_forms(p), gf.gl2_array(p)
+    f = forms[data.draw(st.integers(0, len(forms) - 1))]
+    g = mats[data.draw(st.integers(0, len(mats) - 1))]
+    table = sheaves.character_table((f.reshape(6, 2) @ g.T % p).reshape(1, 12), p)
+    assert not table.void.any()
+    classes = map(DivClass._make, table.classes[0].tolist())
+    chi = sum(1 + Fraction(intersect(c, c + ky), 2) for c in classes)
+    assert chi == Fraction(7 * p * p - 30 * p + 35, 12) == 14
 
 
 def test_pg_values_match_scalar(representatives):
