@@ -103,23 +103,61 @@ _REASONS = (
 )
 
 
+# Largest array built: the expanded admissible set (int16 rows), the
+# normal forms as five int64 copies, a class table of normal_form_index
+# or the dependency table of _failures.  The tests' group-element oracle
+# keeps to it too.
+MAX_ARRAY_BYTES = 256 << 20
+
+# Each row sums some of the six slots: the ten loop images (LOOP_SLOTS,
+# whose exceptional rows are 0/1), then the total of all six.
+_SUMMED = np.vstack([LOOP_SLOTS, np.ones(6, dtype=np.int64)])
+
+
+@lru_cache(maxsize=None)
+def _image_tables(n):
+    """Per-modulus tables of _failures, read-only.
+
+    A reduced row's sums of slots have coordinates X, Y < 6n, so they
+    are encoded without carries as keys X + 6n Y, one product of the
+    row with the (12, 11) key matrix; a table of 36 n^2 int16 entries
+    reduces each key to the vector code (X % n) + n (Y % n); and a table
+    of n^4 bools says whether the vectors of two codes are dependent.
+    The last keeps n at most 2^7, so the codes, below n^2, fit in int16.
+    """
+    if n ** 4 > MAX_ARRAY_BYTES:
+        raise ValueError(f"modulus {n}: admissibility tables over {MAX_ARRAY_BYTES >> 20} MiB")
+    key_matrix = np.kron(_SUMMED.T, [[1.0], [6 * n]])
+    key = np.arange(36 * n * n)
+    codes = (key % (6 * n) % n + n * (key // (6 * n) % n)).astype(np.int16)
+    x1, y1, x2, y2 = (np.arange(n ** 4) // n ** k % n for k in range(4))
+    dependent = (x1 * y2 - y1 * x2) % n == 0
+    for table in (key_matrix, codes, dependent):
+        table.flags.writeable = False
+    return key_matrix, codes, dependent
+
+
 def _failures(rows, n) -> np.ndarray:
     """(N, 26) failed conditions of (N, 12) residue rows: a nonzero sum,
     then a zero image at each curve, then dependent images at each
-    incident pair in sorted order."""
-    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
-    images = loop_image_rows(pairs, n)
-    cross = images[:, _INCIDENT[:, 0]] * images[:, _INCIDENT[:, 1], ::-1]
-    return np.concatenate(
-        [(pairs.sum(axis=1) % n).any(axis=1, keepdims=True), ~images.any(axis=2),
-         (cross[..., 0] - cross[..., 1]) % n == 0],
-        axis=1,
-    )
+    incident pair in sorted order, decided on the int16 vector codes
+    x + n y of the images (see _image_tables)."""
+    key_matrix, codes, dependent = _image_tables(n)
+    res = np.asarray(rows, dtype=np.int64).reshape(-1, 12)
+    if res.size and (res.min() < 0 or res.max() >= n):
+        res = res % n
+    # the key product is exact in float64 (keys < 36 n^2), where numpy
+    # hands it to BLAS
+    code = codes[(key_matrix.T @ res.T.astype(np.float64)).astype(np.intp)]  # (11, N)
+    pair = code[_INCIDENT[:, 0]] * np.intp(n * n) + code[_INCIDENT[:, 1]]
+    # built one condition per row, so that reductions over the conditions
+    # run along contiguous memory
+    return np.concatenate([code[10:] != 0, code[:10] == 0, dependent[pair]]).T
 
 
 def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissibility of each row of an (N, 12) array of residue rows,
-    2^14 rows at a time: _failures holds about 1 KiB per row."""
+    2^14 rows at a time: _failures holds at most about 400 bytes per row."""
     rows, step = np.asarray(rows, dtype=np.int64).reshape(-1, 12), 1 << 14
     return np.concatenate(
         [~_failures(rows[i:i + step], n).any(axis=1) for i in range(0, max(len(rows), 1), step)]
@@ -128,10 +166,11 @@ def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
 
 def check_admissibility(t: SixTuple, n=DEFAULT_MODULUS) -> AdmissibilityCheck:
     """The first condition that t fails, in the column order of _failures."""
-    failed = _failures([t.residues], n)[0]
-    if not failed.any():
+    failed = _failures(t.residues, n)[0]
+    first = failed.argmax()
+    if not failed[first]:
         return AdmissibilityCheck(True)
-    return AdmissibilityCheck(False, *_REASONS[failed.argmax()])
+    return AdmissibilityCheck(False, *_REASONS[first])
 
 
 def require_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> SixTuple:
@@ -155,12 +194,6 @@ def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     return rows @ weights
 
 
-# Largest array built: the expanded admissible set (int16 rows), the
-# working rows of the normal forms or a class table of normal_form_index.
-# The tests' group-element oracle keeps to it too.
-MAX_ARRAY_BYTES = 256 << 20
-
-
 @lru_cache(maxsize=None)
 def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissible rows with (u1, v1) = ((1,0), (0,1)), lexicographically
@@ -169,26 +202,30 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     L1' and L1 are incident, so u1 and v1 are independent in every
     admissible tuple and GL(2) acts freely and transitively on them.  The
     search runs over the nonzero u2, u3, v2 and solves the sum condition
-    for v3, one u2 at a time.  It raises ValueError as soon as the forms
-    found would exceed MAX_ARRAY_BYTES as five int64 copies, about the
-    peak working set of orbit_partition on them.
+    for v3, one u2 at a time in one int64 buffer of the (n^2 - 1)^2
+    candidates, which admissibility_mask reads 2^14 at a time.  It raises
+    ValueError as soon as the forms found would exceed MAX_ARRAY_BYTES as
+    five int64 copies: the forms themselves and the working set of
+    orbit_partition on them, which peaks at 3.3 further copies at n = 11.
     """
     require_prime(n)
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
     m = len(nz)
     max_forms = MAX_ARRAY_BYTES // (5 * 12 * 8)
     i3, i2 = np.divmod(np.arange(m * m), m)
+    # one buffer of candidates, a residue per row; each u2 overwrites its
+    # slot and v3
+    cand = np.zeros((12, m * m), dtype=np.int64)
+    cand[0], cand[7] = 1, 1
+    cand[4:6], cand[8:10] = nz[i3].T, nz[i2].T
+    rest = -cand.reshape(6, 2, -1).sum(axis=0)
     forms, count = [], 0
-    for u2 in nz:
-        rows = np.zeros((m * m, 12), dtype=np.int64)
-        rows[:, 0], rows[:, 7] = 1, 1
-        rows[:, 2:4], rows[:, 4:6], rows[:, 8:10] = u2, nz[i3], nz[i2]
-        rows[:, 10:12] = -rows[:, :10].reshape(-1, 5, 2).sum(axis=1) % n
-        rows = rows[admissibility_mask(rows, n)]
-        count += len(rows)
+    for u2 in nz[:, :, None]:
+        cand[2:4], cand[10:12] = u2, (rest - u2) % n
+        forms.append(cand.T[admissibility_mask(cand.T, n)])
+        count += len(forms[-1])
         if count > max_forms:
             raise ValueError(f"modulus {n}: normal forms over {MAX_ARRAY_BYTES >> 20} MiB")
-        forms.append(rows)
     forms = np.vstack(forms)
     forms.flags.writeable = False
     return forms
@@ -238,16 +275,20 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     rows = np.asarray(rows).reshape(-1, 12)
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         rows = rows % n
-    # one contiguous column per residue; the table sizes keep 6 n^2 below 2^15
-    cols = np.ascontiguousarray(rows.T, dtype=np.int16)
-    code = cols[0::2] + n * cols[1::2]  # (6, N) vector codes, slots in tuple order
-    g = (code[0] + n * n * code[3].astype(np.intp)) * (n * n)
-    # where det g = 0 all three read -1: their key wraps, and u2 < 0 rejects them
-    u2, u3, v2 = (vec[g + code[s]] for s in (1, 2, 4))
-    index = form[u2 + n * n * (u3 + n * n * v2.astype(np.intp))]
-    total = cols.reshape(6, 2, -1).sum(axis=0, dtype=np.int16)  # below 6n
-    if (u2 < 0).any() or (index < 0).any() or (total % n).any():
-        raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
+    # 2^14 rows at a time, so that the temporaries (about 75 bytes a row)
+    # are reused from chunk to chunk instead of taking fresh pages
+    index, step = np.empty(len(rows), dtype=np.int32), 1 << 14
+    for i in range(0, len(rows), step):
+        # one contiguous column per residue; the table sizes keep 6 n^2 below 2^15
+        cols = np.ascontiguousarray(rows[i:i + step].T, dtype=np.int16)
+        code = cols[0::2] + n * cols[1::2]  # (6, N) vector codes, slots in tuple order
+        g = (code[0] + n * n * code[3].astype(np.intp)) * (n * n)
+        # where det g = 0 all three read -1: their key wraps, and u2 < 0 rejects them
+        u2, u3, v2 = (vec[g + code[s]] for s in (1, 2, 4))
+        index[i:i + step] = found = form[u2 + n * n * (u3 + n * n * v2.astype(np.intp))]
+        total = cols.reshape(6, 2, -1).sum(axis=0, dtype=np.int16)  # below 6n
+        if (u2 < 0).any() or (found < 0).any() or (total % n).any():
+            raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
     return index
 
 
@@ -258,15 +299,26 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
 
     Every admissible tuple is g.f for exactly one GL(2) matrix g and one
     normal form f (see normal_forms), so the array is the normal forms
-    expanded by all of GL(2, Z/n), then sorted.  ValueError when it would
-    exceed MAX_ARRAY_BYTES.
+    expanded by all of GL(2, Z/n), then sorted.  Each g.f is gathered from
+    a table of g applied to every vector, and so is its encode_rows code,
+    the sort key.  ValueError when the array would exceed MAX_ARRAY_BYTES.
     """
     forms = normal_forms(n)
-    gl2 = gl2_array(n).astype(np.int16)
+    gl2 = gl2_array(n)
     if len(forms) * len(gl2) * 12 * 2 > MAX_ARRAY_BYTES:
         raise ValueError(f"modulus {n}: admissible array over {MAX_ARRAY_BYTES >> 20} MiB")
-    forms = forms.reshape(-1, 6, 2).astype(np.int16)
-    rows = np.einsum("gij,ksj->gksi", gl2, forms).reshape(-1, 12) % n
-    rows = rows[np.argsort(encode_rows(rows, n), kind="stable")]
+    # g applied to every vector, column c being the vector of code x + n y
+    image = gl2 @ np.indices((n, n)).reshape(2, -1)[::-1] % n
+    # each image as its two int16 residues viewed as one int32, and as its
+    # lexicographic code
+    pair = np.ascontiguousarray(image.transpose(0, 2, 1), dtype=np.int16).view(np.int32)[..., 0]
+    lex = (image[:, 0] * n + image[:, 1]).astype(np.int32 if n ** 12 < 2 ** 31 else np.int64)
+    slots = forms[:, 0::2] + n * forms[:, 1::2]  # (forms, 6) vector codes
+    code = lex.take(slots[:, 0], axis=1)  # Horner over the slots: encode_rows of g.f
+    for s in range(1, 6):
+        code *= n * n
+        code += lex.take(slots[:, s], axis=1)
+    rows = pair.take(slots, axis=1).reshape(-1, 6)
+    rows = rows.take(np.argsort(code, axis=None), axis=0).view(np.int16)
     rows.flags.writeable = False
     return rows

@@ -11,9 +11,9 @@ is sent to, as kron(A, I2).  The point swaps (0h) are the transpositions
 The loop images of the exceptional curves use the relation u1+..+v3 = 0,
 so as literal matrices the swaps are involutions only on the sum-zero
 subspace that carries the actual cover data (admissible tuples all lie in
-it).  Group identity is therefore defined by the action on that subspace,
-a 10x10 matrix on the first ten coordinates: two elements are equal when
-these agree.  The 120 permutations act in 120 distinct ways.
+it).  Group elements are therefore told apart by their action on that
+subspace, a 10x10 matrix on the first ten coordinates: group_closure
+counts these actions.  The 120 permutations act in 120 distinct ways.
 kron(A, I2) and kron(I6, g) commute, both products being kron(A, g), and
 the swap group meets the GL(2) blocks only in the identity, so the full
 group is the direct product of the two, of order 57600 at n = 5.  GL(2)
@@ -50,11 +50,6 @@ def _restrict(mats, n) -> np.ndarray:
     return (np.asarray(mats, dtype=np.int64)[..., :10, :] @ _sum_zero_basis(n) % n).astype(np.int16)
 
 
-def _restricted(mat: Mat) -> bytes:
-    """Key of the action on the sum-zero subspace."""
-    return _restrict(mat.array, mat.n).tobytes()
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetryElement:
     """A symmetry as a 12x12 matrix over Z/n plus an optional provenance
@@ -65,19 +60,6 @@ class SymmetryElement:
 
     def apply(self, t: SixTuple) -> SixTuple:
         return SixTuple.from_residues(self.mat.apply_rows([t.residues])[0])
-
-    def __mul__(self, other: "SymmetryElement") -> "SymmetryElement":
-        return SymmetryElement(self.mat * other.mat)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymmetryElement)
-            and self.mat.n == other.mat.n
-            and _restricted(self.mat) == _restricted(other.mat)
-        )
-
-    def __hash__(self):
-        return hash(_restricted(self.mat))
 
     def __repr__(self):
         tag = self.provenance or "element"

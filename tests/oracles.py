@@ -1,19 +1,23 @@
 """Independent and expanded routes that the tests compare the package against.
 
 The package computes counts, orbits, group orders and p_g on the
-GL(2)-normal forms alone, finds a row's form by table lookup, characters
-in one table, section counts in closed form, admissibility as one
-failure matrix, and the swaps from the curve labels.  The functions here
-work on the expanded objects instead: every admissible row, every group
-element, each row's form by search among the encoded forms, every row's
-25 character classes, one character at a time, carries over the lcm of
-the character orders, section counts as interpolation ranks, one
-tuple's loop images and incident pairs at a time, a hand-written swap
-table, breadth-first closures, minimal generators by pairwise
-domination, base-point multiplicities from the Newton polygon and the
-blow-up recursion on whole ideals.  They are slow and memory-hungry by
-design and are only meant for n <= 5 (the closures, the swap table, the
-search and the carries for n <= 7).
+GL(2)-normal forms alone, expands them by gathers from per-matrix
+vector images, finds a row's form by table lookup, characters in one
+table, section counts in closed form, admissibility as one failure
+matrix read from tables of vector codes, and the swaps from the curve
+labels.  The functions here work on the expanded objects instead: every
+admissible row by one einsum over forms and matrices, every group
+element, compared by its action on the sum-zero subspace, each row's
+form by search among the encoded forms, every row's 25 character
+classes, one character at a time, carries over the lcm of the character
+orders, section counts as interpolation ranks, the failure matrix from
+int64 cross products, one tuple's loop images and incident pairs at a
+time, a hand-written swap table, breadth-first closures, minimal
+generators by pairwise domination, base-point multiplicities from the
+Newton polygon and the blow-up recursion on whole ideals.  They are slow
+and memory-hungry by design and are only meant for n <= 5 (the
+closures, the swap table, the search and the carries for n <= 7; the
+cross products at any modulus).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from quadcover import gf
 from quadcover.canonical import BasePointType, MonomialIdeal2D
 from quadcover.covers import (
-    MAX_ARRAY_BYTES, AdmissibilityCheck, SixTuple, admissible_array, encode_rows,
+    _INCIDENT, MAX_ARRAY_BYTES, AdmissibilityCheck, SixTuple, admissible_array, encode_rows,
     loop_image_rows, normal_forms,
 )
 from quadcover.gf import Mat, reduce_vec
@@ -37,7 +41,7 @@ from quadcover.picard import (
 )
 from quadcover.sheaves import CharacterSheaf
 from quadcover.symmetry import (
-    SymmetryElement, _least, _restrict, _restricted, default_generators, group_closure,
+    SymmetryElement, _least, _restrict, default_generators, group_closure,
     s5_generators,
 )
 
@@ -115,6 +119,19 @@ SWAP_SLOTS = {
 }
 
 
+def sum_zero_key(g) -> bytes:
+    """Key of the action of a SymmetryElement or a 12x12 Mat on the
+    sum-zero subspace: two symmetries are the same group element when
+    their keys agree."""
+    mat = g.mat if isinstance(g, SymmetryElement) else g
+    return _restrict(mat.array, mat.n).tobytes()
+
+
+def compose(a: SymmetryElement, b: SymmetryElement) -> SymmetryElement:
+    """The symmetry a after b, as the product of their matrices."""
+    return SymmetryElement(a.mat * b.mat)
+
+
 def mulclose(gens) -> dict[bytes, Mat]:
     """Multiplicative closure of 12x12 matrices, breadth first, keyed by
     their action on the sum-zero subspace; values are representative
@@ -122,14 +139,14 @@ def mulclose(gens) -> dict[bytes, Mat]:
     mats = [g.mat if isinstance(g, SymmetryElement) else g for g in gens]
     els = {}
     for g in mats:
-        els.setdefault(_restricted(g), g)
+        els.setdefault(sum_zero_key(g), g)
     boundary = list(els.values())
     while boundary:
         fresh = []
         for a in mats:
             for b in boundary:
                 c = a * b
-                k = _restricted(c)
+                k = sum_zero_key(c)
                 if k not in els:
                     els[k] = c
                     fresh.append(c)
@@ -271,6 +288,31 @@ def epsilon_by_order(chi, c1, chi2, c2, n=5) -> tuple[int, ...]:
             raise AssertionError("branch residue incompatible with character order")
         out.append(1 if lam1 * (r1 // step1) + lam2 * (r2 // step2) >= m else 0)
     return tuple(out)
+
+
+def failures_by_cross_products(rows, n=5) -> np.ndarray:
+    """(N, 26) failed conditions of (N, 12) residue rows, in the column
+    order of covers._failures: the loop images as int64 residues, the
+    incidences as 2x2 determinants from their cross products."""
+    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2)
+    images = loop_image_rows(pairs, n)
+    cross = images[:, _INCIDENT[:, 0]] * images[:, _INCIDENT[:, 1], ::-1]
+    return np.concatenate(
+        [(pairs.sum(axis=1) % n).any(axis=1, keepdims=True), ~images.any(axis=2),
+         (cross[..., 0] - cross[..., 1]) % n == 0],
+        axis=1,
+    )
+
+
+def admissible_array_by_einsum(n=5) -> np.ndarray:
+    """The normal forms expanded by every GL(2) matrix in one int16
+    einsum, then sorted by their base-n codes: read-only int16 rows."""
+    forms = normal_forms(n).reshape(-1, 6, 2).astype(np.int16)
+    gl2 = gf.gl2_array(n).astype(np.int16)
+    rows = np.einsum("gij,ksj->gksi", gl2, forms).reshape(-1, 12) % n
+    rows = rows[np.argsort(encode_rows(rows, n), kind="stable")]
+    rows.flags.writeable = False
+    return rows
 
 
 def enumerate_admissible(n=5) -> list[SixTuple]:

@@ -124,6 +124,81 @@ def test_admissibility_parity_with_the_scalar_oracle():
     assert conditions == {None, 0, 1, 2}
 
 
+def _seeded_rows(n, seed):
+    """Sum-zero rows, arbitrary rows, negative residues and residues far
+    beyond 2^15 (each row the same classes mod n as a row in range)."""
+    rng = np.random.default_rng(seed)
+    sum_zero = rng.integers(0, n, size=(6000, 12))
+    sum_zero[:, 10:] = -sum_zero[:, :10].reshape(-1, 5, 2).sum(axis=1) % n
+    arbitrary = rng.integers(0, n, size=(3000, 12))
+    shifted = np.vstack([sum_zero[:2000], arbitrary[:1000]])
+    negative = shifted - n * rng.integers(1, 1 << 20, size=shifted.shape)
+    large = shifted + n * rng.integers(1 << 15, 1 << 58, size=shifted.shape)
+    return np.vstack([sum_zero, arbitrary, negative, large])
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13])
+def test_failures_match_cross_products(n):
+    rows = _seeded_rows(n, 14000 + n)
+    if n == 5:  # admissible rows are rare among random ones at n = 5
+        arr = covers.admissible_array(5)
+        rows = np.vstack([rows, arr[np.random.default_rng(5).choice(len(arr), 2000)]])
+    failed = covers._failures(rows, n)
+    assert failed.shape == (len(rows), 26) and failed.dtype == bool
+    # the oracle's int64 sums of large residues would wrap: it reads them reduced
+    assert np.array_equal(failed, oracles.failures_by_cross_products(rows % n, n))
+    # the shifted rows fail exactly where the rows they were shifted from do
+    base = failed[np.r_[0:2000, 6000:7000]]
+    assert np.array_equal(failed[9000:12000], base) and np.array_equal(failed[12000:15000], base)
+    # every condition fails somewhere, and some rows pass them all
+    assert failed.any(axis=0).all() and not failed.any(axis=1).all()
+
+
+def test_failures_refuse_what_int64_cannot_hold():
+    # a residue beyond int64 raises instead of wrapping
+    with pytest.raises(OverflowError):
+        covers._failures([[1 << 63] + [0] * 11], 5)
+    row = [(1 << 62) + 1, (1 << 63) - 1] + [-(1 << 63)] * 10
+    assert np.array_equal(covers._failures([row], 5),
+                          oracles.failures_by_cross_products([[x % 5 for x in row]], 5))
+
+
+def test_failures_of_no_rows():
+    assert covers._failures(np.zeros((0, 12), dtype=np.int64), 5).shape == (0, 26)
+    assert covers.admissibility_mask(np.zeros((0, 12), dtype=np.int64), 5).shape == (0,)
+
+
+def test_image_tables_are_built_once_per_modulus_and_read_only(u3):
+    covers._image_tables.cache_clear()
+    covers.check_admissibility(u3, 5)
+    covers.admissibility_mask(covers.normal_forms(5), 5)
+    covers.check_admissibility(u3, 7)
+    assert covers._image_tables.cache_info().misses == 2
+    keys, codes, dependent = covers._image_tables(5)
+    assert keys.shape == (12, 11) and codes.dtype == np.int16 and dependent.size == 5 ** 4
+    for table in covers._image_tables(5):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    # n^4 bools of 131^4 exceed the byte limit, and are refused before
+    # anything is built
+    with pytest.raises(ValueError, match="admissibility tables over 256 MiB"):
+        covers.check_admissibility(u3, 131)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_failures_and_first_reason_at_7(data):
+    # random residues, any sign and size, closed to sum zero or not: the
+    # failure matrix equals the cross products and the one-row check's
+    # reason equals the conditions checked one at a time
+    res = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=12, max_size=12))
+    if data.draw(st.booleans()):
+        res[10], res[11] = -sum(res[0:10:2]), -sum(res[1:10:2])
+    assert np.array_equal(covers._failures(res, 7), oracles.failures_by_cross_products(res, 7))
+    t = SixTuple.from_residues(x % 7 for x in res)
+    assert covers.check_admissibility(t, 7) == oracles.check_admissibility(t, 7)
+
+
 def _literal_pair_list(t, n=5):
     """The fifteen vector pairs of the admissibility definition, written
     out, as opposed to the incident-pair formulation the code uses."""
@@ -228,6 +303,14 @@ def test_encode_rows_refuses_overflowing_modulus():
     assert covers.encode_rows(np.full((1, 12), 39), 40)[0] == 40 ** 12 - 1
     with pytest.raises(ValueError, match="overflow"):
         covers.encode_rows(np.full((1, 12), 40), 41)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_admissible_array_matches_the_einsum_oracle(n):
+    arr, ref = covers.admissible_array(n), oracles.admissible_array_by_einsum(n)
+    assert arr.dtype == ref.dtype == np.int16 and arr.shape == ref.shape
+    assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert arr.tobytes() == ref.tobytes()
 
 
 def test_admissible_array_refuses_oversized_modulus():

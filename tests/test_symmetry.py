@@ -9,8 +9,8 @@ from quadcover.covers import SixTuple
 from quadcover.gf import Mat, gl2_enumerate
 
 
-def _identity():
-    return symmetry.SymmetryElement(Mat.identity(12))
+def _identity_key():
+    return oracles.sum_zero_key(symmetry.SymmetryElement(Mat.identity(12)))
 
 
 def _apply(elements, row, n=5):
@@ -36,9 +36,12 @@ def test_swap_04_example(u3):
 
 
 def test_swaps_are_involutions():
-    ident = _identity()
+    ident = _identity_key()
     for g in symmetry.s5_generators():
-        assert g * g == ident
+        assert oracles.sum_zero_key(oracles.compose(g, g)) == ident
+        # as literal 12x12 matrices they are not involutions: the exceptional
+        # loop images use the sum condition
+        assert g.mat * g.mat != Mat.identity(12)
 
 
 def test_swaps_square_to_identity_on_admissible_tuples():
@@ -52,7 +55,7 @@ def test_swaps_square_to_identity_on_admissible_tuples():
 
 def test_gl2_action_examples(u3):
     ident = symmetry.gl2_action([[1, 0], [0, 1]])
-    assert ident == _identity()
+    assert oracles.sum_zero_key(ident) == _identity_key()
     scale = symmetry.gl2_action([[2, 0], [0, 2]])
     assert scale.apply(u3) == SixTuple.parse("2,0,2,0,0,2,3,2,1,4,2,2")
     with pytest.raises(ValueError):
