@@ -105,8 +105,8 @@ _REASONS = (
 
 # Largest array built: the expanded admissible set (int16 rows), the
 # normal forms as five int64 copies, a class table of normal_form_index
-# or the dependency table of _failures.  The tests' group-element oracle
-# keeps to it too.
+# or the line table of _failures.  The tests' group-element oracle keeps
+# to it too.
 MAX_ARRAY_BYTES = 256 << 20
 
 # Each row sums some of the six slots: the ten loop images (LOOP_SLOTS,
@@ -115,44 +115,41 @@ _SUMMED = np.vstack([LOOP_SLOTS, np.ones(6, dtype=np.int64)])
 
 
 @lru_cache(maxsize=None)
-def _image_tables(n):
-    """Per-modulus tables of _failures, read-only.
+def _line_table(n) -> np.ndarray:
+    """Read-only uint16 table of the line through each sum of slots.
 
-    A reduced row's sums of slots have coordinates X, Y < 6n, so they
-    are encoded without carries as keys X + 6n Y, one product of the
-    row with the (12, 11) key matrix; a table of 36 n^2 int16 entries
-    reduces each key to the vector code (X % n) + n (Y % n); and a table
-    of n^4 bools says whether the vectors of two codes are dependent.
-    The last keeps n at most 2^7, so the codes, below n^2, fit in int16.
+    A reduced row's sums of slots have coordinates X, Y < 6n, and entry
+    X + 6n Y names the line through (X, Y) mod n: 0 for the zero vector,
+    1 + y/x for (x, y) with x != 0 and n + 1 for (0, y).  Two vectors
+    are dependent exactly when one names 0 or both name the same line.
+    The table holds 72 n^2 bytes and its build a few n^2 int64 arrays,
+    so it refuses n above 1930.
     """
-    if n ** 4 > MAX_ARRAY_BYTES:
-        raise ValueError(f"modulus {n}: admissibility tables over {MAX_ARRAY_BYTES >> 20} MiB")
-    key_matrix = np.kron(_SUMMED.T, [[1.0], [6 * n]])
-    key = np.arange(36 * n * n)
-    codes = (key % (6 * n) % n + n * (key // (6 * n) % n)).astype(np.int16)
-    x1, y1, x2, y2 = (np.arange(n ** 4) // n ** k % n for k in range(4))
-    dependent = (x1 * y2 - y1 * x2) % n == 0
-    for table in (key_matrix, codes, dependent):
-        table.flags.writeable = False
-    return key_matrix, codes, dependent
+    if 36 * n * n * 2 > MAX_ARRAY_BYTES:
+        raise ValueError(f"modulus {n}: admissibility table over {MAX_ARRAY_BYTES >> 20} MiB")
+    inv = np.array([pow(v, -1, n) if v else 0 for v in range(n)])
+    x, y = np.arange(n), np.arange(n)[:, None]
+    line = np.where(x != 0, 1 + y * inv[x] % n, np.where(y != 0, n + 1, 0))
+    table = np.tile(line.astype(np.uint16), (6, 6)).ravel()
+    table.flags.writeable = False
+    return table
 
 
 def _failures(rows, n) -> np.ndarray:
     """(N, 26) failed conditions of (N, 12) residue rows: a nonzero sum,
     then a zero image at each curve, then dependent images at each
-    incident pair in sorted order, decided on the int16 vector codes
-    x + n y of the images (see _image_tables)."""
-    key_matrix, codes, dependent = _image_tables(n)
+    incident pair in sorted order, decided on the lines through the
+    images (see _line_table)."""
+    table = _line_table(n)
     res = np.asarray(rows, dtype=np.int64).reshape(-1, 12)
     if res.size and (res.min() < 0 or res.max() >= n):
         res = res % n
-    # the key product is exact in float64 (keys < 36 n^2), where numpy
-    # hands it to BLAS
-    code = codes[(key_matrix.T @ res.T.astype(np.float64)).astype(np.intp)]  # (11, N)
-    pair = code[_INCIDENT[:, 0]] * np.intp(n * n) + code[_INCIDENT[:, 1]]
+    line = table[_SUMMED @ (res.T[0::2] + 6 * n * res.T[1::2])]  # (11, N)
+    first, second = line[_INCIDENT[:, 0]], line[_INCIDENT[:, 1]]
+    dependent = (first == second) | (first == 0) | (second == 0)
     # built one condition per row, so that reductions over the conditions
     # run along contiguous memory
-    return np.concatenate([code[10:] != 0, code[:10] == 0, dependent[pair]]).T
+    return np.concatenate([line[10:] != 0, line[:10] == 0, dependent]).T
 
 
 def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
@@ -299,26 +296,16 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
 
     Every admissible tuple is g.f for exactly one GL(2) matrix g and one
     normal form f (see normal_forms), so the array is the normal forms
-    expanded by all of GL(2, Z/n), then sorted.  Each g.f is gathered from
-    a table of g applied to every vector, and so is its encode_rows code,
-    the sort key.  ValueError when the array would exceed MAX_ARRAY_BYTES.
+    expanded by all of GL(2, Z/n) in one stacked matmul, then sorted.
+    ValueError when the array would exceed MAX_ARRAY_BYTES.
     """
     forms = normal_forms(n)
-    gl2 = gl2_array(n)
+    gl2 = gl2_array(n).astype(np.int16)
     if len(forms) * len(gl2) * 12 * 2 > MAX_ARRAY_BYTES:
         raise ValueError(f"modulus {n}: admissible array over {MAX_ARRAY_BYTES >> 20} MiB")
-    # g applied to every vector, column c being the vector of code x + n y
-    image = gl2 @ np.indices((n, n)).reshape(2, -1)[::-1] % n
-    # each image as its two int16 residues viewed as one int32, and as its
-    # lexicographic code
-    pair = np.ascontiguousarray(image.transpose(0, 2, 1), dtype=np.int16).view(np.int32)[..., 0]
-    lex = (image[:, 0] * n + image[:, 1]).astype(np.int32 if n ** 12 < 2 ** 31 else np.int64)
-    slots = forms[:, 0::2] + n * forms[:, 1::2]  # (forms, 6) vector codes
-    code = lex.take(slots[:, 0], axis=1)  # Horner over the slots: encode_rows of g.f
-    for s in range(1, 6):
-        code *= n * n
-        code += lex.take(slots[:, s], axis=1)
-    rows = pair.take(slots, axis=1).reshape(-1, 6)
-    rows = rows.take(np.argsort(code, axis=None), axis=0).view(np.int16)
+    forms = forms.reshape(-1, 6, 2).astype(np.int16)
+    rows = (forms @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12) % n
+    # the rows are distinct, so any sort of their codes gives one order
+    rows = rows[np.argsort(encode_rows(rows, n))]
     rows.flags.writeable = False
     return rows

@@ -1,10 +1,10 @@
 """Independent and expanded routes that the tests compare the package against.
 
 The package computes counts, orbits, group orders and p_g on the
-GL(2)-normal forms alone, expands them by gathers from per-matrix
-vector images, finds a row's form by table lookup, characters in one
-table, section counts in closed form, admissibility as one failure
-matrix read from tables of vector codes, and the swaps from the curve
+GL(2)-normal forms alone, expands them by one stacked matmul, finds a
+row's form by table lookup, characters in one table, section counts in
+closed form, admissibility as one failure matrix read from a table of
+the lines through the loop images, and the swaps from the curve
 labels.  The functions here work on the expanded objects instead: every
 admissible row by one einsum over forms and matrices, every group
 element, compared by its action on the sum-zero subspace, each row's

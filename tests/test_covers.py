@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,21 +169,51 @@ def test_failures_of_no_rows():
     assert covers.admissibility_mask(np.zeros((0, 12), dtype=np.int64), 5).shape == (0,)
 
 
-def test_image_tables_are_built_once_per_modulus_and_read_only(u3):
-    covers._image_tables.cache_clear()
+def test_line_table_is_built_once_per_modulus_and_read_only(u3):
+    covers._line_table.cache_clear()
     covers.check_admissibility(u3, 5)
     covers.admissibility_mask(covers.normal_forms(5), 5)
     covers.check_admissibility(u3, 7)
-    assert covers._image_tables.cache_info().misses == 2
-    keys, codes, dependent = covers._image_tables(5)
-    assert keys.shape == (12, 11) and codes.dtype == np.int16 and dependent.size == 5 ** 4
-    for table in covers._image_tables(5):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 0
-    # n^4 bools of 131^4 exceed the byte limit, and are refused before
-    # anything is built
-    with pytest.raises(ValueError, match="admissibility tables over 256 MiB"):
-        covers.check_admissibility(u3, 131)
+    assert covers._line_table.cache_info().misses == 2
+    table = covers._line_table(5)
+    assert table.dtype == np.uint16 and table.shape == (36 * 5 ** 2,)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
+
+
+@pytest.mark.parametrize("n", [53, 127, 1009])
+def test_one_row_check_at_a_large_prime_stays_small(n):
+    # the check builds one line table of 72 n^2 bytes, and answers as the
+    # scalar oracle does on sum-zero rows, admissible or not
+    rng = random.Random(n)
+    rows = [[rng.randrange(n) for _ in range(10)] for _ in range(20)]
+    rows += [[1, 0, 2, 0, 3, 0, 4, 0, 5, 0]]  # every image on one line
+    covers._line_table.cache_clear()
+    tracemalloc.start()
+    try:
+        checks = []
+        for row in rows:
+            t = SixTuple.from_residues(row + [-sum(row[0::2]) % n, -sum(row[1::2]) % n])
+            checks.append(covers.check_admissibility(t, n))
+            assert checks[-1] == oracles.check_admissibility(t, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(200 * n * n + (1 << 20), covers.MAX_ARRAY_BYTES)
+    assert any(checks) and not all(checks)
+
+
+def test_line_table_refuses_before_building(u3):
+    # 72 n^2 bytes exceed the limit from n = 1931 on, and nothing that
+    # size is allocated before the refusal
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="admissibility table over 256 MiB"):
+            covers.check_admissibility(u3, 1931)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=300, deadline=None)
