@@ -154,7 +154,7 @@ def _failures(rows, n) -> np.ndarray:
 
 def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissibility of each row of an (N, 12) array of residue rows,
-    2^14 rows at a time: _failures holds at most about 400 bytes per row."""
+    2^14 rows at a time: _failures holds at most about 240 bytes per row."""
     rows, step = np.asarray(rows, dtype=np.int64).reshape(-1, 12), 1 << 14
     return np.concatenate(
         [~_failures(rows[i:i + step], n).any(axis=1) for i in range(0, max(len(rows), 1), step)]
