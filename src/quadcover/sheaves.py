@@ -13,7 +13,9 @@ of degree 5: -K_Y is ample and its ten (-1)-curves, the branch curves,
 span the effective cone.  So h0 has a closed form: peel off the branch
 curves a class meets negatively (fixed components), then Riemann-Roch
 with vanishing higher cohomology.  p_g and chi(O_X) of the cover are
-sums over the character classes.
+sums over the character classes, and every character class, whatever n,
+lies in one box of 486 classes: both summands are read from one table
+of that box.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covers import SixTuple, loop_image_rows, normal_form_index, normal_forms, require_admissible
+from .covers import (
+    MAX_ARRAY_BYTES, SixTuple, loop_image_rows, normal_form_index, normal_forms, require_admissible,
+)
 from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, require_prime
 from .picard import DivClass, canonical_class, configuration, intersect
 
@@ -123,10 +127,16 @@ def _character_tuples(n) -> tuple[Vec2, ...]:
     return tuple(map(tuple, _characters(n).tolist()))
 
 
+def _residues(rows, n) -> np.ndarray:
+    """(N, n^2, 10) residues of every character on the loop images of an
+    (N, 12) array of residue rows: the only code that evaluates characters."""
+    return _characters(n) @ loop_image_rows(rows, n).swapaxes(1, 2) % n
+
+
 def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
     """Every character on the loop images of an (N, 12) array of residue
-    rows, and its class: the only code that evaluates characters."""
-    residues = _characters(n) @ loop_image_rows(rows, n).swapaxes(1, 2) % n
+    rows, and its class."""
+    residues = _residues(rows, n)
     classes, rest = np.divmod(residues @ CURVE_CLASSES, n)
     return CharacterTable(residues, classes, rest.any(axis=2))
 
@@ -137,7 +147,7 @@ def _index(chi: Vec2, n) -> int:
 
 def coeffs(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CoeffVector:
     """The ten residues of a character on the loop images of a tuple."""
-    return CoeffVector(*character_table([t.residues], n).residues[0, _index(chi, n)].tolist())
+    return CoeffVector(*_residues([t.residues], n)[0, _index(chi, n)].tolist())
 
 
 def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
@@ -156,36 +166,74 @@ def sheaf_table(t: SixTuple, n=DEFAULT_MODULUS) -> list[CharacterSheaf]:
     return list(map(tuple.__new__, repeat(CharacterSheaf), pairs))
 
 
-@lru_cache(maxsize=None)
-def h0(c: DivClass) -> int:
-    """Dimension of the global sections of a class on Y.
+# D @ _DUALS.T pairs a class D with each branch curve, D @ _ANTI gives -K.D
+_FORM = np.array([1, -1, -1, -1, -1])
+_DUALS = CURVE_CLASSES * _FORM
+_ANTI = -_KY * _FORM
+
+
+def _h0_rows(classes) -> np.ndarray:
+    """Dimension of the global sections of every class of an (M, 5) array.
 
     A class D with -K.D < 0 has none, -K being ample.  A branch curve C
     with D.C < 0 is a fixed component, so h0(D) = h0(D - C); each such
-    step lowers -K.D by one.  Otherwise D is nef, D - K is ample, h1 and
-    h2 vanish (Kawamata-Viehweg) and Riemann-Roch gives 1 + D.(D - K)/2.
+    step lowers -K.D by one, so at most 1 + max(-K.D) steps run.
+    Otherwise D is nef, D - K is ample, h1 and h2 vanish (Kawamata-Viehweg)
+    and Riemann-Roch gives 1 + D.(D - K)/2.
     """
-    ky = canonical_class()
-    while intersect(ky, c) <= 0:
-        fixed = next((cls for _, cls in configuration().curves if intersect(c, cls) < 0), None)
-        if fixed is None:
-            return 1 + (intersect(c, c) - intersect(c, ky)) // 2
-        c = c - fixed
-    return 0
+    c = np.array(classes, dtype=np.int64).reshape(-1, 5)
+    while True:
+        negative = c @ _DUALS.T < 0
+        peel = negative.any(axis=1) & (c @ _ANTI >= 0)
+        if not peel.any():
+            break
+        c[peel] -= CURVE_CLASSES[negative[peel].argmax(axis=1)]  # the first such curve
+    return np.where(c @ _ANTI < 0, 0, 1 + (c * _FORM * (c - _KY)).sum(axis=1) // 2)
+
+
+@lru_cache(maxsize=None)
+def h0(c: DivClass) -> int:
+    """Dimension of the global sections of a class on Y (see _h0_rows)."""
+    return int(_h0_rows([c])[0])
+
+
+# Every character class L = (sum of r_i C_i)/n with 0 <= r_i < n lies in
+# one box, whatever n is: its H-coefficient sums the six line residues
+# over n, so lies in [0, 5], and its E_j-coefficient is r(E_j) less the
+# residues of the three lines through P_j, over n, so lies in [-2, 0].
+_BOX_LOW = np.array([0, -2, -2, -2, -2])
+_BOX_SPAN = np.array([5, 2, 2, 2, 2], dtype=np.uint64)
+_BOX_STRIDES = np.array([81, 27, 9, 3, 1])
+
+
+@lru_cache(maxsize=None)
+def _class_table() -> np.ndarray:
+    """Read-only (486, 2) int64 table of h0(K_Y + L) and L.(L + K_Y)/2 for
+    every class L of the box, at key (L - _BOX_LOW) @ _BOX_STRIDES; a
+    constant of Y, built once per process."""
+    box = np.stack(np.unravel_index(np.arange(486), (6, 3, 3, 3, 3)), axis=1) + _BOX_LOW
+    table = np.stack([_h0_rows(box + _KY), (box * _FORM * (box + _KY)).sum(axis=1) // 2], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def class_numbers(classes) -> np.ndarray:
+    """h0(K_Y + L) and L.(L + K_Y)/2, on the last axis, for every class L
+    of an (..., 5) int array: one key product and one gather from
+    _class_table.  ValueError for a class outside the box, which no
+    character class is."""
+    offset = np.asarray(classes, dtype=np.int64) - _BOX_LOW
+    # a negative offset reads as a huge unsigned one, so one comparison bounds both sides
+    outside = offset.view(np.uint64) > _BOX_SPAN
+    if outside.any():
+        first = DivClass(*(offset[outside.any(axis=-1)][0] + _BOX_LOW).tolist())
+        raise ValueError(f"class {first.format()} is outside the box of character classes")
+    return _class_table()[offset @ _BOX_STRIDES]
 
 
 def twisted_counts(classes) -> np.ndarray:
-    """h0(K_Y + L) for every class L of an (..., 5) array."""
-    shifted = (classes + _KY).reshape(-1, 5)
-    keys = shifted.view("V40").ravel()  # int64 rows: one 40-byte key per class
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    counts = np.array([h0(DivClass(*c)) for c in shifted[first].tolist()], dtype=np.int64)
-    return counts[inverse].reshape(classes.shape[:-1])
-
-
-def _pg(classes) -> np.ndarray:
-    """p_g of each row of (M, n^2, 5) classes: H^0(K_X) = sum of H^0(K_Y + L)."""
-    return twisted_counts(classes).sum(axis=-1)
+    """h0(K_Y + L) for every class L of an (..., 5) int array (class_numbers)."""
+    return class_numbers(classes)[..., 0]
 
 
 @lru_cache(maxsize=None)
@@ -207,9 +255,10 @@ def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
     require_admissible(t, n)
     if n != 5:
         raise ValueError("surface invariants are only defined for modulus 5")
-    classes = character_table([t.residues], n).integral().classes
-    pg, adj = int(_pg(classes)[0]), adjunction_class(n)
-    chi_o = n * n + int(intersect(classes[0].T, (classes[0] + _KY).T).sum()) // 2
+    classes = character_table([t.residues], n).integral().classes[0]
+    pg, chi_o = class_numbers(classes).sum(axis=0).tolist()
+    chi_o += n * n
+    adj = adjunction_class(n)
     return SurfaceInvariants(k2=intersect(adj, adj), chi=chi_o, pg=pg, q=pg + 1 - chi_o)
 
 
@@ -240,14 +289,24 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
     whose inertia group has order p (its loop image is a nonzero vector of
     (Z/p)^2).  So the carry is r_i(chi) + r_i(chi2) >= p; n must be prime."""
     require_prime(n)
-    rows = character_table([t.residues], n).residues[0]
+    rows = _residues([t.residues], n)[0]
     return tuple((rows[_index(chi, n)] + rows[_index(chi2, n)] >= n).astype(int).tolist())
+
+
+# bytes held per character pair by cover_equations: the cached columns and
+# heads and its record (about 450 at its peak, at n = 7 and 11)
+_PAIR_BYTES = 512
 
 
 @lru_cache(maxsize=None)
 def _character_pairs(n):
     """The pairs of nontrivial characters, with repetition, ordered by (a, b):
-    their (2, pairs) columns b n + a in the character table, and columns chi, chi2, chi + chi2."""
+    their (2, pairs) columns b n + a in the character table, and columns chi, chi2, chi + chi2.
+    ValueError, before anything is built, when the pairs would hold more
+    than MAX_ARRAY_BYTES (every prime from 37 on)."""
+    pairs = (n * n - 1) * n * n // 2
+    if pairs * _PAIR_BYTES > MAX_ARRAY_BYTES:
+        raise ValueError(f"modulus {n}: {pairs} character pairs over {MAX_ARRAY_BYTES >> 20} MiB")
     chars = np.stack(np.divmod(np.arange(1, n * n), n), axis=1)
     first, second = (chars[k] for k in np.triu_indices(len(chars)))
     heads = (tuple(map(tuple, c.tolist())) for c in (first, second, (first + second) % n))
@@ -266,9 +325,9 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
     total space of the nontrivial eigensheaves: one relation per
     unordered pair of nontrivial characters (with repetition)."""
     require_prime(n)
-    require_admissible(t, n)
     columns, (chi, chi2, rhs) = _character_pairs(n)
-    rows = character_table([t.residues], n).residues[0]
+    require_admissible(t, n)
+    rows = _residues([t.residues], n)[0]
     eps = map(_CARRIES.__getitem__, ((rows[columns].sum(axis=0) >= n) @ _BITS).tolist())
     return tuple(map(tuple.__new__, repeat(CoverRelation), zip(chi, chi2, eps, rhs)))
 
@@ -285,5 +344,6 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     used = np.flatnonzero(np.bincount(index, minlength=len(forms)))
     tables = (character_table(forms[used[i:i + step]], n) for i in range(0, max(len(used), 1), step))
     pg = np.zeros(len(forms), dtype=np.int64)
-    pg[used] = np.concatenate([_pg(table.integral().classes) for table in tables])
+    # H^0(K_X) is the sum of the H^0(K_Y + L)
+    pg[used] = np.concatenate([twisted_counts(t.integral().classes).sum(axis=1) for t in tables])
     return pg[index]

@@ -2,22 +2,24 @@
 
 The package computes counts, orbits, group orders and p_g on the
 GL(2)-normal forms alone, expands them by one stacked matmul, finds a
-row's form by table lookup, characters in one table, section counts in
-closed form, admissibility as one failure matrix read from a table of
-the lines through the loop images, and the swaps from the curve
-labels.  The functions here work on the expanded objects instead: every
-admissible row by one einsum over forms and matrices, every group
-element, compared by its action on the sum-zero subspace, each row's
-form by search among the encoded forms, every row's 25 character
-classes, one character at a time, carries over the lcm of the character
-orders, section counts as interpolation ranks, the failure matrix from
-int64 cross products, one tuple's loop images and incident pairs at a
-time, a hand-written swap table, breadth-first closures, minimal
-generators by pairwise domination, base-point multiplicities from the
-Newton polygon and the blow-up recursion on whole ideals.  They are slow
-and memory-hungry by design and are only meant for n <= 5 (the
-closures, the swap table, the search and the carries for n <= 7; the
-cross products at any modulus).
+row's form by table lookup, characters in one table, section counts and
+chi terms by one gather from a table of the 486 classes that character
+classes lie in (built by a vectorized closed form), admissibility as
+one gather from a table of conditions on the lines through the loop
+images, and the swaps from the curve labels.  The functions here work
+on the expanded objects instead: every admissible row by one einsum
+over forms and matrices, every group element, compared by its action
+on the sum-zero subspace, each row's form by search among the encoded
+forms, every row's 25 character classes, one character at a time,
+carries over the lcm of the character orders, section counts as
+interpolation ranks and by peeling fixed curves off one class at a
+time, the failure matrix from int64 cross products, one tuple's loop
+images and incident pairs at a time, a hand-written swap table,
+breadth-first closures, minimal generators by pairwise domination,
+base-point multiplicities from the Newton polygon and the blow-up
+recursion on whole ideals.  They are slow and memory-hungry by design
+and are only meant for n <= 5 (the closures, the swap table, the search
+and the carries for n <= 7; the cross products at any modulus).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from quadcover.covers import (
 )
 from quadcover.gf import Mat, reduce_vec
 from quadcover.picard import (
-    CURVE_LABELS, ZERO, DivClass, canonical_class, configuration, incidences,
+    CURVE_LABELS, ZERO, DivClass, canonical_class, configuration, incidences, intersect,
 )
 from quadcover.sheaves import CharacterSheaf
 from quadcover.symmetry import (
@@ -245,6 +247,20 @@ def h0_rank(c: DivClass) -> int:
                 row.append(coef)
             rows.append(row)
     return len(monos) - rational_rank(rows)
+
+
+def h0_by_peeling(c: DivClass) -> int:
+    """The closed form of h0 on Y one class at a time: while -K.D >= 0,
+    subtract the first branch curve that D meets negatively (a fixed
+    component); once there is none, Riemann-Roch 1 + D.(D - K)/2, and 0
+    once -K.D < 0."""
+    ky = canonical_class()
+    while intersect(ky, c) <= 0:
+        fixed = next((cls for _, cls in configuration().curves if intersect(c, cls) < 0), None)
+        if fixed is None:
+            return 1 + (intersect(c, c) - intersect(c, ky)) // 2
+        c = c - fixed
+    return 0
 
 
 def coeffs_scalar(t: SixTuple, chi, n=5) -> tuple[int, ...]:

@@ -32,11 +32,12 @@ def test_basis_rejects_non_admissible():
         canonical.basis(SixTuple.from_residues([0] * 12))
 
 
-def test_basis_rejects_multidimensional_eigenspace(u3, monkeypatch):
-    # one monomial per character spans H^0(K) only when every count is 1
-    monkeypatch.setattr(sheaves, "h0", lambda c: 2)
-    with pytest.raises(AssertionError, match="not a basis"):
-        canonical.basis(u3)
+def test_basis_rejects_multidimensional_eigenspace():
+    # one monomial per character spans H^0(K) only when every count is 1;
+    # at p = 7, 960 normal forms have a two-dimensional eigenspace
+    t = SixTuple.parse("1,0,0,1,0,1,0,1,1,0,5,4", 7)
+    with pytest.raises(AssertionError, match=r"h0\(K \+ L\(6,6\)\) = 2: .* not a basis"):
+        canonical.basis(t, 7)
 
 
 def test_fixed_part(u3):

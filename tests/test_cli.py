@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,22 @@ def test_oversized_modulus_is_refused(capsys):
         assert code == 2
         assert out == ""
         assert "MiB" in err
+
+
+def test_equations_at_an_oversized_modulus_are_refused_before_building(capsys):
+    # n = 1009 has 518 billion character pairs: their count is refused
+    # before any array is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "--modulus", "1009", "equations",
+                             "477,516,761,959,35,145,830,957,251,314,673,136")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "character pairs over 256 MiB" in err
+    assert peak < 1 << 20
 
 
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):

@@ -51,8 +51,9 @@ def test_queries_pass_the_benchmark_gate(representatives):
 
 def test_regular_query_checks_and_tabulates_once_per_call(u3, monkeypatch):
     # invariants, cover_equations and degree_certificate check admissibility;
-    # each of the four calls builds one character table, from characters
-    # built once per modulus
+    # each of the four calls evaluates the characters once, from characters
+    # built once per modulus, and all but cover_equations build one
+    # character table on them
     counts = Counter()
 
     def count(module, name, fn):
@@ -63,9 +64,10 @@ def test_regular_query_checks_and_tabulates_once_per_call(u3, monkeypatch):
 
     table = sheaves.character_table
     count(covers, "check_admissibility", covers.check_admissibility)
+    count(sheaves, "_residues", sheaves._residues)
     for module in (sheaves, canonical):
         count(module, "character_table", table)
     sheaves._characters.cache_clear()
     assert query(u3)["degree_product"] == 19
-    assert counts == {"check_admissibility": 3, "character_table": 4}
+    assert counts == {"check_admissibility": 3, "_residues": 4, "character_table": 3}
     assert sheaves._characters.cache_info().misses == 1

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -107,17 +109,100 @@ def test_h0_closed_form_matches_rank(d, es):
     assert sheaves.h0(cls) == oracles.h0_rank(cls)
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_h0_closed_form_on_every_twisted_class(p):
-    # every class K + L_chi of every normal form, in chunks to bound memory
-    forms = covers.normal_forms(p)
-    seen = set()
+@lru_cache(maxsize=None)
+def _every_class(p):
+    """Every character class of every normal form, in chunks to bound memory."""
+    forms, seen = covers.normal_forms(p), set()
     for start in range(0, len(forms), 2000):
         classes = sheaves.character_table(forms[start:start + 2000], p).integral().classes
-        seen.update(map(tuple, (classes + canonical_class()).reshape(-1, 5).tolist()))
-    assert seen
-    for c in seen:
-        assert sheaves.h0(DivClass(*c)) == oracles.h0_rank(DivClass(*c))
+        seen.update(map(tuple, classes.reshape(-1, 5).tolist()))
+    return np.array(sorted(seen))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_h0_closed_form_on_every_twisted_class(p):
+    # every class K + L_chi of every normal form, one at a time and read
+    # from the class table
+    classes = _every_class(p)
+    counts = sheaves.twisted_counts(classes)
+    for c, count in zip((classes + canonical_class()).tolist(), counts.tolist()):
+        assert sheaves.h0(DivClass(*c)) == count == oracles.h0_rank(DivClass(*c))
+
+
+def _box():
+    return np.stack(np.unravel_index(np.arange(486), (6, 3, 3, 3, 3)), axis=1) + (0, -2, -2, -2, -2)
+
+
+def test_class_table_matches_the_peel_oracle():
+    # both columns on all 486 classes of the box, one class at a time
+    table, ky = sheaves._class_table(), canonical_class()
+    assert table.shape == (486, 2) and table.dtype == np.int64
+    for (count, half), c in zip(table.tolist(), map(DivClass._make, _box().tolist())):
+        assert count == oracles.h0_by_peeling(c + ky)
+        assert 2 * half == intersect(c, c + ky)
+    assert np.array_equal(sheaves.class_numbers(_box()), table)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
+def test_class_table_is_a_constant_of_y():
+    sheaves._class_table.cache_clear()
+    sheaves.invariants(SixTuple.parse("1,0,1,0,0,1,4,1,3,2,1,1"))
+    sheaves.pg_values(covers.normal_forms(5))
+    sheaves.h0.cache_clear()  # the h0 cache is not the table
+    sheaves.twisted_counts(np.zeros((3, 5), dtype=np.int64))
+    assert sheaves._class_table.cache_info().misses == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), *[st.integers(-8, 8)] * 4), min_size=1, max_size=40))
+def test_vectorized_h0_matches_the_peel_oracle(classes):
+    counts = sheaves._h0_rows(classes).tolist()
+    assert counts == [oracles.h0_by_peeling(DivClass(*c)) for c in classes]
+
+
+def _sample_rows(p, count, seed):
+    """Seeded admissible rows at p: random sum-zero rows that pass the mask."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, p, size=(count, 12))
+    rows[:, 10:] = -rows[:, :10].reshape(-1, 5, 2).sum(axis=1) % p
+    return rows[covers.admissibility_mask(rows, p)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_every_character_class_lies_in_the_box(p):
+    classes = _every_class(p) if p < 11 else np.unique(
+        sheaves.character_table(_sample_rows(p, 6000, 1511), p).integral().classes.reshape(-1, 5), axis=0)
+    assert len(classes) > 40
+    assert classes[:, 0].min() >= 0 and classes[:, 0].max() <= 5
+    assert classes[:, 1:].min() >= -2 and classes[:, 1:].max() <= 0
+    sheaves.class_numbers(classes)  # no ValueError
+
+
+@pytest.mark.parametrize("c", [(6, 0, 0, 0, 0), (5, -3, 0, 0, 0), (0, 0, 0, -3, 0), (-1, 0, 0, 0, 0),
+                               (2, 0, 1, 0, 0), (-1, -2, -2, -2, -2), (6, -3, -3, -3, -3)])
+def test_classes_outside_the_box_are_refused(c):
+    # each would otherwise read another class's key, or wrap through a
+    # negative one, or index past the table
+    rows = np.array([(1, -1, -1, -1, -1), c])
+    with pytest.raises(ValueError, match=re.escape(f"class {DivClass(*c).format()} is outside the box")):
+        sheaves.twisted_counts(rows)
+    with pytest.raises(ValueError, match="outside the box"):
+        sheaves.class_numbers(np.array(c))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_chi_from_the_class_table_on_every_normal_form(p):
+    # chi(O_X) = n^2 + sum of L.(L + K_Y)/2 is (7 p^2 - 30 p + 35)/12, and
+    # p_g takes two values, on every normal form
+    forms, chi, pg = covers.normal_forms(p), set(), set()
+    for start in range(0, len(forms), 2000):
+        classes = sheaves.character_table(forms[start:start + 2000], p).integral().classes
+        numbers = sheaves.class_numbers(classes).sum(axis=1)
+        pg.update(numbers[:, 0].tolist())
+        chi.update((p * p + numbers[:, 1]).tolist())
+    assert 12 * chi.pop() == 7 * p * p - 30 * p + 35 and not chi
+    assert pg == {5: {4, 6}, 7: {13, 16}}[p]
 
 
 def test_chi_derived_on_all_normal_forms():
