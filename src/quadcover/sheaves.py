@@ -176,18 +176,18 @@ def _h0_rows(classes) -> np.ndarray:
     """Dimension of the global sections of every class of an (M, 5) array.
 
     A class D with -K.D < 0 has none, -K being ample.  A branch curve C
-    with D.C < 0 is a fixed component, so h0(D) = h0(D - C); each such
-    step lowers -K.D by one, so at most 1 + max(-K.D) steps run.
-    Otherwise D is nef, D - K is ample, h1 and h2 vanish (Kawamata-Viehweg)
-    and Riemann-Roch gives 1 + D.(D - K)/2.
+    with D.C < 0 is a fixed component, and so are all such curves at
+    once, being distinct and irreducible: h0(D) = h0(D - their sum), and
+    each such step lowers -K.D by at least one.  Otherwise D is nef,
+    D - K is ample, h1 and h2 vanish (Kawamata-Viehweg) and Riemann-Roch
+    gives 1 + D.(D - K)/2.
     """
     c = np.array(classes, dtype=np.int64).reshape(-1, 5)
     while True:
-        negative = c @ _DUALS.T < 0
-        peel = negative.any(axis=1) & (c @ _ANTI >= 0)
-        if not peel.any():
+        fixed = (c @ _DUALS.T < 0) & (c @ _ANTI >= 0)[:, None]
+        if not fixed.any():
             break
-        c[peel] -= CURVE_CLASSES[negative[peel].argmax(axis=1)]  # the first such curve
+        c -= fixed @ CURVE_CLASSES
     return np.where(c @ _ANTI < 0, 0, 1 + (c * _FORM * (c - _KY)).sum(axis=1) // 2)
 
 

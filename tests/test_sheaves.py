@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -130,7 +131,9 @@ def test_h0_closed_form_on_every_twisted_class(p):
 
 
 def _box():
-    return np.stack(np.unravel_index(np.arange(486), (6, 3, 3, 3, 3)), axis=1) + (0, -2, -2, -2, -2)
+    """The 486 classes with H-coefficient 0 to 5 and E-coefficients -2 to 0,
+    in lexicographic order."""
+    return np.array(list(product(range(6), *[range(-2, 1)] * 4)))
 
 
 def test_class_table_matches_the_peel_oracle():
