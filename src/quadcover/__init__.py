@@ -22,7 +22,6 @@ from .covers import (
     SixTuple,
     admissible_array,
     check_admissibility,
-    is_admissible,
     normal_forms,
 )
 from .gf import Mat, gl2_enumerate

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .covers import SixTuple, require_admissible
 from .gf import DEFAULT_MODULUS, Vec2, is_prime
 from .picard import CURVE_LABELS, DivClass, incidences, intersect
-from .sheaves import CURVE_CLASSES, adjunction_class, character_table, twisted_counts
+from .sheaves import CURVE_CLASSES, adjunction_class, character_table, class_numbers
 
 
 class CanonicalBasis(NamedTuple):
@@ -43,7 +43,7 @@ def basis(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalBasis:
     monomials independent.
     """
     table = character_table([t.residues], n).integral()
-    counts = twisted_counts(table.classes[0]).tolist()
+    counts = class_numbers(table.classes[0])[:, 0].tolist()
     expos = (n - 1 - table.residues[0]).tolist()
     entries = []
     for a in range(n):
@@ -70,13 +70,13 @@ def fixed_part(b: CanonicalBasis) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class MonomialIdeal2D:
     """Monomial ideal in two local coordinates, kept as its minimal
-    generating exponent pairs; {(0, 0)} is the unit ideal."""
+    generating exponent pairs in sorted order; ((0, 0),) is the unit ideal."""
 
-    generators: frozenset[tuple[int, int]]
+    generators: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_exponents(cls, pairs) -> "MonomialIdeal2D":
-        return cls(frozenset(_reduce_generators(pairs)))
+        return cls(_reduce_generators(pairs))
 
     @property
     def is_unit(self) -> bool:
@@ -88,9 +88,6 @@ class MonomialIdeal2D:
             min(b for _, b in self.generators),
         )
 
-    def sorted_generators(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.generators))
-
     def format(self) -> str:
         def mono(a, b):
             if (a, b) == (0, 0):
@@ -99,20 +96,20 @@ class MonomialIdeal2D:
             sy = "" if b == 0 else ("y" if b == 1 else f"y^{b}")
             return sx + sy
 
-        gens = sorted(self.generators, key=lambda p: (-p[0], p[1]))
-        return "(" + ", ".join(mono(a, b) for a, b in gens) + ")"
+        # minimal generators have distinct a, so this is descending a
+        return "(" + ", ".join(mono(a, b) for a, b in reversed(self.generators)) + ")"
 
 
 def _reduce_generators(pairs):
-    """The minimal pairs: in sorted order, those whose b is below every b before."""
-    minimal, low = set(), None
+    """The minimal pairs, sorted: in sorted order, those whose b is below every b before."""
+    minimal, low = [], None
     for a, b in sorted({(int(a), int(b)) for a, b in pairs}):
         if low is None or b < low:
-            minimal.add((a, b))
+            minimal.append((a, b))
             low = b
     if not minimal:
         raise ValueError("empty generator set")
-    return minimal
+    return tuple(minimal)
 
 
 @dataclass(frozen=True)
@@ -149,11 +146,6 @@ class BasePointType:
                 return False
             node = node.children[0] if node.children else None
         return True
-
-    def as_chain(self) -> tuple[int, ...]:
-        if not self.is_chain:
-            raise ValueError(f"type {self.multiplicities()} branches")
-        return self.multiplicities()
 
 
 def _local_ideals(b: CanonicalBasis, fixed, pairs) -> list[MonomialIdeal2D]:
@@ -193,7 +185,7 @@ def resolve_type(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePointType:
         raise ValueError(
             f"ideal {ideal.format()} has a common factor: fixed-curve leakage"
         )
-    gens = ideal.sorted_generators()
+    gens = ideal.generators
     if _depth_budget is None:
         # depth <= number of infinitely-near points <= local intersection
         # multiplicity of two generic members <= (max generator degree)^2
@@ -208,10 +200,9 @@ def _resolve(gens, budget) -> BasePointType:
     if m == 0:
         return BasePointType()
     if budget <= 0:
-        ideal = MonomialIdeal2D(frozenset(gens))
-        raise RuntimeError(f"blow-up of {ideal.format()} does not terminate")
+        raise RuntimeError(f"blow-up of {MonomialIdeal2D(gens).format()} does not terminate")
     charts = (((a + b - m, b) for a, b in gens), ((a, a + b - m) for a, b in gens))
-    children = (_resolve(tuple(sorted(_reduce_generators(c))), budget - 1) for c in charts)
+    children = (_resolve(_reduce_generators(c), budget - 1) for c in charts)
     return BasePointType(m, tuple(child for child in children if child))
 
 
@@ -272,7 +263,7 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
     """
     require_admissible(t, n)
     if n != 5:
-        raise ValueError("surface invariants are only defined for modulus 5")
+        raise ValueError("the canonical certificate is only defined for modulus 5")
     b = basis(t, n)
     if len(b.entries) != 4:
         raise ValueError(

@@ -1,6 +1,6 @@
 """Command-line front end: reports for every pipeline stage.
 
-Subcommands cover enumeration, orbit classification, the symmetry group,
+Commands cover enumeration, orbit classification, the symmetry group,
 invariants, sheaf tables, homology, cover equations, the canonical-map
 analysis, and a combined reproduction report.  With --verify, computed results are
 compared against the embedded reference values and any drift makes the
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import golden
 from .canonical import degree_certificate
-from .covers import SixTuple, admissible_array, normal_forms
+from .covers import SixTuple, admissible_array, normal_forms, require_admissible
 from .gf import gl2_array, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
 from .sheaves import (
@@ -61,8 +61,12 @@ def render(section: Section, fmt: str) -> str:
     if fmt == "md":
         blocks = (b if isinstance(b, str) else _md_table(*b) for b in section.md)
         return "\n\n".join(blocks) + "\n"
-    headers, rows = section.csv
-    return "\n".join(",".join(str(x) for x in row) for row in [headers, *rows]) + "\n"
+    import csv
+    import io
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([section.csv[0], *section.csv[1]])
+    return out.getvalue()
 
 
 # --- per-command builders --------------------------------------------------
@@ -140,7 +144,7 @@ def _cmd_invariants(args):
 
 def _cmd_sheaf_table(args):
     n = args.modulus
-    table = sheaf_table(args.tuple, n)
+    table = sheaf_table(require_admissible(args.tuple, n), n)
     data = {
         "tuple": args.tuple.format(),
         "classes": {f"({a},{b})": list(cls) for (a, b), cls in table},
@@ -193,8 +197,8 @@ def _cmd_group(args):
     data = {"s5_order": closure.s5_order, "gl2_order": closure.gl2_order, "order": closure.order}
     table = (["swap closure", "GL2 order", "full closure"], [list(data.values())])
     checks = []
-    orders = (closure.s5_order, closure.order)
-    if args.modulus == 5 and orders != (golden.S5_ORDER, golden.GROUP_ORDER):
+    orders = (golden.S5_ORDER, golden.GL2_ORDER, golden.GROUP_ORDER)
+    if args.modulus == 5 and tuple(data.values()) != orders:
         checks.append("group closure orders differ from reference")
     return Section(data, ["# Symmetry group", table], table, checks)
 
@@ -237,20 +241,13 @@ def _canonical_markdown(rep) -> list[str]:
 def _check_canonical(rep) -> list[str]:
     if _reference_label(rep.tuple) != "U3":
         return ["no reference canonical data for this tuple"]
+    got = {
+        **rep._asdict(),
+        "basis": dict(rep.basis.entries),
+        "base_points": {bp.pair: bp.type.multiplicities() for bp in rep.base_points},
+    }
     ref = golden.CANONICAL_U3
-    checks = []
-    got_basis = {chi: expo for chi, expo in rep.basis.entries}
-    if got_basis != ref["basis"]:
-        checks.append("canonical basis exponents differ from reference")
-    if rep.fixed_part != ref["fixed_part"]:
-        checks.append(f"fixed part {rep.fixed_part} != {ref['fixed_part']}")
-    got_points = {bp.pair: bp.type.multiplicities() for bp in rep.base_points}
-    if got_points != ref["base_points"]:
-        checks.append(f"base points {got_points} != {ref['base_points']}")
-    for key in ("moving_selfint", "type_square_sum", "degree_product"):
-        if getattr(rep, key) != ref[key]:
-            checks.append(f"{key} {getattr(rep, key)} != {ref[key]}")
-    return checks
+    return [f"{key} {got[key]} != {ref[key]}" for key in ref if got[key] != ref[key]]
 
 
 def _cmd_canonical(args):
@@ -338,51 +335,36 @@ _COMMANDS = {
 }
 
 
-def _add_options(parser, top_level):
-    # registered on the top parser and again on every subcommand (with
-    # suppressed defaults) so flags are accepted on either side
-    default = (lambda v: v) if top_level else (lambda v: argparse.SUPPRESS)
-    parser.add_argument(
-        "--modulus", type=int, default=default(5), help="prime modulus (default 5)"
-    )
-    parser.add_argument("--format", choices=("json", "md", "csv"), default=default("json"))
-    parser.add_argument(
-        "--output", default=default(None), help="write the report to this path instead of stdout"
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        default=default(False),
-        help="compare against the embedded reference values; nonzero exit on drift",
-    )
-    parser.add_argument(
-        "--dump", action="store_true", default=default(False),
-        help="include full tuple listings",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadcover",
         description="Abelian covers of the plane branched on a complete quadrangle",
     )
-    _add_options(parser, top_level=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_tuple) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        if needs_tuple:
-            p.add_argument("tuple", help="12 comma-separated residues")
-        _add_options(p, top_level=False)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("tuple", nargs="?", help="12 comma-separated residues (tuple commands only)")
+    parser.add_argument("--modulus", type=int, default=5, help="prime modulus (default 5)")
+    parser.add_argument("--format", choices=("json", "md", "csv"), default="json")
+    parser.add_argument("--output", help="write the report to this path instead of stdout")
+    parser.add_argument(
+        "--verify",
+        action="store_true",
+        help="compare against the embedded reference values; nonzero exit on drift",
+    )
+    parser.add_argument("--dump", action="store_true", help="include full tuple listings")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # options may come before, between and after the positionals
+    args = parser.parse_intermixed_args(argv)
+    builder, needs_tuple = _COMMANDS[args.command]
+    if needs_tuple != (args.tuple is not None):
+        parser.error(f"{args.command} {'needs a' if needs_tuple else 'takes no'} tuple")
     try:
         require_prime(args.modulus)
-        if hasattr(args, "tuple"):
+        if needs_tuple:
             args.tuple = SixTuple.parse(args.tuple, args.modulus)
-        builder, _ = _COMMANDS[args.command]
         section = builder(args)
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)

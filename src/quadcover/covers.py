@@ -109,6 +109,14 @@ _REASONS = (
 # to it too.
 MAX_ARRAY_BYTES = 256 << 20
 
+
+def check_bytes(size, n, what):
+    """ValueError naming what, an array of size bytes at modulus n, when it
+    would exceed MAX_ARRAY_BYTES."""
+    if size > MAX_ARRAY_BYTES:
+        raise ValueError(f"modulus {n}: {what} over {MAX_ARRAY_BYTES >> 20} MiB")
+
+
 # Each row sums some of the six slots: the ten loop images (LOOP_SLOTS,
 # whose exceptional rows are 0/1), then the total of all six.
 _SUMMED = np.vstack([LOOP_SLOTS, np.ones(6, dtype=np.int64)])
@@ -125,8 +133,7 @@ def _line_table(n) -> np.ndarray:
     The table holds 72 n^2 bytes and its build a few n^2 int64 arrays,
     so it refuses n above 1930.
     """
-    if 36 * n * n * 2 > MAX_ARRAY_BYTES:
-        raise ValueError(f"modulus {n}: admissibility table over {MAX_ARRAY_BYTES >> 20} MiB")
+    check_bytes(36 * n * n * 2, n, "admissibility table")
     inv = np.array([pow(v, -1, n) if v else 0 for v in range(n)])
     x, y = np.arange(n), np.arange(n)[:, None]
     line = np.where(x != 0, 1 + y * inv[x] % n, np.where(y != 0, n + 1, 0))
@@ -208,10 +215,6 @@ def require_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> SixTuple:
     return t
 
 
-def is_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> bool:
-    return bool(check_admissibility(t, n))
-
-
 def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Pack residue rows into base-n codes; numeric order = lex order."""
     if n ** 12 > 2 ** 64:
@@ -238,7 +241,6 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     require_prime(n)
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
     m = len(nz)
-    max_forms = MAX_ARRAY_BYTES // (5 * 12 * 8)
     i3, i2 = np.divmod(np.arange(m * m), m)
     # one buffer of candidates, a residue per row; each u2 overwrites its
     # slot and v3
@@ -251,8 +253,7 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
         cand[2:4], cand[10:12] = u2, (rest - u2) % n
         forms.append(cand.T[admissibility_mask(cand.T, n)])
         count += len(forms[-1])
-        if count > max_forms:
-            raise ValueError(f"modulus {n}: normal forms over {MAX_ARRAY_BYTES >> 20} MiB")
+        check_bytes(count * 5 * 12 * 8, n, "normal forms")
     forms = np.vstack(forms)
     forms.flags.writeable = False
     return forms
@@ -296,8 +297,7 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     which locate it (_form_table), and keeps the sum zero exactly when
     the row's sum is zero; so a row fails when det g = 0, when no form
     has those vectors, or when its own sum is nonzero."""
-    if n ** 6 * (2 + 4) > MAX_ARRAY_BYTES:
-        raise ValueError(f"modulus {n}: class tables over {MAX_ARRAY_BYTES >> 20} MiB")
+    check_bytes(n ** 6 * (2 + 4), n, "class tables")
     form, vec = _form_table(n), _vec_table(n)  # the forms first: they refuse large n
     rows = np.asarray(rows).reshape(-1, 12)
     if rows.size and (rows.min() < 0 or rows.max() >= n):
@@ -331,8 +331,7 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
     """
     forms = normal_forms(n)
     gl2 = gl2_array(n).astype(np.int16)
-    if len(forms) * len(gl2) * 12 * 2 > MAX_ARRAY_BYTES:
-        raise ValueError(f"modulus {n}: admissible array over {MAX_ARRAY_BYTES >> 20} MiB")
+    check_bytes(len(forms) * len(gl2) * 12 * 2, n, "admissible array")
     forms = forms.reshape(-1, 6, 2).astype(np.int16)
     rows = (forms @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12) % n
     # the rows are distinct, so any sort of their codes gives one order

@@ -9,7 +9,6 @@ as (h, e0, e1, e2, e3) coordinate tuples.
 ADMISSIBLE_COUNT = 201600
 
 ORBIT_SIZES = (28800, 57600, 57600, 57600)  # as a multiset
-ORBIT_COUNT = 4
 
 S5_ORDER = 120
 GL2_ORDER = 480

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covers import (
-    MAX_ARRAY_BYTES, SixTuple, loop_image_rows, normal_form_index, normal_forms, require_admissible,
+    SixTuple, check_bytes, loop_image_rows, normal_form_index, normal_forms, require_admissible,
 )
 from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, require_prime
 from .picard import DivClass, canonical_class, configuration, intersect
@@ -231,11 +231,6 @@ def class_numbers(classes) -> np.ndarray:
     return _class_table()[offset @ _BOX_STRIDES]
 
 
-def twisted_counts(classes) -> np.ndarray:
-    """h0(K_Y + L) for every class L of an (..., 5) int array (class_numbers)."""
-    return class_numbers(classes)[..., 0]
-
-
 @lru_cache(maxsize=None)
 def adjunction_class(n) -> DivClass:
     """n K_Y + (n-1) D, D the total branch class: n times the class that
@@ -305,8 +300,7 @@ def _character_pairs(n):
     ValueError, before anything is built, when the pairs would hold more
     than MAX_ARRAY_BYTES (every prime from 37 on)."""
     pairs = (n * n - 1) * n * n // 2
-    if pairs * _PAIR_BYTES > MAX_ARRAY_BYTES:
-        raise ValueError(f"modulus {n}: {pairs} character pairs over {MAX_ARRAY_BYTES >> 20} MiB")
+    check_bytes(pairs * _PAIR_BYTES, n, f"{pairs} character pairs")
     chars = np.stack(np.divmod(np.arange(1, n * n), n), axis=1)
     first, second = (chars[k] for k in np.triu_indices(len(chars)))
     heads = (tuple(map(tuple, c.tolist())) for c in (first, second, (first + second) % n))
@@ -345,5 +339,6 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     tables = (character_table(forms[used[i:i + step]], n) for i in range(0, max(len(used), 1), step))
     pg = np.zeros(len(forms), dtype=np.int64)
     # H^0(K_X) is the sum of the H^0(K_Y + L)
-    pg[used] = np.concatenate([twisted_counts(t.integral().classes).sum(axis=1) for t in tables])
+    pg[used] = np.concatenate([class_numbers(t.integral().classes)[..., 0].sum(axis=1)
+                               for t in tables])
     return pg[index]

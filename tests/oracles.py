@@ -551,7 +551,7 @@ def resolve_type_by_ideals(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePo
     if _depth_budget is None:
         top = max(a + b for a, b in ideal.generators)
         _depth_budget = top * top + 1
-    gens = ideal.sorted_generators()
+    gens = ideal.generators
     m = min(a + b for a, b in gens)
     if m == 0:
         return BasePointType()

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -86,6 +88,52 @@ def test_verify_without_reference_data(capsys):
     code, _, err = run(capsys, "sheaf-table", other, "--verify")
     assert code == 1
     assert "no reference sheaf table" in err
+
+
+def test_sheaf_table_rejects_non_admissible(capsys):
+    # the loop image at L1' is zero
+    code, out, err = run(capsys, "sheaf-table", "0,0,1,0,0,1,4,1,3,2,2,1")
+    assert (code, out) == (2, "")
+    assert "not admissible" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"--format md invariants {U3} --verify",
+        f"invariants --format md {U3} --verify",
+        f"invariants {U3} --verify --format md",
+        f"--verify --modulus 5 invariants --format md {U3}",
+        f"invariants --modulus 5 {U3} --format md --verify",
+    ],
+)
+def test_options_on_either_side_of_the_command(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0
+    assert out == "| k2 | chi | pg | q |\n|---|---|---|---|\n| 45 | 5 | 4 | 0 |\n"
+    assert "all reference checks passed" in err
+
+
+@pytest.mark.parametrize("argv", ["invariants", "sheaf-table --verify", f"homology {U3}", f"report {U3}"])
+def test_tuple_given_exactly_for_the_tuple_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "tuple" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["orbits --format csv", f"equations {U3} --format csv", "report --format csv",
+     "enumerate --dump --format csv"],
+)
+def test_csv_rows_are_as_wide_as_the_header(capsys, argv):
+    # representatives, relations, json cells and tuples hold commas
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_homology_json(capsys):
@@ -229,7 +277,7 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     "argv, digest",
     [
         ("report --format md", "e973b6f7da60635700e0f91651b53b271af9d01bcd93d46182e97c48ce141c1d"),
-        ("report --format csv", "c355ae1762a65a2048781b69a5784337cf5b70982c0fe62f4db88e4bdc8a84d6"),
+        ("report --format csv", "4dd36c33500825dca8b86412288c1c8209185e084f273b759362406c16c6103c"),
         (f"canonical {U3} --format md", "0c9ad61722387d627821f6dc53b840a983636e3eac5b84f419e87cb38f0b6f3f"),
         (f"sheaf-table {U3} --format csv", "91aff4b6048e1551466b72e8dedf8d56865a9f08a46a282f0a66e01c86577c8d"),
         (

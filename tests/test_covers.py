@@ -45,7 +45,7 @@ def test_loop_slots_are_the_relation_rows():
 
 
 def test_admissibility_examples(u3):
-    assert covers.is_admissible(u3)
+    assert covers.check_admissibility(u3)
     res = covers.check_admissibility(SixTuple.from_residues([1, 0] * 6))
     assert not res and res.condition == 0
 

@@ -71,7 +71,7 @@ def test_gl2_action_preserves_admissibility():
     for _ in range(100):
         t = SixTuple.from_residues(arr[rng.randrange(len(arr))])
         g = symmetry.gl2_action(mats[rng.randrange(len(mats))])
-        assert covers.is_admissible(g.apply(t))
+        assert covers.check_admissibility(g.apply(t))
 
 
 def test_group_closure_orders():
