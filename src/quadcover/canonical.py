@@ -16,6 +16,7 @@ much of the self-intersection the base scheme eats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .covers import SixTuple, require_admissible
@@ -63,7 +64,10 @@ def basis(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalBasis:
 def fixed_part(b: CanonicalBasis) -> tuple[int, ...]:
     """Multiplicity of each ramification curve in the fixed divisor: the
     componentwise minimum of the exponent vectors."""
-    rows = b.exponent_rows()
+    return _fixed_part(b.exponent_rows())
+
+
+def _fixed_part(rows) -> tuple[int, ...]:
     return tuple(min(col) for col in zip(*rows))
 
 
@@ -148,9 +152,10 @@ class BasePointType:
         return True
 
 
-def _local_ideals(b: CanonicalBasis, fixed, pairs) -> list[MonomialIdeal2D]:
-    """local_ideal at each incident pair, the fixed part divided out once."""
-    rows = [[e - f for e, f in zip(expo, fixed)] for expo in b.exponent_rows()]
+def _local_ideals(rows, fixed, pairs) -> list[MonomialIdeal2D]:
+    """local_ideal at each incident pair of the exponent rows, the fixed
+    part divided out once."""
+    rows = [[e - f for e, f in zip(expo, fixed)] for expo in rows]
     if any(x < 0 for row in rows for x in row):
         raise ValueError("fixed part exceeds a basis exponent")
     return [MonomialIdeal2D.from_exponents((row[i], row[j]) for row in rows) for i, j in pairs]
@@ -167,7 +172,7 @@ def local_ideal(b: CanonicalBasis, fixed, pair, n=DEFAULT_MODULUS) -> MonomialId
     i, j = sorted(pair)
     if (i, j) not in incidences():
         raise ValueError(f"curves {CURVE_LABELS[i]} and {CURVE_LABELS[j]} do not meet")
-    return _local_ideals(b, fixed, [(i, j)])[0]
+    return _local_ideals(b.exponent_rows(), fixed, [(i, j)])[0]
 
 
 def resolve_type(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePointType:
@@ -260,6 +265,13 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
     plane (four basis monomials, each eigenspace at most one-dimensional),
     the map is certified birational.  (K - F)^2 is the self-intersection
     of the adjunction class less the class of F.  Modulus 5 only.
+
+    Admissibility, the basis and its size are checked on every call.  The
+    base-scheme analysis is resolved once per set of exponent rows
+    (_base_scheme): GL(2) only permutes the characters, so g.f has the
+    rows of f in another order, and the 57600 regular tuples at n = 5
+    share 120 row sets, one per GL(2)-class.  The cached values are
+    immutable.
     """
     require_admissible(t, n)
     if n != 5:
@@ -270,17 +282,7 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
             f"tuple {t.format()} has pg={len(b.entries)}; the canonical image is not "
             "a surface in 3-space"
         )
-    fixed = fixed_part(b)
-    moving_part = adjunction_class(n) - DivClass(*(fixed @ CURVE_CLASSES).tolist())
-    moving = intersect(moving_part, moving_part)
-
-    points, pairs = [], sorted(incidences())
-    for (i, j), ideal in zip(pairs, _local_ideals(b, fixed, pairs)):
-        if not ideal.is_unit:
-            labels = (CURVE_LABELS[i], CURVE_LABELS[j])
-            points.append(BasePoint((i, j), labels, ideal, resolve_type(ideal)))
-
-    square_sum = sum(bp.type.square_sum() for bp in points)
+    fixed, points, moving, square_sum = _base_scheme(tuple(sorted(b.exponent_rows())), n)
     degree_product = moving - square_sum
     if is_prime(degree_product):
         birational, why = True, "prime-degree argument"
@@ -290,10 +292,27 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
         tuple=t,
         basis=b,
         fixed_part=fixed,
-        base_points=tuple(points),
+        base_points=points,
         moving_selfint=moving,
         type_square_sum=square_sum,
         degree_product=degree_product,
         birational=birational,
         justification=why,
     )
+
+
+@lru_cache(maxsize=None)
+def _base_scheme(rows, n):
+    """Fixed part, base points with their types, (K - F)^2 and the sum of
+    squared multiplicities of a canonical system, from its exponent rows
+    in sorted order: none of these depends on which character carries
+    which row, so GL(2)-images share one entry."""
+    fixed = _fixed_part(rows)
+    moving_part = adjunction_class(n) - DivClass(*(fixed @ CURVE_CLASSES).tolist())
+    points, pairs = [], sorted(incidences())
+    for (i, j), ideal in zip(pairs, _local_ideals(rows, fixed, pairs)):
+        if not ideal.is_unit:
+            labels = (CURVE_LABELS[i], CURVE_LABELS[j])
+            points.append(BasePoint((i, j), labels, ideal, resolve_type(ideal)))
+    square_sum = sum(bp.type.square_sum() for bp in points)
+    return fixed, tuple(points), intersect(moving_part, moving_part), square_sum

@@ -15,16 +15,12 @@ import sys
 from collections import Counter
 from typing import NamedTuple
 
-import numpy as np
-
 from . import golden
 from .canonical import degree_certificate
 from .covers import SixTuple, admissible_array, normal_forms, require_admissible
 from .gf import gl2_array, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
-from .sheaves import (
-    coeffs, cover_equations, invariants, pg_values, ram_curve_numbers, sheaf_table,
-)
+from .sheaves import coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
 from .symmetry import group_closure, orbit_partition
 
 
@@ -108,9 +104,9 @@ def _cmd_orbits(args):
     ]
     checks = []
     if n == 5:
-        pgs = pg_values(np.array([orb.representative.residues for orb in part.orbits]), n)
-        for entry, pg in zip(entries, pgs):
-            entry["pg"], entry["q"] = int(pg), int(pg) - 4
+        for entry, orb in zip(entries, part.orbits):
+            inv = invariants(orb.representative, n)
+            entry["pg"], entry["q"] = inv.pg, inv.q
         for name, res in golden.REFERENCE_TUPLES.items():
             t = SixTuple.from_residues(res)
             entries[part.orbit_of(t, n)].update(reference_label=name, reference_tuple=t.format())

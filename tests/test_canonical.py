@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from quadcover import canonical, covers, golden, sheaves
+from quadcover import canonical, covers, gf, golden, sheaves, symmetry
 from quadcover.canonical import MonomialIdeal2D
 from quadcover.covers import SixTuple
 
@@ -268,12 +268,13 @@ def test_degree_certificate_u3(u3):
 
 
 def test_degree_certificate_on_every_regular_form():
-    # all 120 normal forms with p_g = 4; the Newton polygon gives each base
-    # point's square sum without the blow-up recursion, and the recursion on
-    # whole ideals its type
+    # all 120 normal forms with p_g = 4, each resolved cold; the Newton
+    # polygon gives each base point's square sum without the blow-up
+    # recursion, and the recursion on whole ideals its type
     forms = covers.normal_forms(5)
     regular = forms[sheaves.pg_values(forms) == 4]
     assert len(regular) == 120
+    canonical._base_scheme.cache_clear()
     types = Counter()
     for row in regular:
         rep = canonical.degree_certificate(SixTuple.from_residues(row))
@@ -285,6 +286,78 @@ def test_degree_certificate_on_every_regular_form():
             assert oracles.newton_multiplicity(bp.ideal.generators) == bp.type.square_sum()
             assert bp.type == oracles.resolve_type_by_ideals(bp.ideal)
     assert types == {(1, 1): 240, (1, 1, 1): 120, (2, 1, 1): 240}
+
+
+def _regular_forms():
+    forms = covers.normal_forms(5)
+    return [SixTuple.from_residues(row) for row in forms[sheaves.pg_values(forms) == 4]]
+
+
+def test_base_scheme_memo_holds_one_entry_per_gl2_class(u3):
+    # GL(2) permutes the characters, so the sorted exponent rows are a
+    # GL(2)-invariant key: one entry per class of regular tuples, which
+    # other members of the classes do not add to
+    canonical._base_scheme.cache_clear()
+    refused = 0
+    for row in covers.normal_forms(5):
+        try:
+            canonical.degree_certificate(SixTuple.from_residues(row))
+        except ValueError as err:
+            assert "pg=6" in str(err)
+            refused += 1
+    regular = int((sheaves.pg_values(covers.admissible_array(5)) == 4).sum())
+    gl2_order = symmetry.group_closure(5).gl2_order
+    assert regular % gl2_order == 0
+    assert canonical._base_scheme.cache_info().currsize == regular // gl2_order
+    assert refused == len(covers.normal_forms(5)) - regular // gl2_order
+    for t in _gl2_and_swap_images(u3, 60, 5309):
+        canonical.degree_certificate(t)
+    assert canonical._base_scheme.cache_info().currsize == regular // gl2_order
+
+
+def _gl2_and_swap_images(u3, count, seed):
+    """Seeded g.f for regular normal forms f, then the four swap images of U3."""
+    rng = random.Random(seed)
+    forms, mats = _regular_forms(), gf.gl2_array(5)
+    images = [
+        symmetry.gl2_action(mats[rng.randrange(len(mats))]).apply(rng.choice(forms))
+        for _ in range(count)
+    ]
+    return images + [swap.apply(u3) for swap in symmetry.s5_generators(5)]
+
+
+def test_warm_certificate_equals_cold(u3):
+    queries = _gl2_and_swap_images(u3, 60, 4217)
+    forms = _regular_forms()
+    canonical._base_scheme.cache_clear()
+    for t in forms:
+        canonical.degree_certificate(t)
+    warm = [canonical.degree_certificate(t).as_dict() for t in queries]
+    assert canonical._base_scheme.cache_info().misses == len(forms)  # every query hit
+    for t, from_warm in zip(queries, warm):
+        canonical._base_scheme.cache_clear()
+        cold = canonical.degree_certificate(t).as_dict()
+        assert from_warm == cold
+        assert from_warm["tuple"] == t.format()
+        assert [e["chi"] for e in from_warm["basis"]] == [
+            list(chi) for chi, _ in canonical.basis(t).entries
+        ]
+
+
+def test_per_query_checks_fire_on_a_warm_cache(u1, u3):
+    for t in _regular_forms():
+        canonical.degree_certificate(t)
+    entries = canonical._base_scheme.cache_info().currsize
+    with pytest.raises(ValueError, match="pg=6"):
+        canonical.degree_certificate(u1)
+    with pytest.raises(ValueError, match="is not admissible"):
+        canonical.degree_certificate(SixTuple.from_residues([0] * 12))
+    t7 = SixTuple.parse("1,0,0,1,0,1,0,1,1,0,5,4", 7)
+    with pytest.raises(AssertionError, match=r"h0\(K \+ L\(6,6\)\) = 2: .* not a basis"):
+        canonical.basis(t7, 7)
+    with pytest.raises(ValueError, match="only defined for modulus 5"):
+        canonical.degree_certificate(t7, 7)
+    assert canonical._base_scheme.cache_info().currsize == entries
 
 
 def test_degree_certificate_rejects_irregular(u1):
