@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .covers import SixTuple, require_admissible
 from .gf import DEFAULT_MODULUS, Vec2, is_prime
 from .picard import CURVE_LABELS, DivClass, incidences, intersect
-from .sheaves import CURVE_CLASSES, adjunction_class, character_table, class_numbers
+from .sheaves import CURVE_CLASSES, _character_tuples, _integral, adjunction_class
 
 
 class CanonicalBasis(NamedTuple):
@@ -43,22 +43,19 @@ def basis(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalBasis:
     which is checked: the eigenspaces are then one-dimensional and the
     monomials independent.
     """
-    table = character_table([t.residues], n).integral()
-    counts = class_numbers(table.classes[0])[:, 0].tolist()
+    table, numbers = _integral(t, n)
     expos = (n - 1 - table.residues[0]).tolist()
-    entries = []
-    for a in range(n):
-        for b in range(n):
-            count = counts[b * n + a]
-            if count > 1:
-                raise AssertionError(
-                    f"h0(K + L({a},{b})) = {count}: one monomial per character is not a basis"
-                )
-            if count:
-                entries.append(((a, b), tuple(expos[b * n + a])))
+    per_character = zip(_character_tuples(n), numbers[:, 0].tolist(), expos)
+    # sorted by character: they are distinct, so no exponents are compared
+    entries = sorted((chi, count, expo) for chi, count, expo in per_character if count)
+    for (a, b), count, _ in entries:
+        if count > 1:
+            raise AssertionError(
+                f"h0(K + L({a},{b})) = {count}: one monomial per character is not a basis"
+            )
     if not entries:
         raise ValueError(f"tuple {t.format()} has no canonical sections")
-    return CanonicalBasis(tuple(entries))
+    return CanonicalBasis(tuple((chi, tuple(expo)) for chi, _, expo in entries))
 
 
 def fixed_part(b: CanonicalBasis) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ smooth degree-n^2 abelian covers branched exactly on the configuration.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +54,7 @@ class SixTuple(NamedTuple):
 
     @property
     def residues(self) -> tuple[int, ...]:
-        return tuple(x for v in self for x in v)
+        return tuple(chain.from_iterable(self))
 
     def format(self) -> str:
         return ",".join(str(x) for x in self.residues)
@@ -198,9 +199,20 @@ def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     )
 
 
+# Rows remembered by the per-tuple memos (_check here, the one-row
+# character evaluation in sheaves): enough for the calls of one query on
+# one tuple, far too few to serve a pool of queries.
+TUPLE_MEMO = 8
+
+
 def check_admissibility(t: SixTuple, n=DEFAULT_MODULUS) -> AdmissibilityCheck:
     """The first condition that t fails, in the column order of _failures."""
-    failed = _failures(t.residues, n)[0]
+    return _check(t.residues, n)
+
+
+@lru_cache(maxsize=TUPLE_MEMO)
+def _check(residues, n) -> AdmissibilityCheck:
+    failed = _failures(residues, n)[0]
     first = failed.argmax()
     if not failed[first]:
         return AdmissibilityCheck(True)

@@ -23,12 +23,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product, repeat
 from math import isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .covers import (
-    SixTuple, check_bytes, loop_image_rows, normal_form_index, normal_forms, require_admissible,
+    TUPLE_MEMO, SixTuple, check_bytes, loop_image_rows, normal_form_index, normal_forms,
+    require_admissible,
 )
 from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, require_prime
 from .picard import DivClass, canonical_class, configuration, intersect
@@ -145,15 +147,39 @@ def _index(chi: Vec2, n) -> int:
     return chi[0] % n + n * (chi[1] % n)
 
 
+@lru_cache(maxsize=TUPLE_MEMO)
+def _evaluation(residues, n) -> tuple[CharacterTable, np.ndarray | None]:
+    """The one-row character table of a residue row and, when no class is
+    void, the class_numbers of its n^2 classes; every array read-only.
+
+    The per-tuple calls (invariants, sheaf_table, cover_equations, coeffs,
+    sheaf, epsilon, canonical.basis) all read it, so the calls of one
+    query evaluate the characters once; each still makes its own checks."""
+    table = character_table([residues], n)
+    numbers = None if table.void.any() else class_numbers(table.classes[0])
+    for array in (*table, numbers):
+        if array is not None:
+            array.flags.writeable = False
+    return table, numbers
+
+
+def _integral(t: SixTuple, n) -> tuple[CharacterTable, np.ndarray]:
+    """_evaluation of t; ArithmeticError for its first void class."""
+    table, numbers = _evaluation(t.residues, n)
+    if numbers is None:
+        table.integral()  # raises
+    return table, numbers
+
+
 def coeffs(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CoeffVector:
     """The ten residues of a character on the loop images of a tuple."""
-    return CoeffVector(*_residues([t.residues], n)[0, _index(chi, n)].tolist())
+    return CoeffVector(*_evaluation(t.residues, n)[0].residues[0, _index(chi, n)].tolist())
 
 
 def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
     """The divisor class of the chi-eigensheaf of the cover given by t;
     ArithmeticError when n does not divide its weighted branch sum."""
-    table, k = character_table([t.residues], n), _index(chi, n)
+    table, k = _evaluation(t.residues, n)[0], _index(chi, n)
     if table.void[0, k]:
         raise table.void_error(0, k)
     return CharacterSheaf(reduce_vec(chi, n), DivClass(*table.classes[0, k].tolist()))
@@ -161,7 +187,7 @@ def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
 
 def sheaf_table(t: SixTuple, n=DEFAULT_MODULUS) -> list[CharacterSheaf]:
     """All n^2 character sheaves, rows by b with a varying inside."""
-    classes = character_table([t.residues], n).integral().classes[0].tolist()
+    classes = _integral(t, n)[0].classes[0].tolist()
     pairs = zip(_character_tuples(n), map(DivClass._make, classes))
     return list(map(tuple.__new__, repeat(CharacterSheaf), pairs))
 
@@ -250,8 +276,7 @@ def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
     require_admissible(t, n)
     if n != 5:
         raise ValueError("surface invariants are only defined for modulus 5")
-    classes = character_table([t.residues], n).integral().classes[0]
-    pg, chi_o = class_numbers(classes).sum(axis=0).tolist()
+    pg, chi_o = _integral(t, n)[1].sum(axis=0).tolist()
     chi_o += n * n
     adj = adjunction_class(n)
     return SurfaceInvariants(k2=intersect(adj, adj), chi=chi_o, pg=pg, q=pg + 1 - chi_o)
@@ -284,7 +309,7 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
     whose inertia group has order p (its loop image is a nonzero vector of
     (Z/p)^2).  So the carry is r_i(chi) + r_i(chi2) >= p; n must be prime."""
     require_prime(n)
-    rows = _residues([t.residues], n)[0]
+    rows = _evaluation(t.residues, n)[0].residues[0]
     return tuple((rows[_index(chi, n)] + rows[_index(chi2, n)] >= n).astype(int).tolist())
 
 
@@ -321,8 +346,8 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
     require_prime(n)
     columns, (chi, chi2, rhs) = _character_pairs(n)
     require_admissible(t, n)
-    rows = _residues([t.residues], n)[0]
-    eps = map(_CARRIES.__getitem__, ((rows[columns].sum(axis=0) >= n) @ _BITS).tolist())
+    rows = _evaluation(t.residues, n)[0].residues[0]
+    eps = itemgetter(*((rows[columns].sum(axis=0) >= n) @ _BITS).tolist())(_CARRIES)
     return tuple(map(tuple.__new__, repeat(CoverRelation), zip(chi, chi2, eps, rhs)))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from quadcover import covers, sheaves
 from quadcover.covers import SixTuple
 
 REFERENCE = {
@@ -8,6 +9,15 @@ REFERENCE = {
     "U3": "1,0,1,0,0,1,4,1,3,2,1,1",
     "U4": "1,0,1,0,0,1,1,1,0,3,2,0",
 }
+
+
+@pytest.fixture(autouse=True)
+def cold_tuple_memos():
+    """Every test starts with empty per-tuple memos, so that what it counts
+    (table builds, evaluations, cache misses) does not depend on the tests
+    that ran before it."""
+    covers._check.cache_clear()
+    sheaves._evaluation.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -5,13 +5,17 @@ checks the same invariants, sheaf table, cover equations and canonical
 certificate that the `queries` workload checks."""
 
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from quadcover import canonical, covers, sheaves
 from quadcover.covers import SixTuple
+
+import oracles
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_gates", Path(__file__).resolve().parents[1] / "perfbench" / "gates.py"
@@ -49,25 +53,201 @@ def test_queries_pass_the_benchmark_gate(representatives):
     assert {result["pg"] for result in results.values()} == {4, 6}
 
 
-def test_regular_query_checks_and_tabulates_once_per_call(u3, monkeypatch):
-    # invariants, cover_equations and degree_certificate check admissibility;
-    # each of the four calls evaluates the characters once, from characters
-    # built once per modulus, and all but cover_equations build one
-    # character table on them
+def _memos():
+    return covers._check, sheaves._evaluation
+
+
+def _clear_memos():
+    for memo in _memos():
+        memo.cache_clear()
+
+
+def _count_evaluations(t, monkeypatch) -> Counter:
+    """The admissibility evaluations, character evaluations, one-row tables
+    and section-count gathers of one query on t, from cleared memos."""
     counts = Counter()
 
-    def count(module, name, fn):
+    def count(module, name):
+        fn = getattr(module, name)
+
         def counted(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    table = sheaves.character_table
-    count(covers, "check_admissibility", covers.check_admissibility)
-    count(sheaves, "_residues", sheaves._residues)
-    for module in (sheaves, canonical):
-        count(module, "character_table", table)
+    count(covers, "_failures")
+    for name in ("_residues", "character_table", "class_numbers"):
+        count(sheaves, name)
+    _clear_memos()
     sheaves._characters.cache_clear()
-    assert query(u3)["degree_product"] == 19
-    assert counts == {"check_admissibility": 3, "_residues": 4, "character_table": 3}
+    query(t)
     assert sheaves._characters.cache_info().misses == 1
+    return counts
+
+
+ONCE = {"_failures": 1, "_residues": 1, "character_table": 1, "class_numbers": 1}
+
+
+def test_regular_query_checks_and_tabulates_once_per_call(u3, monkeypatch):
+    # invariants, cover_equations and degree_certificate check admissibility
+    # and all four calls read the characters, but the checks share one
+    # evaluation of the conditions and the calls one character table
+    assert query(u3)["degree_product"] == 19
+    assert _count_evaluations(u3, monkeypatch) == ONCE
+
+
+def test_irregular_query_checks_and_tabulates_once_per_call(u1, monkeypatch):
+    # no certificate: invariants, sheaf_table and cover_equations share them
+    assert query(u1)["pg"] == 6
+    assert _count_evaluations(u1, monkeypatch) == ONCE
+
+
+CHARACTERS = [(0, 0), (1, 0), (0, 1), (4, 3), (2, 2), (3, 4)]
+
+
+def _readers(t: SixTuple) -> list:
+    """Every per-tuple call that reads the memos, each as a thunk."""
+    calls = [lambda: sheaves.invariants(t), lambda: sheaves.sheaf_table(t),
+             lambda: sheaves.cover_equations(t),
+             lambda: [sheaves.coeffs(t, chi) for chi in CHARACTERS],
+             lambda: [sheaves.sheaf(t, chi) for chi in CHARACTERS],
+             lambda: [sheaves.epsilon(t, chi, chi2) for chi in CHARACTERS for chi2 in CHARACTERS]]
+    if sheaves.invariants(t).pg == 4:
+        calls.append(lambda: canonical.degree_certificate(t).as_dict())
+    return calls
+
+
+def _warm_and_cold(tuples, readers, chunk=6):
+    """Each reader on each tuple, warm: the calls go round the tuples of a
+    chunk, reader by reader, so that every call after the first on a tuple
+    is served by the memos; and cold: each call on cleared memos.  Also
+    the memos' hits in the warm pass."""
+    warm, cold = {}, {}
+    _clear_memos()
+    for start in range(0, len(tuples), chunk):
+        calls = {t: readers(t) for t in tuples[start:start + chunk]}
+        for k in range(max(map(len, calls.values()))):
+            for t, thunks in calls.items():
+                if k < len(thunks):
+                    warm[t, k] = thunks[k]()
+    hits = [memo.cache_info().hits for memo in _memos()]
+    for t in tuples:
+        for k, thunk in enumerate(readers(t)):
+            _clear_memos()
+            cold[t, k] = thunk()
+    return warm, cold, hits
+
+
+def test_warm_results_equal_cold(representatives):
+    arr = covers.admissible_array(5)
+    rows = arr[np.random.default_rng(1811).choice(len(arr), 200, replace=False)]
+    sample = [SixTuple.from_residues(row) for row in rows]
+    reps = list(representatives.values())
+    tuples = [t for pair in zip(reps, sample) for t in pair] + sample[len(reps):]
+    warm, cold, hits = _warm_and_cold(tuples, _readers)
+    assert len(warm) == len(cold) > 6 * len(tuples)
+    assert warm == cold
+    assert min(hits) > len(tuples)
+    # the memo hands out read-only arrays
+    table, numbers = sheaves._evaluation(tuples[-1].residues, 5)
+    for array in (*table, numbers):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_warm_results_equal_cold_at_7():
+    forms = covers.normal_forms(7)
+    rows = forms[np.random.default_rng(1812).choice(len(forms), 40, replace=False)]
+    tuples = [SixTuple.from_residues(row) for row in rows]
+
+    def readers(t):
+        return [lambda: sheaves.cover_equations(t, 7), lambda: sheaves.sheaf_table(t, 7)]
+
+    warm, cold, (_, hits) = _warm_and_cold(tuples, readers)
+    assert len(warm) == 2 * len(tuples) and warm == cold
+    assert hits == len(tuples)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, ArithmeticError, AssertionError) as err:
+        return type(err), str(err)
+
+
+NOT_ADMISSIBLE = ["1,0,1,0,1,0,1,0,1,0,1,0", "1,0,1,0,0,1,4,1,3,2,1,2",  # sum
+                  "1,0,1,0,3,0,1,0,2,0,2,0", "0,0,0,0,0,0,0,0,0,0,0,0",  # zero image
+                  "1,0,1,0,0,1,2,0,2,4,4,0"]  # dependent pair
+
+
+def test_error_paths_on_a_warm_memo(u3):
+    f7 = SixTuple.from_residues(covers.normal_forms(7)[-1])
+    two_dim = SixTuple.parse("1,0,0,1,0,1,0,1,1,0,5,4", 7)
+    bad = [SixTuple.parse(text) for text in NOT_ADMISSIBLE]
+
+    def warm_up():
+        # eight tuples, as many as the memos hold
+        query(u3)
+        for t in bad:
+            covers.check_admissibility(t), _outcome(lambda: sheaves.sheaf_table(t))
+        covers.check_admissibility(f7, 7), sheaves.sheaf_table(f7, 7)
+        sheaves.sheaf_table(two_dim, 7)
+        assert [memo.cache_info().currsize for memo in _memos()] == [7, 8]
+
+    def fails(call, error, match):
+        # the refusal a cold call gives, and no new entry in either memo
+        before = [memo.cache_info() for memo in _memos()]
+        with pytest.raises(error, match=match):
+            call()
+        after = [memo.cache_info() for memo in _memos()]
+        assert [(i.misses, i.currsize) for i in after] == [(i.misses, i.currsize) for i in before]
+
+    warm_up()
+    for t in bad:
+        reason = oracles.check_admissibility(t, 5).reason
+        message = re.escape(f"tuple {t.format()} is not admissible: {reason}")
+        for call in (sheaves.invariants, sheaves.cover_equations, canonical.degree_certificate):
+            fails(lambda: call(t), ValueError, f"^{message}$")
+        # sheaf_table checks no admissibility: integral classes give a table
+        warm = _outcome(lambda: sheaves.sheaf_table(t))
+        _clear_memos()
+        assert _outcome(lambda: sheaves.sheaf_table(t)) == warm
+        if sum(t.residues[0::2]) % 5 or sum(t.residues[1::2]) % 5:
+            assert warm[0] is ArithmeticError and "is not divisible by 5" in warm[1]
+        else:
+            assert len(warm) == 25
+        warm_up()
+    fails(lambda: sheaves.invariants(f7, 7), ValueError, "only defined for modulus 5")
+    fails(lambda: canonical.degree_certificate(f7, 7), ValueError, "only defined for modulus 5")
+    fails(lambda: canonical.basis(two_dim, 7), AssertionError, r"L\(6,6\)\) = 2: .* not a basis")
+    # on cold memos too, a call refused before it reads the characters
+    # evaluates nothing
+    _clear_memos()
+    for call in (lambda: sheaves.invariants(f7, 7), lambda: canonical.degree_certificate(f7, 7),
+                 lambda: sheaves.invariants(bad[0]), lambda: sheaves.cover_equations(bad[2])):
+        with pytest.raises(ValueError):
+            call()
+    assert sheaves._evaluation.cache_info().currsize == 0
+
+
+def test_memos_are_bounded_and_not_shared_across_a_pool():
+    bound = covers.TUPLE_MEMO
+    assert [memo.cache_info().maxsize for memo in _memos()] == [bound, bound]
+    arr = covers.admissible_array(5)
+    rows = arr[np.random.default_rng(1813).choice(len(arr), 3 * bound, replace=False)]
+    pool = [SixTuple.from_residues(row) for row in rows]
+    # one call per tuple: a second pass over the pool finds nothing
+    for t in pool:
+        sheaves.invariants(t)
+    assert all(memo.cache_info().currsize <= bound for memo in _memos())
+    for t in pool:
+        sheaves.invariants(t)
+    assert [memo.cache_info().hits for memo in _memos()] == [0, 0]
+    # whole queries: each pass evaluates every tuple once, and nothing
+    # evaluated in the first pass serves the second
+    _clear_memos()
+    for passes in (1, 2):
+        for t in pool:
+            query(t)
+        assert [memo.cache_info().misses for memo in _memos()] == [passes * len(pool)] * 2
+        assert all(memo.cache_info().currsize <= bound for memo in _memos())
