@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import golden
 from .canonical import degree_certificate
 from .covers import SixTuple, admissible_array, normal_forms, require_admissible
-from .gf import gl2_array, require_prime
+from .gf import gl2_order, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
 from .sheaves import coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
 from .symmetry import group_closure, orbit_partition
@@ -74,7 +74,7 @@ def _cmd_enumerate(args):
         tuples = [[int(x) for x in row] for row in admissible_array(n)]
         count = len(tuples)
     else:
-        count = len(normal_forms(n)) * len(gl2_array(n))  # GL(2) acts freely
+        count = len(normal_forms(n)) * gl2_order(n)  # GL(2) acts freely
     data = {"modulus": n, "count": count}
     md = [f"# Admissible six-tuples (mod {n})", f"count: {count}"]
     csv = (["count"], [[count]])

@@ -27,6 +27,12 @@ def require_prime(n):
     return n
 
 
+def gl2_order(n=DEFAULT_MODULUS) -> int:
+    """Order of GL(2, Z/n), n prime: (n^2 - 1)(n^2 - n)."""
+    require_prime(n)
+    return (n * n - 1) * (n * n - n)
+
+
 def reduce_vec(v, n=DEFAULT_MODULUS) -> Vec2:
     return (v[0] % n, v[1] % n)
 
@@ -101,7 +107,7 @@ class Mat:
 
 def gl2_array(n=DEFAULT_MODULUS) -> np.ndarray:
     """All invertible 2x2 matrices over Z/n (n prime) as a (k, 2, 2) array,
-    lexicographic in the entries (a, b, c, d); k = (n^2-1)(n^2-n)."""
+    lexicographic in the entries (a, b, c, d); k = gl2_order(n)."""
     require_prime(n)
     a, b, c, d = np.indices((n, n, n, n)).reshape(4, -1)
     keep = (a * d - b * c) % n != 0

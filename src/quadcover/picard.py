@@ -171,7 +171,8 @@ LOOP_RELATIONS = (
 
 def h1_complement() -> H1Presentation:
     """Free rank and torsion of the homology of the complement of the
-    branch configuration, certified by an integer Smith normal form.
+    branch configuration, certified by the invariant factors of the
+    intersection matrix.
 
     The loop relations are returned as a verification matrix; each row is
     checked to lie in the image of the intersection matrix, i.e. to hold

@@ -116,6 +116,8 @@ class GroupClosure(NamedTuple):
 def _sym5_actions(n) -> np.ndarray:
     """The distinct actions of the 120 label permutations on the sum-zero
     subspace, as an int8 (k, 10, 10) array in lexicographic order."""
+    if n > 127:
+        raise ValueError(f"modulus {n} is above 127: the swap actions are kept as int8 residues")
     actions = _restrict(_swap_matrices(permutations(range(5))), n).astype(np.int8)
     # one 100-byte key per action; its residues are below 128, so byte
     # order is lexicographic order
@@ -133,14 +135,14 @@ def group_closure(n=DEFAULT_MODULUS) -> GroupClosure:
     with each GL(2) block, so the group is the set product of the two
     subgroups.  Its order is the product of theirs because the only swap
     action that is a GL(2) block, kron(I5, g) on the sum-zero subspace,
-    is the identity; that is checked.
+    is the identity; that is checked.  The actions are int8, so n <= 127.
     """
     s5 = _sym5_actions(n)
     as_block = np.einsum("ij,kab->kiajb", np.eye(5, dtype=np.int8), s5[:, :2, :2])
     blocks = s5[(s5 == as_block.reshape(s5.shape)).all(axis=(1, 2))]
     if len(blocks) != 1 or (blocks[0] != np.eye(10)).any():
         raise AssertionError("the swap closure meets the GL(2) blocks outside the identity")
-    gl2_order = len(gf.gl2_array(n))
+    gl2_order = gf.gl2_order(n)
     s5.flags.writeable = False
     return GroupClosure(len(s5) * gl2_order, len(s5), gl2_order, s5)
 

@@ -264,6 +264,28 @@ def test_equations_at_an_oversized_modulus_are_refused_before_building(capsys):
     assert peak < 1 << 20
 
 
+def test_group_order_at_a_large_modulus_builds_no_gl2_array(capsys):
+    # GL(2, Z/37) has 1.8 million elements; its order is the closed form
+    symmetry.group_closure.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "--modulus", "37", "group")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    gl2 = (37 * 37 - 1) * (37 * 37 - 37)
+    assert json.loads(out) == {"s5_order": 120, "gl2_order": gl2, "order": 120 * gl2}
+    assert peak < 8 << 20
+
+
+def test_group_above_the_int8_residues_is_refused(capsys):
+    code, out, err = run(capsys, "--modulus", "131", "group")
+    assert code == 2
+    assert out == ""
+    assert "above 127" in err
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "homology", "--output", str(target))

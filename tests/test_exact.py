@@ -1,41 +1,27 @@
 import random
 
 import sympy
+from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from oracles import integer_det, rational_rank
 from quadcover import exact
 
 
-def _check_snf(a):
-    d, u, v = exact.smith_normal_form(a)
-    rows, cols = len(a), len(a[0])
-    # u*a*v == d
-    ua = [[sum(u[i][k] * a[k][j] for k in range(rows)) for j in range(cols)] for i in range(rows)]
-    uav = [[sum(ua[i][k] * v[k][j] for k in range(cols)) for j in range(cols)] for i in range(rows)]
-    assert uav == d
-    # diagonal with divisibility chain
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d[i][j] == 0
-    diag = [d[i][i] for i in range(min(rows, cols))]
-    for x, y in zip(diag, diag[1:]):
-        if x:
-            assert y % x == 0
-        else:
-            assert y == 0
-    assert all(x >= 0 for x in diag)
-    # transforms unimodular
-    assert integer_det(u) in (1, -1)
-    assert integer_det(v) in (1, -1)
-    return diag
+def _check_factors(a):
+    """exact.invariant_factors against the nonzero diagonal of sympy's
+    Smith normal form, up to sign; positive, each dividing the next."""
+    factors = exact.invariant_factors(a)
+    oracle = sympy_snf(sympy.Matrix(a))
+    expected = [abs(oracle[i, i]) for i in range(min(oracle.shape)) if oracle[i, i]]
+    assert list(factors) == expected
+    assert all(x > 0 for x in factors)
+    assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+    return factors
 
 
 def test_snf_known():
-    diag = _check_snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    oracle = sympy_snf(sympy.Matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    assert diag == [oracle[i, i] for i in range(3)]
+    assert _check_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == (2, 2, 156)
 
 
 def test_snf_random_vs_sympy():
@@ -44,11 +30,7 @@ def test_snf_random_vs_sympy():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        diag = _check_snf(a)
-        oracle = sympy_snf(sympy.Matrix(a))
-        expected = [oracle[i, i] for i in range(min(rows, cols))]
-        # sympy may negate factors; compare absolute values
-        assert [abs(x) for x in diag] == [abs(x) for x in expected]
+        _check_factors(a)
 
 
 def test_invariant_factors():
@@ -99,3 +81,39 @@ def test_in_image_random_products():
         x = [rng.randint(-3, 3) for _ in range(cols)]
         b = [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)]
         assert exact.in_image(a, b)
+
+
+def _in_lattice(a, b):
+    """Independent oracle: b lies in the column lattice of a exactly when
+    appending it leaves sympy's Hermite normal form unchanged."""
+    appended = [[*row, x] for row, x in zip(a, b)]
+    return hermite_normal_form(sympy.Matrix(a)) == hermite_normal_form(sympy.Matrix(appended))
+
+
+def test_in_image_vs_hermite_normal_form():
+    rng = random.Random(3)
+    members = 0
+    for _ in range(2000):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        a = [[rng.choice([0, rng.randint(-6, 6)]) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            x = [rng.randint(-3, 3) for _ in range(cols)]
+            b = [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)]
+            b[rng.randrange(rows)] += rng.choice([0, 0, 1, -1, 2])
+        else:
+            b = [rng.randint(-4, 4) for _ in range(rows)]
+        expected = _in_lattice(a, b)
+        assert exact.in_image(a, b) == expected, (a, b)
+        members += expected
+    # both members and non-members occur
+    assert 300 < members < 1700
+
+
+def test_in_image_empty():
+    # no rows: the empty vector is the image of x = 0
+    assert exact.in_image([], [])
+    # no columns: the image is {0}
+    assert exact.in_image([[], []], [0, 0])
+    assert not exact.in_image([[], []], [0, 1])
+    assert not exact.in_image([[], [], []], [3, 0, 0])

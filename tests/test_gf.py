@@ -61,6 +61,13 @@ def test_gl2_enumerate_n2_brute_force():
     assert set(invertible) == set(gf.gl2_enumerate(n))
 
 
+def test_gl2_order_counts_the_array():
+    for n in (2, 3, 5, 7, 11):
+        assert gf.gl2_order(n) == len(gf.gl2_array(n))
+    with pytest.raises(ValueError, match="not prime"):
+        gf.gl2_order(4)
+
+
 def test_gl2_enumerate_rejects_composite():
     with pytest.raises(ValueError):
         gf.gl2_enumerate(4)

@@ -282,3 +282,12 @@ def test_sym5_actions_match_the_breadth_first_closure(n):
     expected = np.unique(symmetry._restrict([m.array for m in closure], n).astype(np.int8), axis=0)
     assert len(expected) == 120
     assert np.array_equal(symmetry.group_closure(n).s5_elements, expected)
+
+
+def test_swap_actions_fit_int8_up_to_127():
+    # residues up to 126 are kept exactly; at 131 int8 would wrap them
+    closure = symmetry.group_closure(127)
+    assert len(closure.s5_elements) == 120 and closure.s5_elements.min() == 0
+    assert closure.s5_elements.max() == 126
+    with pytest.raises(ValueError, match="above 127"):
+        symmetry.group_closure(131)
