@@ -13,7 +13,7 @@ def invariant_factors(a) -> tuple[int, ...]:
 
     Eliminates without transforms: an entry of least absolute value reduces
     its row and column until no remainder is left; a row with an entry it
-    does not divide is then added to its row, else |pivot| is the next
+    does not divide is then added to the pivot row, else |pivot| is the next
     factor and its row and column are deleted.
     """
     m = [[int(x) for x in row] for row in a]
