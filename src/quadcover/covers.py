@@ -143,56 +143,28 @@ def _line_table(n) -> np.ndarray:
     return table
 
 
-# The two lines that each column of _failures reads (rows of _SUMMED) and
-# its kind: 0 a nonzero sum, 1 a zero image, 2 a dependent incident pair
-_FIRST = np.r_[10, 0:10, _INCIDENT[:, 0]]
-_SECOND = np.r_[10, 0:10, _INCIDENT[:, 1]]
-_KIND = np.r_[0, [1] * 10, [2] * 15]
-
-
-@lru_cache(maxsize=None)
-def _condition_table(n) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bool table of the failures of each kind of condition on
-    each pair of lines (see _line_table), and the (26, 1) offsets of the
-    columns of _failures into it.
-
-    With m = n + 2 lines, entry (kind m + a) m + b is true when the sum
-    line a is not 0 (kind 0), when the image line a is 0 (kind 1), and
-    when lines a and b agree or one is 0 (kind 2).  The offsets, and so
-    the keys, are uint16 while the 3 m^2 entries fit, uint32 above.
-    """
-    m = n + 2
-    a, b = np.arange(m)[:, None], np.arange(m)
-    sums, images = np.broadcast_to(a != 0, (m, m)), np.broadcast_to(a == 0, (m, m))
-    table = np.concatenate([sums, images, (a == b) | (a == 0) | (b == 0)]).ravel()
-    offsets = (_KIND[:, None] * m * m).astype(np.uint16 if len(table) <= 1 << 16 else np.uint32)
-    table.flags.writeable = offsets.flags.writeable = False
-    return table, offsets
-
-
 def _failures(rows, n) -> np.ndarray:
-    """(N, 26) failed conditions of (N, 12) residue rows: a nonzero sum,
-    then a zero image at each curve, then dependent images at each
-    incident pair in sorted order, decided on the lines through the
-    images (see _line_table) by one gather from _condition_table."""
-    lines, (conditions, offsets) = _line_table(n), _condition_table(n)
+    """(N, 26) failed conditions of (N, 12) residue rows, decided by
+    comparing the lines through the sums of slots (see _line_table): a
+    nonzero sum, then a zero image at each curve, then dependent images
+    at each incident pair in sorted order."""
+    table = _line_table(n)
     res = np.asarray(rows, dtype=np.int64).reshape(-1, 12)
     if res.size and (res.min() < 0 or res.max() >= n):
         res = res % n
-    line = lines[_SUMMED @ (res.T[0::2] + 6 * n * res.T[1::2])]  # (11, N)
-    line = line.astype(offsets.dtype, copy=False)
-    key = line[_FIRST]  # (26, N)
-    key *= n + 2
-    key += line[_SECOND]
-    key += offsets
+    line = table[_SUMMED @ (res.T[0::2] + 6 * n * res.T[1::2])]  # (11, N)
+    zero = line == 0
+    first, second = _INCIDENT[:, 0], _INCIDENT[:, 1]
+    dependent = (line[first] == line[second]) | zero[first] | zero[second]
     # built one condition per row, so that reductions over the conditions
     # run along contiguous memory
-    return conditions[key].T
+    return np.concatenate([~zero[10:], zero[:10], dependent]).T
 
 
 def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissibility of each row of an (N, 12) array of residue rows,
-    2^14 rows at a time: _failures holds at most about 240 bytes per row."""
+    2^14 rows at a time: _failures holds about 136 bytes per row, 232
+    when it reduces residues outside [0, n)."""
     rows, step = np.asarray(rows, dtype=np.int64).reshape(-1, 12), 1 << 14
     return np.concatenate(
         [~_failures(rows[i:i + step], n).any(axis=1) for i in range(0, max(len(rows), 1), step)]

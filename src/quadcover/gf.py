@@ -22,6 +22,10 @@ def is_prime(k) -> bool:
 
 
 def require_prime(n):
+    """n itself when it is a prime below 2^31, a bound that keeps trial
+    division short; no table of the package admits n above 1930."""
+    if n >= 1 << 31:
+        raise ValueError(f"modulus {n} is not below 2^31")
     if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
     return n

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -284,6 +285,15 @@ def test_group_above_the_int8_residues_is_refused(capsys):
     assert code == 2
     assert out == ""
     assert "above 127" in err
+
+
+def test_huge_modulus_is_refused_before_trial_division(capsys):
+    # trial division up to the square root of 10^16 + 61 would take seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--modulus", "10000000000000061", "group")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "not below 2^31" in err
 
 
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):

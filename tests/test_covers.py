@@ -155,33 +155,16 @@ def test_failures_match_cross_products(n):
     assert failed.any(axis=0).all() and not failed.any(axis=1).all()
 
 
-def test_failures_with_uint32_keys_match_cross_products():
-    # from n = 146 on the condition keys are uint32; residues near 0 make
-    # zero images and dependent pairs common
-    n = 151
+@pytest.mark.parametrize("n", [5, 139, 149, 151, 1009])
+def test_failures_at_near_zero_residues_match_cross_products(n):
+    # residues near 0 make zero images and dependent pairs common, from
+    # the default modulus up to line ids beyond one byte
     rng = np.random.default_rng(n)
     rows = rng.choice([0, 1, 2, n - 1, n - 2], size=(4000, 12))
     rows[2000:, 10:] = -rows[2000:, :10].reshape(-1, 5, 2).sum(axis=1) % n
     failed = covers._failures(rows, n)
     assert np.array_equal(failed, oracles.failures_by_cross_products(rows, n))
     assert failed.any(axis=0).all() and not failed.any(axis=1).all()
-
-
-@pytest.mark.parametrize("n, dtype", [(5, np.uint16), (145, np.uint16), (146, np.uint32), (1009, np.uint32)])
-def test_condition_table_kinds_and_key_width(n, dtype):
-    # kind 0 fails on a nonzero sum line, kind 1 on a zero image line,
-    # kind 2 on agreeing lines or a zero one; keys stay uint16 while the
-    # 3 (n + 2)^2 entries fit
-    conditions, offsets = covers._condition_table(n)
-    m = n + 2
-    a, b = np.divmod(np.arange(m * m), m)
-    assert conditions.dtype == bool and conditions.shape == (3 * m * m,)
-    assert np.array_equal(conditions.reshape(3, -1), [a != 0, a == 0, (a == b) | (a == 0) | (b == 0)])
-    assert offsets.dtype == dtype and offsets.shape == (26, 1)
-    assert offsets.ravel().tolist() == [0] + [m * m] * 10 + [2 * m * m] * 15
-    for table in (conditions, offsets):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 0
 
 
 def test_failures_refuse_what_int64_cannot_hold():

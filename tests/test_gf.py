@@ -1,4 +1,5 @@
 import pytest
+import sympy
 
 import oracles
 from quadcover import gf
@@ -92,9 +93,15 @@ def test_gl2_generators_generate():
 
 def test_is_prime():
     assert [k for k in range(-3, 30) if gf.is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert all(gf.is_prime(k) == sympy.isprime(k) for k in range(-3, 10 ** 5))
     assert gf.require_prime(19) == 19
     with pytest.raises(ValueError, match="not prime"):
         gf.require_prime(25)
+    # 2^31 - 1 is prime; from 2^31 on the bound refuses before trial division
+    assert gf.require_prime(2 ** 31 - 1) == 2 ** 31 - 1
+    for n in (2 ** 31, 2 ** 61 - 1, 10 ** 16 + 61):
+        with pytest.raises(ValueError, match=r"not below 2\^31"):
+            gf.require_prime(n)
 
 
 def test_primitive_root():
