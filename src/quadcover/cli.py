@@ -13,7 +13,8 @@ import argparse
 import json
 import sys
 from collections import Counter
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
 from . import golden
 from .canonical import degree_certificate
@@ -31,9 +32,9 @@ def _reference_label(t: SixTuple) -> str | None:
 class Section(NamedTuple):
     """One command's result, or one part of the report.
 
-    md is a list of blocks joined by blank lines; a block is a text string
-    or a (headers, rows) table.  csv is one (headers, rows) table.  checks
-    lists the reference mismatches that --verify reports.
+    md is a list of blocks joined by blank lines; a block is a text string,
+    a (headers, rows) table or _Rows.  csv is one (headers, rows) table,
+    rows possibly lazy.  checks lists the mismatches that --verify reports.
     """
 
     data: object
@@ -42,27 +43,55 @@ class Section(NamedTuple):
     checks: list
 
 
-def _md_table(headers, rows) -> str:
-    out = ["| " + " | ".join(headers) + " |"]
-    out.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        out.append("| " + " | ".join(str(x) for x in row) + " |")
-    return "\n".join(out)
+_CHUNK = 1 << 14  # rows of residues, or pieces of output text, handled at a time
 
 
-def render(section: Section, fmt: str) -> str:
-    """The text of a section in json, md or csv, newline-terminated."""
+class _Rows(list):
+    """An (N, 12) int16 array of residue rows, read _CHUNK rows at a time:
+    json reads its length and items, md and csv one line per row."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        for i in range(0, len(self.rows), _CHUNK):
+            yield from self.rows[i:i + _CHUNK].tolist()
+
+    def lines(self):
+        return (",".join(map(str, row)) for row in self)
+
+
+def _md_lines(blocks):
+    """The md blocks as lines, with a blank line between two blocks."""
+    for i, block in enumerate(blocks):
+        if i:
+            yield ""
+        if isinstance(block, tuple):
+            headers, rows = block
+            yield "| " + " | ".join(headers) + " |"
+            yield "|" + "|".join("---" for _ in headers) + "|"
+            yield from ("| " + " | ".join(map(str, row)) + " |" for row in rows)
+        else:
+            yield from block.lines() if isinstance(block, _Rows) else [block]
+
+
+def render(section: Section, fmt: str) -> Iterator[str]:
+    """A section's newline-terminated json, md or csv text, in pieces of _CHUNK lines or tokens."""
     if fmt == "json":
-        return json.dumps(section.data, indent=2, sort_keys=True) + "\n"
-    if fmt == "md":
-        blocks = (b if isinstance(b, str) else _md_table(*b) for b in section.md)
-        return "\n\n".join(blocks) + "\n"
-    import csv
-    import io
+        pieces = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(section.data), ["\n"])
+    elif fmt == "md":
+        pieces = (line + "\n" for line in _md_lines(section.md))
+    else:
+        import csv
+        from types import SimpleNamespace
 
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([section.csv[0], *section.csv[1]])
-    return out.getvalue()
+        writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns a line
+        pieces = map(writer.writerow, chain([section.csv[0]], section.csv[1]))
+    while text := "".join(islice(pieces, _CHUNK)):
+        yield text
 
 
 # --- per-command builders --------------------------------------------------
@@ -70,22 +99,16 @@ def render(section: Section, fmt: str) -> str:
 
 def _cmd_enumerate(args):
     n = args.modulus
-    if args.dump:
-        tuples = [[int(x) for x in row] for row in admissible_array(n)]
-        count = len(tuples)
-    else:
-        count = len(normal_forms(n)) * gl2_order(n)  # GL(2) acts freely
+    count = len(normal_forms(n)) * gl2_order(n)  # GL(2) acts freely
     data = {"modulus": n, "count": count}
     md = [f"# Admissible six-tuples (mod {n})", f"count: {count}"]
     csv = (["count"], [[count]])
     if args.dump:
-        data["tuples"] = tuples
-        lines = [",".join(map(str, row)) for row in tuples]
-        md += ["\n".join(lines)] if lines else []
-        csv = (["tuple"], [[line] for line in lines])
-    checks = []
-    if n == 5 and count != golden.ADMISSIBLE_COUNT:
-        checks.append(f"count {count} != {golden.ADMISSIBLE_COUNT}")
+        data["tuples"] = tuples = _Rows(admissible_array(n))
+        md += [tuples] if count else []
+        csv = (["tuple"], ([line] for line in tuples.lines()))
+    drift = n == 5 and count != golden.ADMISSIBLE_COUNT
+    checks = [f"count {count} != {golden.ADMISSIBLE_COUNT}"] if drift else []
     return Section(data, md, csv, checks)
 
 
@@ -366,16 +389,15 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    text = render(section, args.format)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(render(section, args.format))
         except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(render(section, args.format))
 
     if args.verify:
         for problem in section.checks:

@@ -104,10 +104,10 @@ _REASONS = (
 )
 
 
-# Largest array built: the expanded admissible set (int16 rows), the
-# normal forms as five int64 copies, a class table of normal_form_index
-# or the line table of _failures.  The tests' group-element oracle keeps
-# to it too.
+# Largest array built: the expanded admissible set (int16 rows; sorting
+# them peaks at 56 bytes a row), the normal forms as five int64 copies, a
+# class table of normal_form_index or the line table of _failures.  The
+# tests' group-element oracle keeps to it too.
 MAX_ARRAY_BYTES = 256 << 20
 
 
@@ -163,9 +163,9 @@ def _failures(rows, n) -> np.ndarray:
 
 def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissibility of each row of an (N, 12) array of residue rows,
-    2^14 rows at a time: _failures holds about 136 bytes per row, 232
-    when it reduces residues outside [0, n)."""
-    rows, step = np.asarray(rows, dtype=np.int64).reshape(-1, 12), 1 << 14
+    2^14 rows at a time: _failures holds about 136 bytes per row, 96 more
+    to widen narrower rows to int64 and 96 more to reduce residues."""
+    rows, step = np.asarray(rows).reshape(-1, 12), 1 << 14
     return np.concatenate(
         [~_failures(rows[i:i + step], n).any(axis=1) for i in range(0, max(len(rows), 1), step)]
     )
@@ -200,12 +200,14 @@ def require_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> SixTuple:
 
 
 def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
-    """Pack residue rows into base-n codes; numeric order = lex order."""
+    """Pack residue rows into base-n codes by Horner steps; numeric order = lex order."""
     if n ** 12 > 2 ** 64:
         raise ValueError(f"modulus {n} is too large: base-{n} codes of 12 residues overflow 64 bits")
-    rows = np.asarray(rows, dtype=np.uint64)
-    weights = (np.uint64(n) ** np.arange(11, -1, -1, dtype=np.uint64))
-    return rows @ weights
+    code = np.zeros(np.shape(rows)[:-1], dtype=np.uint64)
+    for column in np.moveaxis(np.asarray(rows), -1, 0):
+        code *= np.uint64(n)
+        code += column.astype(np.uint64)
+    return code
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +319,8 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
     gl2 = gl2_array(n).astype(np.int16)
     check_bytes(len(forms) * len(gl2) * 12 * 2, n, "admissible array")
     forms = forms.reshape(-1, 6, 2).astype(np.int16)
-    rows = (forms @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12) % n
+    rows = (forms @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12)
+    rows %= n
     # the rows are distinct, so any sort of their codes gives one order
     rows = rows[np.argsort(encode_rows(rows, n))]
     rows.flags.writeable = False

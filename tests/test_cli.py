@@ -207,10 +207,15 @@ def test_report_does_not_import_numpy_ma():
         "    code = cli.main(['report', '--verify'])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
+                          text=True, timeout=120)
     assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def _child_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_round_trip_representative(capsys):
@@ -304,6 +309,15 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "missing" in err
 
 
+# sha256 of `enumerate --dump` stdout at n = 5, taken before the dump was
+# streamed
+DUMP_DIGESTS = {
+    "json": "0da495965fd0311facfe6fa628505f98e7a65b4879a376d13ad739826e1b3ecd",
+    "csv": "444ccf4a8b30250764f3a3a50824a30f3a15706c58e2f457a03b9aeb72340c92",
+    "md": "1bea3e2005ae04deed86d4eb59ba2d576152bd6e0b9efc66ef43da5dd125d4a1",
+}
+
+
 # sha256 of stdout: the md and csv layouts are kept byte-stable
 @pytest.mark.parametrize(
     "argv, digest",
@@ -316,12 +330,37 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
             "--modulus 3 enumerate --dump --format md",  # no tuples: ends like every md output
             "ada624350ff1adf1b35fa2d8e480de3dba5ec4e3561de6adbf7dfe11810f4f40",
         ),
+        *((f"enumerate --dump --format {fmt}", digest) for fmt, digest in DUMP_DIGESTS.items()),
     ],
 )
 def test_md_and_csv_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", DUMP_DIGESTS)
+def test_dump_streams_in_bounded_memory(fmt):
+    # the 201600 rows are written 2^14 at a time, so the child's peak RSS
+    # stays under 64 MiB (about 41 MiB in each format).  The child reads the high-water mark of its own address space at
+    # exit: RUSAGE_CHILDREN of this process keeps the largest peak of
+    # every earlier child, and the child's RUSAGE_SELF starts from this
+    # process's peak, which Linux carries over at exec.
+    script = (
+        "import sys\n"
+        "from quadcover import cli\n"
+        "code = cli.main(['enumerate', '--dump', '--format', sys.argv[1]])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, fmt], env=_child_env(), capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == DUMP_DIGESTS[fmt]
+    kib, unit = done.stderr.split()[-2:]
+    assert unit == b"kB" and int(kib) < 64 << 10
 
 
 def test_modulus_7_from_the_forms(capsys):

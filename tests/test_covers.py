@@ -342,6 +342,49 @@ def test_normal_forms_are_the_fixed_slice():
     assert np.array_equal(forms, arr[(arr[:, [0, 1, 6, 7]] == [1, 0, 0, 1]).all(axis=1)])
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("n", [3, 5, 7, 40])
+def test_encode_rows_matches_python_integers(n, dtype):
+    # 40^12 is within 10 % of 2^64, so the top codes use every bit
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, n, size=(500, 12)).astype(dtype)
+    rows[0], rows[1] = 0, n - 1
+    codes = covers.encode_rows(rows, n)
+    assert codes.dtype == np.uint64
+    assert [int(c) for c in codes] == [sum(int(r) * n ** (11 - j) for j, r in enumerate(row)) for row in rows]
+
+
+def test_admissible_array_peak_memory():
+    # the expanded rows, reduced in place, then their codes by Horner
+    # steps and one sorted copy: about 56 bytes a row, 10.8 MiB; a uint64
+    # copy of all the rows would add 18.5 MiB
+    covers.normal_forms(5), gf.gl2_array(5), covers._line_table(5)
+    covers.admissible_array.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = covers.admissible_array(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (201600, 12)
+    assert peak <= 12 << 20
+
+
+def test_admissibility_mask_converts_one_chunk_at_a_time():
+    # int16 rows are widened to int64 2^14 rows at a time: 3.8 MiB, where
+    # widening the whole input first would add 18.5 MiB
+    rows = covers.admissible_array(5)
+    covers._line_table(5)
+    tracemalloc.start()
+    try:
+        mask = covers.admissibility_mask(rows, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (201600,) and mask.all()
+    assert peak <= 5 << 20
+
+
 def test_encode_rows_refuses_overflowing_modulus():
     assert covers.encode_rows(np.full((1, 12), 39), 40)[0] == 40 ** 12 - 1
     with pytest.raises(ValueError, match="overflow"):

@@ -1,0 +1,81 @@
+"""Memory and start-up figures of the whole-set paths, one JSON line per run.
+
+    PYTHONPATH=path/to/checkout/src python3 tools/memory_probes.py [--repeats R]
+
+  * dump_<fmt>_rss_mib, dump_<fmt>_s: peak RSS (MiB) of a child
+    interpreter that runs `quadcover enumerate --dump --format <fmt>` at
+    n = 5, read by the child itself from VmHWM in /proc/self/status at
+    its exit, and the child's wall time, interpreter start included
+    (stdout is discarded); medians over the repeats, for json, md and
+    csv.  The child's getrusage(RUSAGE_SELF) would not do: Linux carries
+    the parent's peak over to it at exec;
+  * admissible_array_mib: tracemalloc peak of admissible_array(5), with
+    normal_forms, gl2_array and the line table built first;
+  * mask_mib: tracemalloc peak of admissibility_mask over that array;
+  * import_cli_s: median wall time of a cold `import quadcover.cli` in a
+    child interpreter.
+Point PYTHONPATH at another checkout to measure that tree instead; the
+children inherit it, and the script reads only names both trees export.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+
+from quadcover import covers, gf
+
+DUMP = (
+    "import sys\n"
+    "from quadcover import cli\n"
+    "code = cli.main(['enumerate', '--dump', '--format', sys.argv[1]])\n"
+    "sys.stdout.flush()\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+
+
+def _child(argv):
+    """Wall time of a child interpreter and its stderr."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=os.environ, check=True)
+    return time.perf_counter() - start, done.stderr
+
+
+def _traced_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    out = {}
+    for fmt in ("json", "md", "csv"):
+        runs = [_child(["-c", DUMP, fmt]) for _ in range(args.repeats)]
+        out[f"dump_{fmt}_rss_mib"] = statistics.median(int(err.split()[-2]) / 1024 for _, err in runs)
+        out[f"dump_{fmt}_s"] = statistics.median(wall for wall, _ in runs)
+    covers.normal_forms(5), gf.gl2_array(5), covers._line_table(5)
+    out["admissible_array_mib"] = _traced_mib(lambda: covers.admissible_array(5))
+    rows = covers.admissible_array(5)
+    out["mask_mib"] = _traced_mib(lambda: covers.admissibility_mask(rows, 5))
+    out["import_cli_s"] = statistics.median(
+        _child(["-c", "import quadcover.cli"])[0] for _ in range(4 * args.repeats))
+    print(json.dumps({k: round(v, 3) for k, v in out.items()}))
+
+
+if __name__ == "__main__":
+    main()
