@@ -78,6 +78,49 @@ def _md_lines(blocks):
             yield from block.lines() if isinstance(block, _Rows) else [block]
 
 
+class _JsonCell(NamedTuple):
+    """The last cell of a csv row: data as json.dumps(data, sort_keys=True)
+    writes it.  Every section's data is a dict or a list of dicts, whose
+    JSON holds a '"', so the cell is quoted."""
+
+    data: object
+
+
+def _json_pieces(data):
+    """data as json.dumps(data, sort_keys=True) writes it, in pieces: _Rows
+    a row at a time and a dict that holds _Rows key by key (json.dumps
+    would copy the rows whole; the keys are strings), other values whole."""
+    if isinstance(data, _Rows):
+        rows = ("[" + ", ".join(map(str, row)) + "]" for row in data)
+        yield "[" + next(rows, "")
+        yield from (", " + row for row in rows)
+        yield "]"
+    elif isinstance(data, dict) and any(isinstance(value, _Rows) for value in data.values()):
+        sep = "{"
+        for key in sorted(data):
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(data[key])
+            sep = ", "
+        yield "}"
+    else:
+        yield json.dumps(data, sort_keys=True)
+
+
+def _csv_lines(headers, rows):
+    """The csv lines of a table, a row that ends in a _JsonCell in pieces."""
+    import csv
+    from types import SimpleNamespace
+
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns a line
+    for row in chain([headers], rows):
+        if isinstance(row[-1], _JsonCell):
+            yield writer.writerow(row[:-1])[:-1] + ',"'
+            yield from (piece.replace('"', '""') for piece in _json_pieces(row[-1].data))
+            yield '"\n'
+        else:
+            yield writer.writerow(row)
+
+
 def render(section: Section, fmt: str) -> Iterator[str]:
     """A section's newline-terminated json, md or csv text, in pieces of _CHUNK lines or tokens."""
     if fmt == "json":
@@ -85,11 +128,7 @@ def render(section: Section, fmt: str) -> Iterator[str]:
     elif fmt == "md":
         pieces = (line + "\n" for line in _md_lines(section.md))
     else:
-        import csv
-        from types import SimpleNamespace
-
-        writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns a line
-        pieces = map(writer.writerow, chain([section.csv[0]], section.csv[1]))
+        pieces = _csv_lines(*section.csv)
     while text := "".join(islice(pieces, _CHUNK)):
         yield text
 
@@ -336,7 +375,7 @@ def _cmd_report(args):
     return Section(
         data,
         [block for part in parts.values() for block in part.md],
-        (["section", "json"], [[k, json.dumps(v, sort_keys=True)] for k, v in data.items()]),
+        (["section", "json"], [[k, _JsonCell(v)] for k, v in data.items()]),
         [problem for part in parts.values() for problem in part.checks],
     )
 

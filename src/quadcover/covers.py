@@ -286,7 +286,11 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     check_bytes(n ** 6 * (2 + 4), n, "class tables")
     form, vec = _form_table(n), _vec_table(n)  # the forms first: they refuse large n
     rows = np.asarray(rows).reshape(-1, 12)
-    if rows.size and (rows.min() < 0 or rows.max() >= n):
+    if rows.dtype.kind == "i":  # one reduction: a negative residue reads as a huge unsigned one
+        outside = rows.size and rows.view(f"u{rows.itemsize}").max() >= n
+    else:
+        outside = rows.size and (rows.min() < 0 or rows.max() >= n)
+    if outside:
         rows = rows % n
     # 2^14 rows at a time, so that the temporaries (about 75 bytes a row)
     # are reused from chunk to chunk instead of taking fresh pages
@@ -300,7 +304,8 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
         u2, u3, v2 = (vec[g + code[s]] for s in (1, 2, 4))
         index[i:i + step] = found = form[u2 + n * n * (u3 + n * n * v2.astype(np.intp))]
         total = cols.reshape(6, 2, -1).sum(axis=0, dtype=np.int16)  # below 6n
-        if (u2 < 0).any() or (found < 0).any() or (total % n).any():
+        # numpy divides by a scalar far faster than it takes a remainder
+        if (u2 < 0).any() or (found < 0).any() or (total != total // n * n).any():
             raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
     return index
 

@@ -44,12 +44,14 @@ def invariant_factors(a) -> tuple[int, ...]:
 
 
 def in_image(a, b) -> bool:
-    """Whether the integer vector b lies in the image of the integer
-    matrix a (columns as generators), i.e. a*x = b is solvable over Z.
+    """Whether b, an integer vector or an integer matrix of columns, lies
+    in the image of the integer matrix a (columns as generators), i.e.
+    a*x = b is solvable over Z.
 
-    Appending b as a column maps coker(a) onto coker([a | b]), and the
-    kernel is generated by the class of b.  A finitely generated abelian
+    Appending the columns of b maps coker(a) onto coker([a | b]), and the
+    kernel is generated by their classes.  A finitely generated abelian
     group is isomorphic to no proper quotient of itself, so b lies in the
     image exactly when the two matrices have the same invariant factors.
     """
-    return invariant_factors(a) == invariant_factors([[*r, x] for r, x in zip(a, b, strict=True)])
+    columns = [row if isinstance(row, (list, tuple)) else [row] for row in b]
+    return invariant_factors(a) == invariant_factors([[*r, *x] for r, x in zip(a, columns, strict=True)])

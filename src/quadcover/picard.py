@@ -174,15 +174,16 @@ def h1_complement() -> H1Presentation:
     branch configuration, certified by the invariant factors of the
     intersection matrix.
 
-    The loop relations are returned as a verification matrix; each row is
+    The loop relations are returned as a verification matrix; its rows are
     checked to lie in the image of the intersection matrix, i.e. to hold
-    in the cokernel.
+    in the cokernel, all in one in_image call, and one by one only to
+    name a relation that fails.
     """
     r = intersection_matrix()
     factors = exact.invariant_factors(r)
     rank = len(r) - len(factors)
     torsion = tuple(f for f in factors if f != 1)
-    for rel in LOOP_RELATIONS:
-        if not exact.in_image(r, list(rel)):
-            raise AssertionError(f"loop relation {rel} does not hold in the cokernel")
+    if not exact.in_image(r, list(zip(*LOOP_RELATIONS))):
+        rel = next(rel for rel in LOOP_RELATIONS if not exact.in_image(r, rel))
+        raise AssertionError(f"loop relation {rel} does not hold in the cokernel")
     return H1Presentation(rank, torsion, LOOP_RELATIONS)

@@ -132,15 +132,17 @@ def _character_tuples(n) -> tuple[Vec2, ...]:
 def _residues(rows, n) -> np.ndarray:
     """(N, n^2, 10) residues of every character on the loop images of an
     (N, 12) array of residue rows: the only code that evaluates characters."""
-    return _characters(n) @ loop_image_rows(rows, n).swapaxes(1, 2) % n
+    values = _characters(n) @ loop_image_rows(rows, n).swapaxes(1, 2)
+    return values - values // n * n  # numpy divides by a scalar far faster than it takes a remainder
 
 
 def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
     """Every character on the loop images of an (N, 12) array of residue
     rows, and its class."""
     residues = _residues(rows, n)
-    classes, rest = np.divmod(residues @ CURVE_CLASSES, n)
-    return CharacterTable(residues, classes, rest.any(axis=2))
+    weighted = residues @ CURVE_CLASSES
+    classes = weighted // n
+    return CharacterTable(residues, classes, (classes * n != weighted).any(axis=2))
 
 
 def _index(chi: Vec2, n) -> int:
@@ -254,7 +256,7 @@ def class_numbers(classes) -> np.ndarray:
     if outside.any():
         first = DivClass(*(offset[outside.any(axis=-1)][0] + _BOX_LOW).tolist())
         raise ValueError(f"class {first.format()} is outside the box of character classes")
-    return _class_table()[offset @ _BOX_STRIDES]
+    return _class_table().take(offset @ _BOX_STRIDES, axis=0)  # far faster than [] on two columns
 
 
 @lru_cache(maxsize=None)
@@ -357,13 +359,16 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     Each row is g.f for its normal form f (normal_form_index) and a GL(2)
     matrix g; chi takes the values of chi o g on the loop images of g.f,
     so g.f's classes are f's, permuted: p_g is read off the forms that
-    occur, 2^20 table residues at a time.  ValueError for a row that is not
-    admissible."""
+    occur, 2^20 table residues at a time, and gathered 2^14 rows at a
+    time (an int32 index is cast chunk by chunk, not whole).  ValueError
+    for a row that is not admissible."""
     index, forms, step = normal_form_index(rows, n), normal_forms(n), (1 << 20) // (10 * n * n)
     used = np.flatnonzero(np.bincount(index, minlength=len(forms)))
-    tables = (character_table(forms[used[i:i + step]], n) for i in range(0, max(len(used), 1), step))
     pg = np.zeros(len(forms), dtype=np.int64)
-    # H^0(K_X) is the sum of the H^0(K_Y + L)
-    pg[used] = np.concatenate([class_numbers(t.integral().classes)[..., 0].sum(axis=1)
-                               for t in tables])
-    return pg[index]
+    for part in (used[i:i + step] for i in range(0, len(used), step)):
+        classes = character_table(forms[part], n).integral().classes
+        pg[part] = class_numbers(classes)[..., 0].sum(axis=1)  # H^0(K_X) sums the H^0(K_Y + L)
+    out = np.empty(len(index), dtype=np.int64)
+    for i in range(0, len(index), 1 << 14):
+        pg.take(index[i:i + (1 << 14)], out=out[i:i + (1 << 14)])
+    return out

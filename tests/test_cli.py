@@ -316,6 +316,13 @@ DUMP_DIGESTS = {
     "csv": "444ccf4a8b30250764f3a3a50824a30f3a15706c58e2f457a03b9aeb72340c92",
     "md": "1bea3e2005ae04deed86d4eb59ba2d576152bd6e0b9efc66ef43da5dd125d4a1",
 }
+# sha256 of `report --dump` stdout at n = 5, taken before its csv cells were
+# encoded lazily
+REPORT_DUMP_DIGESTS = {
+    "json": "3963963b7be6f5c447c56862469732727b97c7e12906eff02c1aaa2bf79ec3cc",
+    "csv": "f34ab5686229e37272055cf93a72fa30c37783d48ec09daaf259a65b6a22866d",
+    "md": "93c941c4e9a428405a4313b9c2ca67cc3997b062cc7c29777d859102c76baffe",
+}
 
 
 # sha256 of stdout: the md and csv layouts are kept byte-stable
@@ -339,28 +346,66 @@ def test_md_and_csv_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("fmt", DUMP_DIGESTS)
-def test_dump_streams_in_bounded_memory(fmt):
-    # the 201600 rows are written 2^14 at a time, so the child's peak RSS
-    # stays under 64 MiB (about 41 MiB in each format).  The child reads the high-water mark of its own address space at
-    # exit: RUSAGE_CHILDREN of this process keeps the largest peak of
-    # every earlier child, and the child's RUSAGE_SELF starts from this
-    # process's peak, which Linux carries over at exec.
+def _dump_in_child(*argv):
+    """stdout and peak RSS (KiB) of a child interpreter running the cli on
+    argv.  The child reads the high-water mark of its own address space at
+    exit: RUSAGE_CHILDREN of this process keeps the largest peak of every
+    earlier child, and the child's RUSAGE_SELF starts from this process's
+    peak, which Linux carries over at exec."""
     script = (
         "import sys\n"
         "from quadcover import cli\n"
-        "code = cli.main(['enumerate', '--dump', '--format', sys.argv[1]])\n"
+        "code = cli.main(sys.argv[1:])\n"
         "sys.stdout.flush()\n"
         "with open('/proc/self/status') as fh:\n"
         "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
         "raise SystemExit(code)\n"
     )
-    done = subprocess.run([sys.executable, "-c", script, fmt], env=_child_env(), capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert hashlib.sha256(done.stdout).hexdigest() == DUMP_DIGESTS[fmt]
     kib, unit = done.stderr.split()[-2:]
-    assert unit == b"kB" and int(kib) < 64 << 10
+    assert unit == b"kB"
+    return done.stdout, int(kib)
+
+
+@pytest.mark.parametrize("fmt", DUMP_DIGESTS)
+def test_dump_streams_in_bounded_memory(fmt):
+    # the 201600 rows are written 2^14 at a time, so the child's peak RSS
+    # stays under 64 MiB (about 41 MiB in each format)
+    out, kib = _dump_in_child("enumerate", "--dump", "--format", fmt)
+    assert hashlib.sha256(out).hexdigest() == DUMP_DIGESTS[fmt]
+    assert kib < 64 << 10
+
+
+def test_report_dump_is_pinned_and_its_csv_streams():
+    # the csv cell of the admissible rows is written a row at a time, so
+    # the csv report peaks within 4 MiB of the json one (both about 42 MiB;
+    # 92 and 80 MiB when json.dumps copied the rows into one list for
+    # every format)
+    peaks = {}
+    for fmt, digest in REPORT_DUMP_DIGESTS.items():
+        out, peaks[fmt] = _dump_in_child("report", "--dump", "--format", fmt)
+        assert hashlib.sha256(out).hexdigest() == digest, fmt
+    assert peaks["json"] < 64 << 10
+    assert peaks["csv"] <= peaks["json"] + (4 << 10)
+
+
+def test_json_pieces_write_what_json_dumps_writes():
+    # json.dumps reads _Rows whole, as a list; the pieces read it a row at a time
+    rows = covers.admissible_array(5)[:40000]
+    for data in (
+        cli._Rows(rows),
+        cli._Rows(rows[:0]),
+        {"b": 1, "a": cli._Rows(rows[:3]), "c": [{"y": 2, "x": None}], "d": 'q"uote'},
+        {"tuples": cli._Rows(rows[:0])},
+        [{"b": 1, "a": 2.5}],
+        {},
+    ):
+        pieces = list(cli._json_pieces(data))
+        assert "".join(pieces) == json.dumps(data, sort_keys=True)
+        if isinstance(data, cli._Rows):
+            assert len(pieces) == len(data) + 1 + (not len(data))  # never the rows whole
 
 
 def test_modulus_7_from_the_forms(capsys):

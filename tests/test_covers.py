@@ -481,6 +481,44 @@ def test_normal_form_index_reduces_residues_out_of_range():
     assert _raises(oracles.normal_form_index_by_search, bad, 5)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16])
+def test_normal_form_index_reduces_one_residue_out_of_range_in_every_dtype(dtype):
+    # one residue below 0 or at n is enough to reduce the rows: the signed
+    # check reads negatives as huge unsigned numbers
+    rows = covers.admissible_array(5)[:300].astype(dtype)
+    expected = covers.normal_form_index(rows, 5)
+    for shift in (-5, 5) if np.issubdtype(dtype, np.signedinteger) else (5,):
+        moved = rows.copy()
+        moved[7, 3] += shift
+        assert np.array_equal(covers.normal_form_index(moved, 5), expected)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11])
+def test_normal_form_index_sum_check_on_every_multiple_of_n(n):
+    # admissible rows whose coordinate sums are k n, k = 1..5 (k = 5 needs
+    # n > 5, the residues being below n): nonzero totals that pass the
+    # row-sum check.  Shifting a coordinate of v3 by one keeps the form
+    # that u1, v1, u2, u3 and v2 locate, so only the sum refuses the row.
+    forms, mats = covers.normal_forms(n), gf.gl2_array(n)
+    rng = np.random.default_rng(100 + n)
+    g = mats[rng.integers(len(mats), size=4000)]
+    which = rng.integers(len(forms), size=4000)
+    rows = np.einsum("kij,ksj->ksi", g, forms[which].reshape(-1, 6, 2)).reshape(-1, 12) % n
+    sums = rows.reshape(-1, 6, 2).sum(axis=1)
+    assert not (sums % n).any()
+    index = covers.normal_form_index(rows, n)
+    assert np.array_equal(index, which)
+    assert np.array_equal(index, oracles.normal_form_index_by_search(rows, n))
+    multiples = {k for k in range(1, 6) if k * n <= 6 * (n - 1)}
+    for coordinate in (0, 1):
+        assert set((sums[:, coordinate] // n).tolist()) == multiples
+        for k in multiples:
+            row = rows[np.flatnonzero(sums[:, coordinate] == k * n)[0]].copy()
+            row[10 + coordinate] += 1
+            assert _raises(covers.normal_form_index, row, n)
+            assert _raises(oracles.normal_form_index_by_search, row, n)
+
+
 def test_normal_form_index_of_no_rows():
     none = np.zeros((0, 12), dtype=np.int64)
     assert covers.normal_form_index(none, 5).shape == (0,)

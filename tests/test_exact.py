@@ -84,9 +84,10 @@ def test_in_image_random_products():
 
 
 def _in_lattice(a, b):
-    """Independent oracle: b lies in the column lattice of a exactly when
-    appending it leaves sympy's Hermite normal form unchanged."""
-    appended = [[*row, x] for row, x in zip(a, b)]
+    """Independent oracle: b, a vector or a matrix of columns, lies in the
+    column lattice of a exactly when appending it leaves sympy's Hermite
+    normal form unchanged."""
+    appended = [[*row, *(x if isinstance(x, list) else [x])] for row, x in zip(a, b)]
     return hermite_normal_form(sympy.Matrix(a)) == hermite_normal_form(sympy.Matrix(appended))
 
 
@@ -108,6 +109,25 @@ def test_in_image_vs_hermite_normal_form():
         members += expected
     # both members and non-members occur
     assert 300 < members < 1700
+
+
+def test_in_image_of_several_columns_vs_hermite_normal_form():
+    # all columns at once, against the oracle and against one column at a
+    # time
+    rng = random.Random(5)
+    members = 0
+    for _ in range(400):
+        rows, cols, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 5)
+        a = [[rng.choice([0, rng.randint(-6, 6)]) for _ in range(cols)] for _ in range(rows)]
+        x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(cols)]
+        b = [[sum(a[i][j] * x[j][c] for j in range(cols)) for c in range(k)] for i in range(rows)]
+        if rng.random() < 0.5:
+            b[rng.randrange(rows)][rng.randrange(k)] += rng.choice([1, -1, 2])
+        expected = _in_lattice(a, b)
+        assert exact.in_image(a, b) == expected, (a, b)
+        assert all(exact.in_image(a, list(col)) for col in zip(*b)) == expected
+        members += expected
+    assert 100 < members < 350
 
 
 def test_in_image_empty():

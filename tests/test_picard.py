@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from quadcover import exact, picard
@@ -99,6 +101,14 @@ def test_h1_complement():
         assert r * sol == sympy.Matrix(rel)
 
 
+def test_h1_complement_names_a_failing_relation(monkeypatch):
+    broken = (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+    relations = picard.LOOP_RELATIONS
+    monkeypatch.setattr(picard, "LOOP_RELATIONS", relations[:2] + (broken,) + relations[3:])
+    with pytest.raises(AssertionError, match=re.escape(f"loop relation {broken} does not hold")):
+        picard.h1_complement()
+
+
 def test_h1_transpose_same_rank():
     m = picard.intersection_matrix()
     mt = [list(col) for col in zip(*m)]
@@ -124,7 +134,5 @@ def test_divclass_arithmetic():
     assert a.format() == "H + 2E0 + 3E1 + 4E2 + 5E3"
     assert ZERO.format() == "0"
     assert (H - E[0] - E[1]).format() == "H - E0 - E1"
-    import pytest
-
     with pytest.raises(TypeError, match="intersect"):
         a * a

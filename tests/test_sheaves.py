@@ -495,3 +495,65 @@ def test_pg_values_of_no_rows():
 def test_pg_values_rejects_non_admissible_rows():
     with pytest.raises(ValueError, match="normal form"):
         sheaves.pg_values(np.zeros((1, 12), dtype=np.int64))
+
+
+def _gl2_images(p, size, seed):
+    """size rows g.f for seeded normal forms f and GL(2) matrices g, and
+    the positions of their forms."""
+    forms, mats = covers.normal_forms(p), gf.gl2_array(p)
+    rng = np.random.default_rng(seed)
+    which = rng.integers(len(forms), size=size)
+    g = mats[rng.integers(len(mats), size=size)]
+    return np.einsum("kij,ksj->ksi", g, forms[which].reshape(-1, 6, 2)).reshape(-1, 12) % p, which
+
+
+def _pg_by_table(rows, p):
+    """p_g of every row from its own character table, 2000 rows at a time."""
+    return np.concatenate([
+        sheaves.class_numbers(sheaves.character_table(rows[i:i + 2000], p).integral().classes)[..., 0]
+        .sum(axis=1)
+        for i in range(0, len(rows), 2000)
+    ])
+
+
+def test_pg_values_of_shuffled_rows_and_gl2_images():
+    # against an oracle: the row-wise p_g of every row at p = 5, each
+    # row's own character table on 2000 rows at p = 7; both runs gather
+    # across chunks of 2^14 rows in an order unlike the forms'
+    order = np.random.default_rng(31).permutation(len(covers.admissible_array(5)))
+    pg = sheaves.pg_values(covers.admissible_array(5)[order], 5)
+    assert np.array_equal(pg, oracles.admissible_pg(5)[order])
+    rows, _ = _gl2_images(7, 20000, 32)
+    pg = sheaves.pg_values(rows, 7)
+    assert np.array_equal(pg[:2000], _pg_by_table(rows[:2000], 7))
+    # the rows of one class share its p_g: 13 or 16 at p = 7
+    assert set(pg.tolist()) == {13, 16}
+
+
+def test_pg_values_builds_the_tables_of_the_forms_read(monkeypatch):
+    built = []
+    table = sheaves.character_table
+
+    def counted(rows, n):
+        built.append(rows)
+        return table(rows, n)
+    monkeypatch.setattr(sheaves, "character_table", counted)
+    rows, which = _gl2_images(7, 20000, 33)
+    sheaves.pg_values(rows, 7)
+    forms = np.vstack(built)
+    assert len(forms) == len(np.unique(which)) < len(covers.normal_forms(7))
+    assert np.array_equal(covers.normal_form_index(forms, 7), np.unique(which))
+
+
+def test_pg_values_rejects_a_non_admissible_row_in_a_later_chunk():
+    rows = covers.admissible_array(5)[:20000]
+    bad = np.vstack([rows, [[1, 0, 1, 0, 0, 1, 4, 1, 3, 2, 1, 0]]])
+    with pytest.raises(ValueError, match="normal form"):
+        sheaves.pg_values(bad, 5)
+
+
+def test_pg_values_returns_int64_per_row():
+    rows = covers.admissible_array(5)[:(1 << 14) + 100]
+    pg = sheaves.pg_values(rows, 5)
+    assert pg.dtype == np.int64 and pg.shape == (len(rows),)
+    assert np.array_equal(pg, oracles.admissible_pg(5)[:len(rows)])

@@ -9,6 +9,8 @@
     (stdout is discarded); medians over the repeats, for json, md and
     csv.  The child's getrusage(RUSAGE_SELF) would not do: Linux carries
     the parent's peak over to it at exec;
+  * report_dump_<fmt>_rss_mib, report_dump_<fmt>_s: the same of
+    `quadcover report --dump --format <fmt>`;
   * admissible_array_mib: tracemalloc peak of admissible_array(5), with
     normal_forms, gl2_array and the line table built first;
   * mask_mib: tracemalloc peak of admissibility_mask over that array;
@@ -34,7 +36,7 @@ from quadcover import covers, gf
 DUMP = (
     "import sys\n"
     "from quadcover import cli\n"
-    "code = cli.main(['enumerate', '--dump', '--format', sys.argv[1]])\n"
+    "code = cli.main([sys.argv[1], '--dump', '--format', sys.argv[2]])\n"
     "sys.stdout.flush()\n"
     "with open('/proc/self/status') as fh:\n"
     "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
@@ -64,10 +66,11 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     out = {}
-    for fmt in ("json", "md", "csv"):
-        runs = [_child(["-c", DUMP, fmt]) for _ in range(args.repeats)]
-        out[f"dump_{fmt}_rss_mib"] = statistics.median(int(err.split()[-2]) / 1024 for _, err in runs)
-        out[f"dump_{fmt}_s"] = statistics.median(wall for wall, _ in runs)
+    for command, prefix in (("enumerate", "dump"), ("report", "report_dump")):
+        for fmt in ("json", "md", "csv"):
+            runs = [_child(["-c", DUMP, command, fmt]) for _ in range(args.repeats)]
+            out[f"{prefix}_{fmt}_rss_mib"] = statistics.median(int(err.split()[-2]) / 1024 for _, err in runs)
+            out[f"{prefix}_{fmt}_s"] = statistics.median(wall for wall, _ in runs)
     covers.normal_forms(5), gf.gl2_array(5), covers._line_table(5)
     out["admissible_array_mib"] = _traced_mib(lambda: covers.admissible_array(5))
     rows = covers.admissible_array(5)
