@@ -32,9 +32,11 @@ def _reference_label(t: SixTuple) -> str | None:
 class Section(NamedTuple):
     """One command's result, or one part of the report.
 
-    md is a list of blocks joined by blank lines; a block is a text string,
-    a (headers, rows) table or _Rows.  csv is one (headers, rows) table,
-    rows possibly lazy.  checks lists the mismatches that --verify reports.
+    data is what json writes, _Rows in it as lists of rows.  md is a list of
+    blocks joined by blank lines; a block is a text string, a (headers,
+    rows) table or _Rows.  csv is one (headers, rows) table, rows possibly
+    lazy, whose last cell may be a generator of JSON pieces.  checks lists
+    the mismatches that --verify reports.
     """
 
     data: object
@@ -43,18 +45,16 @@ class Section(NamedTuple):
     checks: list
 
 
-_CHUNK = 1 << 14  # rows of residues, or pieces of output text, handled at a time
+_CHUNK = 1 << 14  # rows of residues read at a time
+_PIECES = 1 << 11  # pieces of output text joined per write: lines, or json rows of up to 170 bytes
 
 
-class _Rows(list):
+class _Rows:
     """An (N, 12) int16 array of residue rows, read _CHUNK rows at a time:
-    json reads its length and items, md and csv one line per row."""
+    json writes it a row at a time, md and csv one line per row."""
 
     def __init__(self, rows):
         self.rows = rows
-
-    def __len__(self):
-        return len(self.rows)
 
     def __iter__(self):
         for i in range(0, len(self.rows), _CHUNK):
@@ -78,58 +78,52 @@ def _md_lines(blocks):
             yield from block.lines() if isinstance(block, _Rows) else [block]
 
 
-class _JsonCell(NamedTuple):
-    """The last cell of a csv row: data as json.dumps(data, sort_keys=True)
-    writes it.  Every section's data is a dict or a list of dicts, whose
-    JSON holds a '"', so the cell is quoted."""
-
-    data: object
-
-
-def _json_pieces(data):
-    """data as json.dumps(data, sort_keys=True) writes it, in pieces: _Rows
-    a row at a time and a dict that holds _Rows key by key (json.dumps
-    would copy the rows whole; the keys are strings), other values whole."""
-    if isinstance(data, _Rows):
-        rows = ("[" + ", ".join(map(str, row)) + "]" for row in data)
-        yield "[" + next(rows, "")
-        yield from (", " + row for row in rows)
-        yield "]"
-    elif isinstance(data, dict) and any(isinstance(value, _Rows) for value in data.values()):
-        sep = "{"
-        for key in sorted(data):
-            yield sep + json.dumps(key) + ": "
-            yield from _json_pieces(data[key])
-            sep = ", "
-        yield "}"
+def _json_pieces(data, indent=None, depth=0):
+    """data, depth levels deep, as json.dumps(data, indent=indent, sort_keys=True)
+    writes it, in pieces: a dict key by key, _Rows a row at a time, any other
+    value whole, re-indented (json.dumps escapes every newline in a string)."""
+    step = " " * (indent or 0)
+    outer = "" if indent is None else "\n" + step * depth  # what starts a line at this depth
+    comma, inner = ", " if indent is None else ",", outer + step
+    if isinstance(data, dict) and data:
+        for i, key in enumerate(sorted(data)):
+            yield (comma if i else "{") + inner + json.dumps(key) + ": "
+            yield from _json_pieces(data[key], indent, depth + 1)
+        yield outer + "}"
+    elif isinstance(data, _Rows):
+        row = inner + "[" + comma.join([inner + step + "%d"] * data.rows.shape[1]) + inner + "]"
+        for i, values in enumerate(data):
+            yield (comma if i else "[") + row % tuple(values)
+        yield outer + "]" if len(data.rows) else "[]"
     else:
-        yield json.dumps(data, sort_keys=True)
+        yield json.dumps(data, indent=indent, sort_keys=True).replace("\n", outer)
 
 
 def _csv_lines(headers, rows):
-    """The csv lines of a table, a row that ends in a _JsonCell in pieces."""
+    """The csv lines of a table.  A last cell that is a generator of JSON
+    pieces (of a dict or a list, so it holds a '"') is quoted piece by piece."""
     import csv
-    from types import SimpleNamespace
+    from types import GeneratorType, SimpleNamespace
 
     writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns a line
     for row in chain([headers], rows):
-        if isinstance(row[-1], _JsonCell):
+        if isinstance(row[-1], GeneratorType):
             yield writer.writerow(row[:-1])[:-1] + ',"'
-            yield from (piece.replace('"', '""') for piece in _json_pieces(row[-1].data))
+            yield from (piece.replace('"', '""') for piece in row[-1])
             yield '"\n'
         else:
             yield writer.writerow(row)
 
 
 def render(section: Section, fmt: str) -> Iterator[str]:
-    """A section's newline-terminated json, md or csv text, in pieces of _CHUNK lines or tokens."""
+    """A section's newline-terminated json, md or csv text, _PIECES lines or json pieces at a time."""
     if fmt == "json":
-        pieces = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(section.data), ["\n"])
+        pieces = chain(_json_pieces(section.data, indent=2), ["\n"])
     elif fmt == "md":
         pieces = (line + "\n" for line in _md_lines(section.md))
     else:
         pieces = _csv_lines(*section.csv)
-    while text := "".join(islice(pieces, _CHUNK)):
+    while text := "".join(islice(pieces, _PIECES)):
         yield text
 
 
@@ -375,7 +369,7 @@ def _cmd_report(args):
     return Section(
         data,
         [block for part in parts.values() for block in part.md],
-        (["section", "json"], [[k, _JsonCell(v)] for k, v in data.items()]),
+        (["section", "json"], [[k, _json_pieces(v)] for k, v in data.items()]),
         [problem for part in parts.values() for problem in part.checks],
     )
 
@@ -428,15 +422,19 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.writelines(render(section, args.format))
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.writelines(render(section, args.format))
+        else:
+            sys.stdout.writelines(render(section, args.format))
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except OSError as err:
+        if not args.output:  # the unwritten rest goes to os.devnull: the flush at exit cannot raise
+            import os
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     if args.verify:
         for problem in section.checks:

@@ -325,10 +325,19 @@ REPORT_DUMP_DIGESTS = {
 }
 
 
-# sha256 of stdout: the md and csv layouts are kept byte-stable
+# sha256 of stdout: the md, csv and json layouts are kept byte-stable
 @pytest.mark.parametrize(
     "argv, digest",
     [
+        ("orbits", "3a62c5fb71f462b87908370f774277b075ff5fc20a0f307b240d6fd90eed1658"),
+        ("homology", "931079724b01c1a70c1820c01ddb771d819872ee519437f4a48e2af4585be2f1"),
+        ("group", "901e9341aff03a40448ee59d682305a776d27acdf31bcd93e8af5dd73f26de5b"),
+        (f"invariants {U3}", "f340a1cecc0a07ca5d20d69df58d9e5dac1a43fa4e24017246e5ca696186af8f"),
+        (f"sheaf-table {U3}", "831f6227d14f4d299ac95d29a71185315bfe38b360b2d0a53c7aa2068507fb18"),
+        (f"equations {U3}", "9f4c3f3d9abb08d84684ff12fabe0bc743711628481c8b79f2f6e5c057a9f2ce"),
+        (f"canonical {U3}", "a82d5cec25e7a3b590efddd2a0d1d009899f42c0b884f11397a9e6f625791000"),
+        ("--modulus 7 orbits", "0521b6de6243d5ff078fba5aa889a5ed9df8309d60ee1f899f3757fb847fc8ac"),
+        ("--modulus 3 enumerate --dump", "b3de6cdfcab9b6083a5f347a35810e588703bb9d4a65b905e0856434da6374ff"),
         ("report --format md", "e973b6f7da60635700e0f91651b53b271af9d01bcd93d46182e97c48ce141c1d"),
         ("report --format csv", "4dd36c33500825dca8b86412288c1c8209185e084f273b759362406c16c6103c"),
         (f"canonical {U3} --format md", "0c9ad61722387d627821f6dc53b840a983636e3eac5b84f419e87cb38f0b6f3f"),
@@ -391,8 +400,17 @@ def test_report_dump_is_pinned_and_its_csv_streams():
     assert peaks["csv"] <= peaks["json"] + (4 << 10)
 
 
+def _read_whole(data):
+    """data with every _Rows read whole into a list of rows, for json.dumps."""
+    if isinstance(data, cli._Rows):
+        return data.rows.tolist()
+    if isinstance(data, dict):
+        return {key: _read_whole(value) for key, value in data.items()}
+    return [_read_whole(value) for value in data] if isinstance(data, list) else data
+
+
 def test_json_pieces_write_what_json_dumps_writes():
-    # json.dumps reads _Rows whole, as a list; the pieces read it a row at a time
+    # json.dumps would read the rows whole; the pieces read _Rows a row at a time
     rows = covers.admissible_array(5)[:40000]
     for data in (
         cli._Rows(rows),
@@ -401,11 +419,32 @@ def test_json_pieces_write_what_json_dumps_writes():
         {"tuples": cli._Rows(rows[:0])},
         [{"b": 1, "a": 2.5}],
         {},
+        {"group": {"order": 7}, "enumerate": {"tuples": cli._Rows(rows[:5]), "count": 5}},  # report --dump
+        {"a": {"c": cli._Rows(rows[:0]), "b": {}}},  # both empty at depth 2
+        {"text": 'q"uote\nnext line, caf\u00e9'},
     ):
-        pieces = list(cli._json_pieces(data))
-        assert "".join(pieces) == json.dumps(data, sort_keys=True)
-        if isinstance(data, cli._Rows):
-            assert len(pieces) == len(data) + 1 + (not len(data))  # never the rows whole
+        for indent in (None, 2):
+            pieces = list(cli._json_pieces(data, indent))
+            assert "".join(pieces) == json.dumps(_read_whole(data), indent=indent, sort_keys=True)
+            if isinstance(data, cli._Rows):
+                assert len(pieces) == len(data.rows) + 1  # never the rows whole
+
+
+@pytest.mark.parametrize("argv, head", [("enumerate --dump --format csv", [b"tuple\n"]), ("group", [])],
+                         ids=["in-a-write", "in-the-flush"])
+def test_a_closed_stdout_pipe_exits_2_without_a_traceback(argv, head):
+    # the reader goes after the head lines, as `| head` does: in the dump's
+    # writes or in the flush of the group's few bytes.  What is left
+    # unwritten goes to os.devnull, so the flush at exit cannot raise again
+    # ("Exception ignored", exit 120); stdout is buffered, as in a shell
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    child = subprocess.Popen([sys.executable, "-m", "quadcover.cli", *argv.split()], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert [child.stdout.readline() for _ in head] == head
+    child.stdout.close()
+    err = child.communicate(timeout=120)[1]
+    assert child.returncode == 2
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
 
 
 def test_modulus_7_from_the_forms(capsys):
