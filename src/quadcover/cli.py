@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 
 from . import golden
 from .canonical import degree_certificate
-from .covers import SixTuple, admissible_array, normal_forms, require_admissible
+from .covers import CHUNK, SixTuple, admissible_array, normal_forms, require_admissible
 from .gf import gl2_order, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
 from .sheaves import coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
@@ -45,20 +45,19 @@ class Section(NamedTuple):
     checks: list
 
 
-_CHUNK = 1 << 14  # rows of residues read at a time
 _PIECES = 1 << 11  # pieces of output text joined per write: lines, or json rows of up to 170 bytes
 
 
 class _Rows:
-    """An (N, 12) int16 array of residue rows, read _CHUNK rows at a time:
+    """An (N, 12) int16 array of residue rows, read CHUNK rows at a time:
     json writes it a row at a time, md and csv one line per row."""
 
     def __init__(self, rows):
         self.rows = rows
 
     def __iter__(self):
-        for i in range(0, len(self.rows), _CHUNK):
-            yield from self.rows[i:i + _CHUNK].tolist()
+        for i in range(0, len(self.rows), CHUNK):
+            yield from self.rows[i:i + CHUNK].tolist()
 
     def lines(self):
         return (",".join(map(str, row)) for row in self)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import DEFAULT_MODULUS, Vec2, gl2_array, nonzero_vectors, require_prime
+from .gf import DEFAULT_MODULUS, Vec2, frozen, gl2_array, nonzero_vectors, reduce_rows, require_prime
 from .picard import CURVE_LABELS, LOOP_RELATIONS, incidences
 
 
@@ -67,7 +67,7 @@ LOOP_SLOTS = np.vstack([np.eye(6, dtype=np.int64), -np.array([r[:6] for r in LOO
 
 def loop_image_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """(N, 12) residue rows -> (N, 10, 2) loop images in configuration order."""
-    return LOOP_SLOTS @ np.asarray(rows, dtype=np.int64).reshape(-1, 6, 2) % n
+    return LOOP_SLOTS @ reduce_rows(rows, n).astype(np.int64, copy=False).reshape(-1, 6, 2) % n
 
 
 class AdmissibilityCheck(NamedTuple):
@@ -111,6 +111,11 @@ _REASONS = (
 MAX_ARRAY_BYTES = 256 << 20
 
 
+# Rows read at a time by the bulk paths (admissibility_mask, normal_form_index,
+# pg_values, the dumps), so that temporaries are reused instead of taking fresh pages.
+CHUNK = 1 << 14
+
+
 def check_bytes(size, n, what):
     """ValueError naming what, an array of size bytes at modulus n, when it
     would exceed MAX_ARRAY_BYTES."""
@@ -138,9 +143,7 @@ def _line_table(n) -> np.ndarray:
     inv = np.array([pow(v, -1, n) if v else 0 for v in range(n)])
     x, y = np.arange(n), np.arange(n)[:, None]
     line = np.where(x != 0, 1 + y * inv[x] % n, np.where(y != 0, n + 1, 0))
-    table = np.tile(line.astype(np.uint16), (6, 6)).ravel()
-    table.flags.writeable = False
-    return table
+    return frozen(np.tile(line.astype(np.uint16), (6, 6)).ravel())
 
 
 def _failures(rows, n) -> np.ndarray:
@@ -149,9 +152,7 @@ def _failures(rows, n) -> np.ndarray:
     nonzero sum, then a zero image at each curve, then dependent images
     at each incident pair in sorted order."""
     table = _line_table(n)
-    res = np.asarray(rows, dtype=np.int64).reshape(-1, 12)
-    if res.size and (res.min() < 0 or res.max() >= n):
-        res = res % n
+    res = reduce_rows(rows, n).astype(np.int64, copy=False).reshape(-1, 12)
     line = table[_SUMMED @ (res.T[0::2] + 6 * n * res.T[1::2])]  # (11, N)
     zero = line == 0
     first, second = _INCIDENT[:, 0], _INCIDENT[:, 1]
@@ -163,12 +164,11 @@ def _failures(rows, n) -> np.ndarray:
 
 def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissibility of each row of an (N, 12) array of residue rows,
-    2^14 rows at a time: _failures holds about 136 bytes per row, 96 more
-    to widen narrower rows to int64 and 96 more to reduce residues."""
-    rows, step = np.asarray(rows).reshape(-1, 12), 1 << 14
-    return np.concatenate(
-        [~_failures(rows[i:i + step], n).any(axis=1) for i in range(0, max(len(rows), 1), step)]
-    )
+    CHUNK rows at a time: _failures holds about 136 bytes per row, 96 more
+    to widen narrower rows to int64, and a reduced copy if one is needed."""
+    rows = np.asarray(rows).reshape(-1, 12)
+    chunks = (rows[i:i + CHUNK] for i in range(0, max(len(rows), 1), CHUNK))
+    return np.concatenate([~_failures(chunk, n).any(axis=1) for chunk in chunks])
 
 
 # Rows remembered by the per-tuple memos (_check here, the one-row
@@ -204,7 +204,7 @@ def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     if n ** 12 > 2 ** 64:
         raise ValueError(f"modulus {n} is too large: base-{n} codes of 12 residues overflow 64 bits")
     code = np.zeros(np.shape(rows)[:-1], dtype=np.uint64)
-    for column in np.moveaxis(np.asarray(rows), -1, 0):
+    for column in np.moveaxis(reduce_rows(rows, n), -1, 0):
         code *= np.uint64(n)
         code += column.astype(np.uint64)
     return code
@@ -219,7 +219,7 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     admissible tuple and GL(2) acts freely and transitively on them.  The
     search runs over the nonzero u2, u3, v2 and solves the sum condition
     for v3, one u2 at a time in one int64 buffer of the (n^2 - 1)^2
-    candidates, which admissibility_mask reads 2^14 at a time.  It raises
+    candidates, which admissibility_mask reads CHUNK at a time.  It raises
     ValueError as soon as the forms found would exceed MAX_ARRAY_BYTES as
     five int64 copies: the forms themselves and the working set of
     orbit_partition on them, which peaks at 3.3 further copies at n = 11.
@@ -240,9 +240,7 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
         forms.append(cand.T[admissibility_mask(cand.T, n)])
         count += len(forms[-1])
         check_bytes(count * 5 * 12 * 8, n, "normal forms")
-    forms = np.vstack(forms)
-    forms.flags.writeable = False
-    return forms
+    return frozen(np.vstack(forms))
 
 
 @lru_cache(maxsize=None)
@@ -256,9 +254,7 @@ def _vec_table(n) -> np.ndarray:
     scale = np.array([pow(v, -1, n) if v else 0 for v in range(n)])[det]
     table = (d * x - b * y) * scale % n + n * ((a * y - c * x) * scale % n)
     table[det[:, 0] == 0] = -1
-    table = table.astype(np.int16).ravel()
-    table.flags.writeable = False
-    return table
+    return frozen(table.astype(np.int16).ravel())
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +265,7 @@ def _form_table(n) -> np.ndarray:
     forms = normal_forms(n)
     table = np.full(n ** 6, -1, dtype=np.int32)
     table[forms[:, [2, 3, 4, 5, 8, 9]] @ n ** np.arange(6)] = np.arange(len(forms))
-    table.flags.writeable = False
-    return table
+    return frozen(table)
 
 
 def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
@@ -285,24 +280,16 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     has those vectors, or when its own sum is nonzero."""
     check_bytes(n ** 6 * (2 + 4), n, "class tables")
     form, vec = _form_table(n), _vec_table(n)  # the forms first: they refuse large n
-    rows = np.asarray(rows).reshape(-1, 12)
-    if rows.dtype.kind == "i":  # one reduction: a negative residue reads as a huge unsigned one
-        outside = rows.size and rows.view(f"u{rows.itemsize}").max() >= n
-    else:
-        outside = rows.size and (rows.min() < 0 or rows.max() >= n)
-    if outside:
-        rows = rows % n
-    # 2^14 rows at a time, so that the temporaries (about 75 bytes a row)
-    # are reused from chunk to chunk instead of taking fresh pages
-    index, step = np.empty(len(rows), dtype=np.int32), 1 << 14
-    for i in range(0, len(rows), step):
+    rows = reduce_rows(rows, n).reshape(-1, 12)
+    index = np.empty(len(rows), dtype=np.int32)
+    for i in range(0, len(rows), CHUNK):  # temporaries of about 75 bytes a row
         # one contiguous column per residue; the table sizes keep 6 n^2 below 2^15
-        cols = np.ascontiguousarray(rows[i:i + step].T, dtype=np.int16)
+        cols = np.ascontiguousarray(rows[i:i + CHUNK].T, dtype=np.int16)
         code = cols[0::2] + n * cols[1::2]  # (6, N) vector codes, slots in tuple order
         g = (code[0] + n * n * code[3].astype(np.intp)) * (n * n)
         # where det g = 0 all three read -1: their key wraps, and u2 < 0 rejects them
         u2, u3, v2 = (vec[g + code[s]] for s in (1, 2, 4))
-        index[i:i + step] = found = form[u2 + n * n * (u3 + n * n * v2.astype(np.intp))]
+        index[i:i + CHUNK] = found = form[u2 + n * n * (u3 + n * n * v2.astype(np.intp))]
         total = cols.reshape(6, 2, -1).sum(axis=0, dtype=np.int16)  # below 6n
         # numpy divides by a scalar far faster than it takes a remainder
         if (u2 < 0).any() or (found < 0).any() or (total != total // n * n).any():
@@ -327,6 +314,4 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
     rows = (forms @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12)
     rows %= n
     # the rows are distinct, so any sort of their codes gives one order
-    rows = rows[np.argsort(encode_rows(rows, n))]
-    rows.flags.writeable = False
-    return rows
+    return frozen(rows[np.argsort(encode_rows(rows, n))])

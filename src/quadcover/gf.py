@@ -41,6 +41,30 @@ def reduce_vec(v, n=DEFAULT_MODULUS) -> Vec2:
     return (v[0] % n, v[1] % n)
 
 
+def reduce_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
+    """Rows as residues below n, the range check of every reader of rows:
+    an integer array keeps its dtype when that holds n, anything else
+    becomes int64 (OverflowError beyond it).  A negative residue reads as a
+    huge unsigned one, so one max bounds both sides; rows out of range are
+    reduced in a copy."""
+    kept = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
+    if not kept or n >= 1 << (8 * rows.itemsize - 1):
+        rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and rows.view(f"u{rows.itemsize}").max() >= n:
+        rows = rows % n
+    return rows
+
+
+def frozen(array) -> np.ndarray:
+    """array itself, made read-only with every array it is a view of, as
+    every array a cached table holds is."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return array
+
+
 def vectors(n=DEFAULT_MODULUS) -> tuple[Vec2, ...]:
     """All of (Z/n)^2 in lexicographic order."""
     return tuple((x, y) for x in range(n) for y in range(n))
@@ -63,11 +87,9 @@ class Mat:
         a = np.asarray(entries, dtype=np.int64) % n
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        a = a.astype(np.int16)
-        a.flags.writeable = False
-        self.array = a
+        self.array = frozen(a.astype(np.int16))
         self.n = n
-        self._key = (n, a.shape[0], a.tobytes())
+        self._key = (n, a.shape[0], self.array.tobytes())
 
     @classmethod
     def identity(cls, k, n=DEFAULT_MODULUS):
@@ -90,7 +112,7 @@ class Mat:
 
     def apply_rows(self, rows):
         """Apply to every row of an (N, k) array; returns an (N, k) array."""
-        return np.asarray(rows, dtype=np.int64) @ self.array.T.astype(np.int64) % self.n
+        return reduce_rows(rows, self.n).astype(np.int64, copy=False) @ self.array.T % self.n
 
     def det(self) -> int:
         if self.size != 2:

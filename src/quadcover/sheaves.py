@@ -29,10 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .covers import (
-    TUPLE_MEMO, SixTuple, check_bytes, loop_image_rows, normal_form_index, normal_forms,
+    CHUNK, TUPLE_MEMO, SixTuple, check_bytes, loop_image_rows, normal_form_index, normal_forms,
     require_admissible,
 )
-from .gf import DEFAULT_MODULUS, Vec2, reduce_vec, require_prime
+from .gf import DEFAULT_MODULUS, Vec2, frozen, reduce_vec, require_prime
 from .picard import DivClass, canonical_class, configuration, intersect
 
 
@@ -118,9 +118,7 @@ _KY = np.array(canonical_class(), dtype=np.int64)
 @lru_cache(maxsize=None)
 def _characters(n) -> np.ndarray:
     """The n^2 characters (a, b), b-major, as a read-only (n^2, 2) array."""
-    chars = np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1)
-    chars.flags.writeable = False
-    return chars
+    return frozen(np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -159,10 +157,7 @@ def _evaluation(residues, n) -> tuple[CharacterTable, np.ndarray | None]:
     query evaluate the characters once; each still makes its own checks."""
     table = character_table([residues], n)
     numbers = None if table.void.any() else class_numbers(table.classes[0])
-    for array in (*table, numbers):
-        if array is not None:
-            array.flags.writeable = False
-    return table, numbers
+    return CharacterTable(*map(frozen, table)), None if numbers is None else frozen(numbers)
 
 
 def _integral(t: SixTuple, n) -> tuple[CharacterTable, np.ndarray]:
@@ -241,8 +236,7 @@ def _class_table() -> np.ndarray:
     constant of Y, built once per process."""
     box = np.stack(np.unravel_index(np.arange(486), (6, 3, 3, 3, 3)), axis=1) + _BOX_LOW
     table = np.stack([_h0_rows(box + _KY), (box * _FORM * (box + _KY)).sum(axis=1) // 2], axis=1)
-    table.flags.writeable = False
-    return table
+    return frozen(table)
 
 
 def class_numbers(classes) -> np.ndarray:
@@ -331,9 +325,7 @@ def _character_pairs(n):
     chars = np.stack(np.divmod(np.arange(1, n * n), n), axis=1)
     first, second = (chars[k] for k in np.triu_indices(len(chars)))
     heads = (tuple(map(tuple, c.tolist())) for c in (first, second, (first + second) % n))
-    columns = np.stack([first, second]) @ (1, n)
-    columns.flags.writeable = False
-    return columns, tuple(heads)
+    return frozen(np.stack([first, second]) @ (1, n)), tuple(heads)
 
 
 # the carry tuple of every 10-bit code: entry i is bit i
@@ -359,7 +351,7 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     Each row is g.f for its normal form f (normal_form_index) and a GL(2)
     matrix g; chi takes the values of chi o g on the loop images of g.f,
     so g.f's classes are f's, permuted: p_g is read off the forms that
-    occur, 2^20 table residues at a time, and gathered 2^14 rows at a
+    occur, 2^20 table residues at a time, and gathered CHUNK rows at a
     time (an int32 index is cast chunk by chunk, not whole).  ValueError
     for a row that is not admissible."""
     index, forms, step = normal_form_index(rows, n), normal_forms(n), (1 << 20) // (10 * n * n)
@@ -369,6 +361,6 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
         classes = character_table(forms[part], n).integral().classes
         pg[part] = class_numbers(classes)[..., 0].sum(axis=1)  # H^0(K_X) sums the H^0(K_Y + L)
     out = np.empty(len(index), dtype=np.int64)
-    for i in range(0, len(index), 1 << 14):
-        pg.take(index[i:i + (1 << 14)], out=out[i:i + (1 << 14)])
+    for i in range(0, len(index), CHUNK):
+        pg.take(index[i:i + CHUNK], out=out[i:i + CHUNK])
     return out

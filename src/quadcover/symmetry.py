@@ -33,7 +33,7 @@ import numpy as np
 
 from . import gf
 from .covers import LOOP_SLOTS, SixTuple, normal_form_index, normal_forms
-from .gf import DEFAULT_MODULUS, Mat
+from .gf import DEFAULT_MODULUS, Mat, frozen
 from .picard import CURVE_PAIRS
 
 
@@ -41,7 +41,8 @@ from .picard import CURVE_PAIRS
 def _sum_zero_basis(n):
     """Columns span the sum-zero subspace, parameterized by the first ten
     coordinates."""
-    return np.vstack([np.eye(10, dtype=np.int64), np.tile(np.eye(2, dtype=np.int64) * (n - 1), 5)])
+    basis = np.vstack([np.eye(10, dtype=np.int64), np.tile(np.eye(2, dtype=np.int64) * (n - 1), 5)])
+    return frozen(basis)
 
 
 def _restrict(mats, n) -> np.ndarray:
@@ -143,8 +144,7 @@ def group_closure(n=DEFAULT_MODULUS) -> GroupClosure:
     if len(blocks) != 1 or (blocks[0] != np.eye(10)).any():
         raise AssertionError("the swap closure meets the GL(2) blocks outside the identity")
     gl2_order = gf.gl2_order(n)
-    s5.flags.writeable = False
-    return GroupClosure(len(s5) * gl2_order, len(s5), gl2_order, s5)
+    return GroupClosure(len(s5) * gl2_order, len(s5), gl2_order, frozen(s5))
 
 
 class Orbit(NamedTuple):
@@ -210,17 +210,14 @@ def orbit_partition(n=DEFAULT_MODULUS) -> OrbitPartition:
     forms = normal_forms(n)
     closure = group_closure(n)
     moves = [normal_form_index(g.mat.apply_rows(forms), n) for g in s5_generators(n)]
-    roots, labels = np.unique(_least(moves, np.arange(len(forms))), return_inverse=True)
-    least = np.full(len(roots), np.iinfo(np.uint64).max, dtype=np.uint64)
-    np.minimum.at(least, labels, _least_member_codes(forms, n))
-    order = np.argsort(least)
-    labels = np.argsort(order)[labels].astype(np.int32)
-    by_orbit = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    # the orbit minimum of the codes labels each form, and np.unique sorts the orbits by it
+    least, labels = np.unique(_least(moves, _least_member_codes(forms, n)), return_inverse=True)
+    # read-only, and so is every orbit's classes, a view of by_form
+    labels, by_form = frozen(labels.astype(np.int32)), frozen(np.argsort(labels, kind="stable"))
     out = []
-    for code, classes in zip(least[order], by_orbit):
+    for code, classes in zip(least, np.split(by_form, np.cumsum(np.bincount(labels))[:-1])):
         size = closure.gl2_order * len(classes)
         if closure.order % size:
             raise AssertionError("orbit size does not divide the group order")
         out.append(Orbit(_decode(code, n), size, closure.order // size, classes))
-    labels.flags.writeable = False
     return OrbitPartition(tuple(out), labels)

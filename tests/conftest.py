@@ -36,6 +36,13 @@ def u3():
 
 
 @pytest.fixture(scope="session")
+def u3_shifted(u3):
+    """U3 with 5 * 2^60 added to every residue: the same residues mod 5,
+    held in int64 but far outside 0..4."""
+    return SixTuple(*((x + (5 << 60), y + (5 << 60)) for x, y in u3))
+
+
+@pytest.fixture(scope="session")
 def u4():
     return SixTuple.parse(REFERENCE["U4"])
 

@@ -354,6 +354,12 @@ def test_encode_rows_matches_python_integers(n, dtype):
     assert [int(c) for c in codes] == [sum(int(r) * n ** (11 - j) for j, r in enumerate(row)) for row in rows]
 
 
+def test_encode_rows_reduces_residues_out_of_range():
+    rows = covers.admissible_array(5)[::997].astype(np.int64)
+    for shift in (5 << 60, -5):
+        assert np.array_equal(covers.encode_rows(rows + shift, 5), covers.encode_rows(rows, 5))
+
+
 def test_admissible_array_peak_memory():
     # the expanded rows, reduced in place, then their codes by Horner
     # steps and one sorted copy: about 56 bytes a row, 10.8 MiB; a uint64

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import sympy
 
@@ -126,3 +127,30 @@ def test_mat_block_diagonal():
     b = gf.Mat.block_diagonal([[2, 1], [1, 1]], 3, 5)
     assert b.size == 6
     assert b.apply_rows([(1, 0, 0, 1, 1, 1)]).tolist() == [[2, 1, 1, 1, 3, 2]]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8, np.uint64])
+def test_reduce_rows_keeps_the_dtype_and_copies_only_out_of_range(dtype):
+    rows = (np.arange(36) % 5).astype(dtype).reshape(3, 12)
+    assert gf.reduce_rows(rows, 5) is rows
+    shifts = (5, -5, -6) if np.issubdtype(dtype, np.signedinteger) else (5, 100)
+    for shift in shifts:
+        moved = rows.copy()
+        moved[2, 7] += shift
+        reduced = gf.reduce_rows(moved, 5)
+        assert reduced.dtype == dtype and reduced is not moved
+        assert np.array_equal(reduced, moved % 5) and moved[2, 7] == rows[2, 7] + shift
+    empty = np.zeros((0, 12), dtype=dtype)
+    assert gf.reduce_rows(empty, 5) is empty
+
+
+def test_reduce_rows_reads_anything_else_as_int64():
+    reduced = gf.reduce_rows([[-1, 7, (1 << 63) - 1, -(1 << 63)]], 5)
+    assert reduced.dtype == np.int64
+    assert reduced.tolist() == [[4, 2, ((1 << 63) - 1) % 5, -(1 << 63) % 5]]
+    assert gf.reduce_rows((1.0, 6.0), 5).tolist() == [1, 1]
+    # a dtype that cannot hold n is widened before the reduction
+    narrow = gf.reduce_rows(np.array([-1, 5], dtype=np.int8), 131)
+    assert narrow.dtype == np.int64 and narrow.tolist() == [130, 5]
+    with pytest.raises(OverflowError):
+        gf.reduce_rows([1 << 63], 5)

@@ -4,15 +4,18 @@
 checks the same invariants, sheaf table, cover equations and canonical
 certificate that the `queries` workload checks."""
 
+import functools
+import gc
 import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 
-from quadcover import canonical, covers, sheaves
+from quadcover import canonical, covers, gf, picard, sheaves, symmetry
 from quadcover.covers import SixTuple
 
 import oracles
@@ -251,3 +254,48 @@ def test_memos_are_bounded_and_not_shared_across_a_pool():
             query(t)
         assert [memo.cache_info().misses for memo in _memos()] == [passes * len(pool)] * 2
         assert all(memo.cache_info().currsize <= bound for memo in _memos())
+
+
+def test_per_tuple_reads_reduce_residues_far_out_of_range(u3, u3_shifted):
+    # the residues are reduced before any product, so nothing wraps in int64
+    chars = [(a, b) for b in range(5) for a in range(5)]
+    assert [sheaves.coeffs(u3_shifted, chi) for chi in chars] == [sheaves.coeffs(u3, chi) for chi in chars]
+    pairs = [(chi, chi2) for chi in chars for chi2 in chars]
+    assert [sheaves.epsilon(u3_shifted, *p) for p in pairs] == [sheaves.epsilon(u3, *p) for p in pairs]
+    for call in (sheaves.sheaf_table, sheaves.invariants, sheaves.cover_equations):
+        assert call(u3_shifted) == call(u3), call.__name__
+    # the certificate names its tuple; everything else agrees
+    assert canonical.degree_certificate(u3_shifted)._replace(tuple=u3) == canonical.degree_certificate(u3)
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through containers, instance
+    attributes and array bases; functions, types and modules are not
+    entered."""
+    if id(obj) in seen or callable(obj) or isinstance(obj, ModuleType):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        yield from _arrays(obj.base, seen)
+    else:
+        for ref in gc.get_referents(obj):
+            yield from _arrays(ref, seen)
+
+
+def test_every_cached_array_is_read_only(u3):
+    # a caller that writes into a process table would corrupt every later
+    # result; the cached results are read through the caches' references
+    tables = [f for module in (canonical, covers, gf, picard, sheaves, symmetry)
+              for f in vars(module).values()
+              if isinstance(f, functools._lru_cache_wrapper) and f.__module__ == module.__name__]
+    covers.admissible_array(5)
+    part = symmetry.orbit_partition(5)
+    sheaves.ram_curve_numbers(u3, 5)
+    sheaves.h0(picard.canonical_class())
+    assert query(u3)["degree_product"] == 19
+    assert [f.__name__ for f in tables if not f.cache_info().currsize] == []
+    found = [a for f in tables for a in _arrays(gc.get_referents(f), set())]
+    assert any(a is covers.normal_forms(5) for a in found)
+    assert all(any(a is orbit.classes for a in found) for orbit in part.orbits)
+    assert [a.shape for a in found if a.flags.writeable] == []

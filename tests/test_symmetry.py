@@ -64,6 +64,12 @@ def test_gl2_action_examples(u3):
         symmetry.gl2_action(Mat.identity(12))
 
 
+def test_gl2_action_reduces_residues_far_out_of_range(u3, u3_shifted):
+    for m in gl2_enumerate(5):
+        g = symmetry.gl2_action(m)
+        assert g.apply(u3_shifted) == g.apply(u3)
+
+
 def test_gl2_action_preserves_admissibility():
     rng = random.Random(41)
     arr = covers.admissible_array(5)

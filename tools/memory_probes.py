@@ -15,7 +15,11 @@
     normal_forms, gl2_array and the line table built first;
   * mask_mib: tracemalloc peak of admissibility_mask over that array;
   * import_cli_s: median wall time of a cold `import quadcover.cli` in a
-    child interpreter.
+    child interpreter;
+  * bytecode: whether the measured package directory held `__pycache__`
+    when the script started.  A child that finds compiled bytecode there
+    skips compiling the package, which shortens every child time above;
+    measure from a tree without it, with PYTHONDONTWRITEBYTECODE=1.
 Point PYTHONPATH at another checkout to measure that tree instead; the
 children inherit it, and the script reads only names both trees export.
 """
@@ -23,6 +27,7 @@ children inherit it, and the script reads only names both trees export.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -31,7 +36,11 @@ import sys
 import time
 import tracemalloc
 
-from quadcover import covers, gf
+# looked up before the package is imported here, which may compile it
+PACKAGE = os.path.dirname(importlib.util.find_spec("quadcover").origin)
+BYTECODE = os.path.isdir(os.path.join(PACKAGE, "__pycache__"))
+
+from quadcover import covers, gf  # noqa: E402
 
 DUMP = (
     "import sys\n"
@@ -77,7 +86,7 @@ def main():
     out["mask_mib"] = _traced_mib(lambda: covers.admissibility_mask(rows, 5))
     out["import_cli_s"] = statistics.median(
         _child(["-c", "import quadcover.cli"])[0] for _ in range(4 * args.repeats))
-    print(json.dumps({k: round(v, 3) for k, v in out.items()}))
+    print(json.dumps({k: round(v, 3) for k, v in out.items()} | {"bytecode": BYTECODE}))
 
 
 if __name__ == "__main__":
