@@ -1,7 +1,8 @@
 """Exact linear algebra over Z for small matrices.
 
 Everything here works on lists of Python ints, so results are certified
-rather than sampled: invariant factors, and membership in a column lattice.
+rather than sampled: the invariant factors of an integer matrix, which
+give the rank and torsion of its cokernel.
 """
 
 from __future__ import annotations
@@ -42,16 +43,3 @@ def invariant_factors(a) -> tuple[int, ...]:
             del row[j]
     return tuple(factors)
 
-
-def in_image(a, b) -> bool:
-    """Whether b, an integer vector or an integer matrix of columns, lies
-    in the image of the integer matrix a (columns as generators), i.e.
-    a*x = b is solvable over Z.
-
-    Appending the columns of b maps coker(a) onto coker([a | b]), and the
-    kernel is generated by their classes.  A finitely generated abelian
-    group is isomorphic to no proper quotient of itself, so b lies in the
-    image exactly when the two matrices have the same invariant factors.
-    """
-    columns = [row if isinstance(row, (list, tuple)) else [row] for row in b]
-    return invariant_factors(a) == invariant_factors([[*r, *x] for r, x in zip(a, columns, strict=True)])

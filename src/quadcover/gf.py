@@ -75,16 +75,16 @@ def nonzero_vectors(n=DEFAULT_MODULUS) -> tuple[Vec2, ...]:
 
 
 class Mat:
-    """Immutable k x k matrix over Z/n, hashable, with entries in {0,..,n-1}.
-
-    Supports * (matrix product mod n) and application to rows of
-    coordinate vectors, which is all the closure and orbit machinery needs.
-    """
+    """Immutable, hashable k x k matrix over Z/n, n <= 32767, its entries
+    read through reduce_rows and kept as int16: * is the product mod n and
+    apply_rows acts on rows, all the closure and orbit machinery needs."""
 
     __slots__ = ("array", "n", "_key")
 
     def __init__(self, entries, n=DEFAULT_MODULUS):
-        a = np.asarray(entries, dtype=np.int64) % n
+        if n > 32767:
+            raise ValueError(f"modulus {n} is above 32767, the int16 entry bound")
+        a = reduce_rows(entries, n)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         self.array = frozen(a.astype(np.int16))
@@ -117,8 +117,8 @@ class Mat:
     def det(self) -> int:
         if self.size != 2:
             raise ValueError("det is only provided for 2x2 matrices")
-        a = self.array
-        return int(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) % self.n
+        (a, b), (c, d) = self.array.tolist()
+        return (a * d - b * c) % self.n
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self._key == other._key

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import sympy
@@ -121,6 +123,30 @@ def test_mat_basics():
         gf.Mat([[1, 2, 3]], 5)
     with pytest.raises(ValueError):
         m * gf.Mat.identity(2, 7)
+
+
+def test_mat_reads_entries_through_the_row_intake():
+    # uint64 entries from 2^63 on are reduced as they are, not wrapped
+    m = gf.Mat(np.array([[2 ** 63 + 1, 0], [0, 1]], dtype=np.uint64), 5)
+    assert m.array.tolist() == [[(2 ** 63 + 1) % 5, 0], [0, 1]]
+    assert m == gf.Mat([[4, 0], [0, 1]], 5)
+
+
+def test_mat_refuses_a_modulus_beyond_int16():
+    # 32749 is the largest prime whose residues int16 holds
+    assert gf.Mat([[40000, 1], [0, 1]], 32749).array[0, 0] == 40000 - 32749
+    for n in (32771, 40009):
+        with pytest.raises(ValueError, match=f"modulus {n} "):
+            gf.Mat([[40000, 1], [0, 1]], n)
+
+
+def test_mat_det_in_python_ints():
+    assert gf.Mat([[200, 0], [0, 200]], 211).det() == 200 * 200 % 211 == 121
+    rng = random.Random(17)
+    for n in (211, 32749):
+        for _ in range(200):
+            a, b, c, d = (rng.randrange(n) for _ in range(4))
+            assert gf.Mat([[a, b], [c, d]], n).det() == (a * d - b * c) % n
 
 
 def test_mat_block_diagonal():

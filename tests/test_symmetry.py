@@ -64,6 +64,12 @@ def test_gl2_action_examples(u3):
         symmetry.gl2_action(Mat.identity(12))
 
 
+def test_gl2_action_refuses_a_matrix_singular_mod_211():
+    # 187 * 26 - 202 * 210 = -178 * 211, beyond int16
+    with pytest.raises(ValueError, match="singular"):
+        symmetry.gl2_action([[187, 202], [210, 26]], 211)
+
+
 def test_gl2_action_reduces_residues_far_out_of_range(u3, u3_shifted):
     for m in gl2_enumerate(5):
         g = symmetry.gl2_action(m)

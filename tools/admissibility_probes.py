@@ -7,19 +7,22 @@ Three medians, each in a fresh state where the figure asks for one:
     sum zero at n = 5 (the candidate pool of perfbench's queries workload);
   * normal_forms_ms: normal_forms(5) with its cache cleared;
   * check_us: one check_admissibility(U3) with the _check memo cleared.
-Point PYTHONPATH at another checkout to time that tree instead; the
-script reads only names that both trees export.
+`tree` is the package directory measured.  Point PYTHONPATH at another
+checkout to time that tree instead; the script reads only names that
+both trees export.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import time
 
 import numpy as np
 
+import quadcover
 from quadcover import covers
 from quadcover.covers import SixTuple
 
@@ -55,7 +58,8 @@ def main():
         "check_us": 1e6 * _median_s(lambda: covers.check_admissibility(U3, 5), 200 * args.repeats,
                                     covers._check.cache_clear),
     }
-    print(json.dumps({k: round(v, 2) for k, v in out.items()}))
+    tree = {"tree": os.path.dirname(os.path.abspath(quadcover.__file__))}
+    print(json.dumps(tree | {k: round(v, 2) for k, v in out.items()}))
 
 
 if __name__ == "__main__":
