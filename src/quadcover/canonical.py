@@ -172,7 +172,7 @@ def local_ideal(b: CanonicalBasis, fixed, pair, n=DEFAULT_MODULUS) -> MonomialId
     return _local_ideals(b.exponent_rows(), fixed, [(i, j)])[0]
 
 
-def resolve_type(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePointType:
+def resolve_type(ideal: MonomialIdeal2D) -> BasePointType:
     """Infinitely-near multiplicity type of a base point given by a
     monomial ideal with no common factor.
 
@@ -188,12 +188,10 @@ def resolve_type(ideal: MonomialIdeal2D, _depth_budget=None) -> BasePointType:
             f"ideal {ideal.format()} has a common factor: fixed-curve leakage"
         )
     gens = ideal.generators
-    if _depth_budget is None:
-        # depth <= number of infinitely-near points <= local intersection
-        # multiplicity of two generic members <= (max generator degree)^2
-        top = max(a + b for a, b in gens)
-        _depth_budget = top * top + 1
-    return _resolve(gens, _depth_budget)
+    # depth <= number of infinitely-near points <= local intersection
+    # multiplicity of two generic members <= (max generator degree)^2
+    top = max(a + b for a, b in gens)
+    return _resolve(gens, top * top + 1)
 
 
 def _resolve(gens, budget) -> BasePointType:

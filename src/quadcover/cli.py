@@ -35,8 +35,8 @@ class Section(NamedTuple):
     data is what json writes, _Rows in it as lists of rows.  md is a list of
     blocks joined by blank lines; a block is a text string, a (headers,
     rows) table or _Rows.  csv is one (headers, rows) table, rows possibly
-    lazy, whose last cell may be a generator of JSON pieces.  checks lists
-    the mismatches that --verify reports.
+    lazy lists or ready lines, a list's last cell possibly a generator of
+    JSON pieces.  checks lists the mismatches that --verify reports.
     """
 
     data: object
@@ -49,18 +49,17 @@ _PIECES = 1 << 11  # pieces of output text joined per write: lines, or json rows
 
 
 class _Rows:
-    """An (N, 12) int16 array of residue rows, read CHUNK rows at a time:
-    json writes it a row at a time, md and csv one line per row."""
+    """An (N, 12) int16 array of residue rows; lines is the only code that
+    writes a row as text, each format passing its own template."""
 
     def __init__(self, rows):
         self.rows = rows
 
-    def __iter__(self):
+    def lines(self, sep=",", head="", tail=""):
+        """Each row as head + its residues joined by sep + tail, CHUNK rows at a time."""
+        template = head + sep.join(["%d"] * self.rows.shape[1]) + tail
         for i in range(0, len(self.rows), CHUNK):
-            yield from self.rows[i:i + CHUNK].tolist()
-
-    def lines(self):
-        return (",".join(map(str, row)) for row in self)
+            yield from map(template.__mod__, map(tuple, self.rows[i:i + CHUNK].tolist()))
 
 
 def _md_lines(blocks):
@@ -90,17 +89,18 @@ def _json_pieces(data, indent=None, depth=0):
             yield from _json_pieces(data[key], indent, depth + 1)
         yield outer + "}"
     elif isinstance(data, _Rows):
-        row = inner + "[" + comma.join([inner + step + "%d"] * data.rows.shape[1]) + inner + "]"
-        for i, values in enumerate(data):
-            yield (comma if i else "[") + row % tuple(values)
+        rows = data.lines(comma + inner + step, comma + inner + "[" + inner + step, inner + "]")
+        for row in rows:  # once: the first row opens the list where the others have a comma
+            yield "[" + row[len(comma):]
+            yield from rows
         yield outer + "]" if len(data.rows) else "[]"
     else:
         yield json.dumps(data, indent=indent, sort_keys=True).replace("\n", outer)
 
 
 def _csv_lines(headers, rows):
-    """The csv lines of a table.  A last cell that is a generator of JSON
-    pieces (of a dict or a list, so it holds a '"') is quoted piece by piece."""
+    """The csv lines of a table, a str row (a _Rows line) as it is.  A last cell that is a
+    generator of JSON pieces (of a dict or a list, so it holds a '"') is quoted piece by piece."""
     import csv
     from types import GeneratorType, SimpleNamespace
 
@@ -111,7 +111,7 @@ def _csv_lines(headers, rows):
             yield from (piece.replace('"', '""') for piece in row[-1])
             yield '"\n'
         else:
-            yield writer.writerow(row)
+            yield row if isinstance(row, str) else writer.writerow(row)
 
 
 def render(section: Section, fmt: str) -> Iterator[str]:
@@ -138,7 +138,7 @@ def _cmd_enumerate(args):
     if args.dump:
         data["tuples"] = tuples = _Rows(admissible_array(n))
         md += [tuples] if count else []
-        csv = (["tuple"], ([line] for line in tuples.lines()))
+        csv = (["tuple"], tuples.lines(head='"', tail='"\n'))  # one quoted field, as csv.writer writes it
     drift = n == 5 and count != golden.ADMISSIBLE_COUNT
     checks = [f"count {count} != {golden.ADMISSIBLE_COUNT}"] if drift else []
     return Section(data, md, csv, checks)

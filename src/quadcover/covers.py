@@ -33,8 +33,11 @@ class SixTuple(NamedTuple):
 
     @classmethod
     def from_residues(cls, res, n=None) -> "SixTuple":
-        """Twelve nonnegative residues; below n too when n is given."""
-        res = tuple(int(x) for x in res)
+        """Twelve nonnegative integers (integral floats too); below n when n is given."""
+        given = tuple(res)
+        res = tuple(int(x) for x in given if x - x == 0)  # x - x is NaN for NaN and infinity
+        if res != given:
+            raise ValueError(f"residues must be integers, got {given}")
         if len(res) != 12:
             raise ValueError(f"expected 12 residues, got {len(res)}")
         if any(x < 0 for x in res):

@@ -44,12 +44,17 @@ def reduce_vec(v, n=DEFAULT_MODULUS) -> Vec2:
 def reduce_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Rows as residues below n, the range check of every reader of rows:
     an integer array keeps its dtype when that holds n, anything else
-    becomes int64 (OverflowError beyond it).  A negative residue reads as a
-    huge unsigned one, so one max bounds both sides; rows out of range are
-    reduced in a copy."""
+    becomes int64 (OverflowError beyond it, ValueError at a float that is
+    not a finite integer).  A negative residue reads as a huge unsigned
+    one, so one max bounds both sides; out-of-range rows are reduced in a copy."""
     kept = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
     if not kept or n >= 1 << (8 * rows.itemsize - 1):
-        rows = np.asarray(rows, dtype=np.int64)
+        given = np.asarray(rows)
+        if given.dtype.kind == "f":
+            if (bad := given[~np.isfinite(given) | (given != np.trunc(given))]).size:
+                raise ValueError(f"residue {bad[0]!s} is not an integer")
+            rows = rows.tolist() if rows is given else rows  # Python floats convert exactly, or overflow
+        rows = given if given.dtype == np.int64 else np.asarray(rows, dtype=np.int64)
     if rows.size and rows.view(f"u{rows.itemsize}").max() >= n:
         rows = rows % n
     return rows

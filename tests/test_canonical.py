@@ -177,12 +177,15 @@ def test_charts_have_no_common_factor(pairs):
 
 
 def test_resolve_type_depth_budget():
-    # (x^3, y) needs three blow-ups; the message names the chart left over
+    # (x^3, y) needs three blow-ups; the message names the chart left over.
+    # resolve_type sets the budget itself (10 here), so the net is tried on _resolve
     ideal = I((3, 0), (0, 1))
-    for resolve in (canonical.resolve_type, oracles.resolve_type_by_ideals):
+    for resolve in (lambda budget: canonical._resolve(ideal.generators, budget),
+                    lambda budget: oracles.resolve_type_by_ideals(ideal, budget)):
         with pytest.raises(RuntimeError, match=r"^blow-up of \(x\^2, y\) does not terminate$"):
-            resolve(ideal, 1)
-    assert canonical.resolve_type(ideal, 3).multiplicities() == (1, 1, 1)
+            resolve(1)
+    assert canonical._resolve(ideal.generators, 3).multiplicities() == (1, 1, 1)
+    assert canonical.resolve_type(ideal).multiplicities() == (1, 1, 1)
 
 
 def test_blowup_shrinks_generator_degree_sum(u3):

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadcover import canonical, cli, covers, symmetry
@@ -346,6 +347,7 @@ REPORT_DUMP_DIGESTS = {
             "--modulus 3 enumerate --dump --format md",  # no tuples: ends like every md output
             "ada624350ff1adf1b35fa2d8e480de3dba5ec4e3561de6adbf7dfe11810f4f40",
         ),
+        ("--modulus 3 enumerate --dump --format csv", "7ebb15439e4e04f92ccc12fce3e29d0a1eeae5ee2911ce130d5d058102109cfe"),
         *((f"enumerate --dump --format {fmt}", digest) for fmt, digest in DUMP_DIGESTS.items()),
     ],
 )
@@ -428,6 +430,30 @@ def test_json_pieces_write_what_json_dumps_writes():
             assert "".join(pieces) == json.dumps(_read_whole(data), indent=indent, sort_keys=True)
             if isinstance(data, cli._Rows):
                 assert len(pieces) == len(data.rows) + 1  # never the rows whole
+
+
+def _row_samples():
+    rows = covers.admissible_array(5)
+    pick = np.random.default_rng(29).choice(len(rows), 5000, replace=False)
+    return {"5000 rows at 5": rows[np.sort(pick)], "normal forms at 7": covers.normal_forms(7)}
+
+
+@pytest.mark.parametrize("name", ["5000 rows at 5", "normal forms at 7"])
+def test_row_lines_match_independent_writers(name):
+    # every format's row text comes from _Rows.lines; each is checked
+    # against a writer that shares no code with it
+    rows = _row_samples()[name]
+    table = cli._Rows(rows)
+    plain = [",".join(map(str, row)) for row in rows.tolist()]
+    assert list(table.lines()) == plain  # md
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for line in plain:
+        writer.writerow([line])
+    csv_lines = list(table.lines(head='"', tail='"\n'))
+    assert "".join(csv_lines) == out.getvalue() and len(csv_lines) == len(rows)
+    for indent in (None, 2):
+        assert "".join(cli._json_pieces(table, indent)) == json.dumps(rows.tolist(), indent=indent)
 
 
 @pytest.mark.parametrize("argv, head", [("enumerate --dump --format csv", [b"tuple\n"]), ("group", [])],

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import enumerate_admissible, is_totally_ramified
-from quadcover import covers, gf, symmetry
+from quadcover import covers, gf, sheaves, symmetry
 from quadcover.covers import SixTuple
 
 
@@ -20,6 +20,23 @@ def test_parse_and_format(u3):
         SixTuple.parse("1,2,3")
     with pytest.raises(ValueError):
         SixTuple.parse("a,b,c,d,e,f,g,h,i,j,k,l")
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.7, float("nan"), float("inf")])
+def test_fractional_residues_are_refused(u3, bad):
+    # 1.5 or 1.7 in place of U3's leading 1 must not read as U3 in any reader
+    row = [bad, *u3.residues[1:]]
+    with pytest.raises(ValueError, match=r"^residues must be integers, got \(" + str(bad)):
+        SixTuple.from_residues(row)
+    for rows in ([row], np.array([row])):
+        for read in (covers.admissibility_mask, sheaves.pg_values, covers.loop_image_rows):
+            with pytest.raises(ValueError, match=f"^residue {bad} is not an integer$"):
+                read(rows, 5)
+    # integral floats and numpy integers still read as their integers
+    assert SixTuple.from_residues([1.0, *u3.residues[1:]], 5) == u3
+    assert SixTuple.from_residues(np.array(u3.residues, dtype=np.int16), 5) == u3
+    assert covers.admissibility_mask([[1.0, *u3.residues[1:]]], 5).tolist() == [True]
+    assert sheaves.pg_values(np.array([u3.residues], dtype=float), 5).tolist() == [4]
 
 
 def test_loop_images_u3(u3):

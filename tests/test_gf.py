@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +181,28 @@ def test_reduce_rows_reads_anything_else_as_int64():
     assert narrow.dtype == np.int64 and narrow.tolist() == [130, 5]
     with pytest.raises(OverflowError):
         gf.reduce_rows([1 << 63], 5)
+    # integral floats read exactly, from float arrays too; a Python int
+    # among floats is not rounded through float64
+    for rows in ([[1.0, 6.0, -1.0]], np.array([[1.0, 6.0, -1.0]]), np.array([[1.0, 6.0, -1.0]], dtype=np.float32)):
+        reduced = gf.reduce_rows(rows, 5)
+        assert reduced.dtype == np.int64 and reduced.tolist() == [[1, 1, 4]]
+    assert gf.Mat([[1.0, 5.0], [0.0, 6.0]], 5) == gf.Mat([[1, 0], [0, 1]], 5)
+    assert gf.reduce_rows([1.0, (1 << 62) + 1], 7).tolist() == [1, ((1 << 62) + 1) % 7]
+    for rows in ([1e19], np.array([1e19]), np.array([-1e19])):
+        with pytest.raises(OverflowError):
+            gf.reduce_rows(rows, 5)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.7, -0.5, float("nan"), float("inf"), -float("inf")])
+def test_reduce_rows_refuses_a_float_that_is_not_a_finite_integer(bad):
+    # truncated, 1.7 would read as 1 and the row as U3; a NaN cast would
+    # read as a residue after a RuntimeWarning.  A ValueError names the value
+    row = [1, 0, 1, 0, 0, 1, 4, 1, 3, 2, 1, 1]
+    row[5] = bad
+    for rows in ([row], np.array([row]), np.array([row], dtype=np.float32)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^residue {bad} is not an integer$"):
+                gf.reduce_rows(rows, 5)
+    with pytest.raises(ValueError, match=f"^residue {bad} is not an integer$"):
+        gf.Mat([[bad, 0], [0, 1]], 5)

@@ -16,6 +16,7 @@
   * mask_mib: tracemalloc peak of admissibility_mask over that array;
   * import_cli_s: median wall time of a cold `import quadcover.cli` in a
     child interpreter;
+  * tree: the package directory measured;
   * bytecode: whether the measured package directory held `__pycache__`
     when the script started.  A child that finds compiled bytecode there
     skips compiling the package, which shortens every child time above;
@@ -86,7 +87,7 @@ def main():
     out["mask_mib"] = _traced_mib(lambda: covers.admissibility_mask(rows, 5))
     out["import_cli_s"] = statistics.median(
         _child(["-c", "import quadcover.cli"])[0] for _ in range(4 * args.repeats))
-    print(json.dumps({k: round(v, 3) for k, v in out.items()} | {"bytecode": BYTECODE}))
+    print(json.dumps({"tree": PACKAGE} | {k: round(v, 3) for k, v in out.items()} | {"bytecode": BYTECODE}))
 
 
 if __name__ == "__main__":
