@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .covers import SixTuple, require_admissible
 from .gf import DEFAULT_MODULUS, Vec2, is_prime
 from .picard import CURVE_LABELS, DivClass, incidences, intersect
-from .sheaves import CURVE_CLASSES, _character_tuples, _integral, adjunction_class
+from .sheaves import CURVE_CLASSES, _admitted, _character_tuples, _integral, adjunction_class
 
 
 class CanonicalBasis(NamedTuple):
@@ -141,12 +141,7 @@ class BasePointType:
 
     @property
     def is_chain(self) -> bool:
-        node = self
-        while node:
-            if len(node.children) > 1:
-                return False
-            node = node.children[0] if node.children else None
-        return True
+        return len(self.children) <= 1 and all(child.is_chain for child in self.children)
 
 
 def _local_ideals(rows, fixed, pairs) -> list[MonomialIdeal2D]:
@@ -268,9 +263,10 @@ def degree_certificate(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalReport:
     share 120 row sets, one per GL(2)-class.  The cached values are
     immutable.
     """
-    require_admissible(t, n)
-    if n != 5:
+    if n != 5:  # the plain check: no n^2 characters are evaluated for a refused call
+        require_admissible(t, n)
         raise ValueError("the canonical certificate is only defined for modulus 5")
+    _admitted(t, n)
     b = basis(t, n)
     if len(b.entries) != 4:
         raise ValueError(

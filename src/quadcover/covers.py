@@ -9,6 +9,8 @@ A tuple is admissible when (0) the six entries sum to zero, (1) all ten
 loop images are nonzero, and (2) the images at each of the 15 incident
 curve pairs are linearly independent.  Admissible tuples correspond to
 smooth degree-n^2 abelian covers branched exactly on the configuration.
+Condition (0) holds exactly when every eigensheaf class is integral
+(sheaves.CharacterTable); the per-tuple calls of sheaves memoize the check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import DEFAULT_MODULUS, Vec2, frozen, gl2_array, nonzero_vectors, reduce_rows, require_prime
+from .gf import DEFAULT_MODULUS, Vec2, frozen, gl2_array, is_integer, nonzero_vectors, reduce_rows, require_prime
 from .picard import CURVE_LABELS, LOOP_RELATIONS, incidences
 
 
@@ -33,11 +35,11 @@ class SixTuple(NamedTuple):
 
     @classmethod
     def from_residues(cls, res, n=None) -> "SixTuple":
-        """Twelve nonnegative integers (integral floats too); below n when n is given."""
+        """Twelve nonnegative integers (of any type, see gf.is_integer); below n when n is given."""
         given = tuple(res)
-        res = tuple(int(x) for x in given if x - x == 0)  # x - x is NaN for NaN and infinity
-        if res != given:
+        if not all(map(is_integer, given)):
             raise ValueError(f"residues must be integers, got {given}")
+        res = tuple(map(int, given))
         if len(res) != 12:
             raise ValueError(f"expected 12 residues, got {len(res)}")
         if any(x < 0 for x in res):
@@ -86,6 +88,12 @@ class AdmissibilityCheck(NamedTuple):
 
     def __bool__(self):
         return self.ok
+
+    def require(self, t):
+        """t, the tuple checked, when it passed; ValueError with the reason otherwise."""
+        if not self.ok:
+            raise ValueError(f"tuple {t.format()} is not admissible: {self.reason}")
+        return t
 
     @property
     def reason(self) -> str:
@@ -140,9 +148,10 @@ def _line_table(n) -> np.ndarray:
     1 + y/x for (x, y) with x != 0 and n + 1 for (0, y).  Two vectors
     are dependent exactly when one names 0 or both name the same line.
     The table holds 72 n^2 bytes and its build a few n^2 int64 arrays,
-    so it refuses n above 1930.
+    so it refuses n above 1930; lines need n prime.
     """
     check_bytes(36 * n * n * 2, n, "admissibility table")
+    require_prime(n)
     inv = np.array([pow(v, -1, n) if v else 0 for v in range(n)])
     x, y = np.arange(n), np.arange(n)[:, None]
     line = np.where(x != 0, 1 + y * inv[x] % n, np.where(y != 0, n + 1, 0))
@@ -174,20 +183,10 @@ def admissibility_mask(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     return np.concatenate([~_failures(chunk, n).any(axis=1) for chunk in chunks])
 
 
-# Rows remembered by the per-tuple memos (_check here, the one-row
-# character evaluation in sheaves): enough for the calls of one query on
-# one tuple, far too few to serve a pool of queries.
-TUPLE_MEMO = 8
-
-
 def check_admissibility(t: SixTuple, n=DEFAULT_MODULUS) -> AdmissibilityCheck:
-    """The first condition that t fails, in the column order of _failures."""
-    return _check(t.residues, n)
-
-
-@lru_cache(maxsize=TUPLE_MEMO)
-def _check(residues, n) -> AdmissibilityCheck:
-    failed = _failures(residues, n)[0]
+    """The first condition that t, or one residue row, fails, in the column
+    order of _failures."""
+    failed = _failures(t, n)[0]
     first = failed.argmax()
     if not failed[first]:
         return AdmissibilityCheck(True)
@@ -196,10 +195,7 @@ def _check(residues, n) -> AdmissibilityCheck:
 
 def require_admissible(t: SixTuple, n=DEFAULT_MODULUS) -> SixTuple:
     """t itself; ValueError with the reason when it is not admissible."""
-    check = check_admissibility(t, n)
-    if not check:
-        raise ValueError(f"tuple {t.format()} is not admissible: {check.reason}")
-    return t
+    return check_admissibility(t, n).require(t)
 
 
 def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:

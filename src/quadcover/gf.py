@@ -41,19 +41,29 @@ def reduce_vec(v, n=DEFAULT_MODULUS) -> Vec2:
     return (v[0] % n, v[1] % n)
 
 
+def is_integer(x) -> bool:
+    """Whether x, of any type (6.0, Fraction(12, 2), Decimal("6")), equals an integer."""
+    try:
+        return x == int(x)
+    except (ValueError, OverflowError):  # int() of NaN or of an infinity
+        return False
+
+
 def reduce_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     """Rows as residues below n, the range check of every reader of rows:
     an integer array keeps its dtype when that holds n, anything else
-    becomes int64 (OverflowError beyond it, ValueError at a float that is
-    not a finite integer).  A negative residue reads as a huge unsigned
-    one, so one max bounds both sides; out-of-range rows are reduced in a copy."""
+    becomes int64 (OverflowError beyond it, ValueError at a residue that
+    is_integer refuses).  A negative residue reads as a huge unsigned one,
+    so one max bounds both sides; out-of-range rows are reduced in a copy."""
     kept = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
     if not kept or n >= 1 << (8 * rows.itemsize - 1):
         given = np.asarray(rows)
-        if given.dtype.kind == "f":
-            if (bad := given[~np.isfinite(given) | (given != np.trunc(given))]).size:
+        if given.dtype.kind not in "iu":
+            # each residue as given, not rounded to a common dtype: an int among floats stays exact
+            values = (given if rows is given else np.asarray(rows, dtype=object)).ravel()
+            if bad := [x for x in values if not is_integer(x)]:
                 raise ValueError(f"residue {bad[0]!s} is not an integer")
-            rows = rows.tolist() if rows is given else rows  # Python floats convert exactly, or overflow
+            given = np.fromiter(map(int, values), dtype=np.int64, count=values.size).reshape(given.shape)
         rows = given if given.dtype == np.int64 else np.asarray(rows, dtype=np.int64)
     if rows.size and rows.view(f"u{rows.itemsize}").max() >= n:
         rows = rows % n
@@ -151,19 +161,10 @@ def gl2_enumerate(n=DEFAULT_MODULUS) -> list[Mat]:
 
 
 def primitive_root(n) -> int:
-    """Smallest generator of the multiplicative group of Z/n, n prime."""
+    """Smallest generator of the multiplicative group of Z/n, n prime: the
+    least g with n - 1 distinct powers."""
     require_prime(n)
-    if n == 2:
-        return 1
-    for g in range(2, n):
-        seen = set()
-        x = 1
-        for _ in range(n - 1):
-            x = x * g % n
-            seen.add(x)
-        if len(seen) == n - 1:
-            return g
-    raise AssertionError("no primitive root found")
+    return next(g for g in range(1, n) if len({pow(g, k, n) for k in range(1, n)}) == n - 1)
 
 
 def gl2_generators(n=DEFAULT_MODULUS) -> tuple[Mat, ...]:

@@ -113,10 +113,7 @@ class Configuration(NamedTuple):
     incidences: frozenset[tuple[int, int]]
 
     def total_branch_class(self) -> DivClass:
-        total = ZERO
-        for c in self.curves:
-            total = total + c.cls
-        return total
+        return sum((c.cls for c in self.curves), ZERO)
 
 
 @lru_cache(maxsize=None)

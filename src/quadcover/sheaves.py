@@ -6,7 +6,8 @@ branch curves weighted by the residues of the character on the loop
 images (delta residues on the L' curves, lambda on the L curves, mu on
 the exceptional curves).  character_table evaluates all n^2 characters
 on a batch of tuples in one product; every per-character quantity here
-and in `canonical` is read from it.
+and in `canonical` is read from it.  The per-tuple calls read one memo,
+_evaluation: a tuple's admissibility check and its one-row table.
 
 Y, the plane blown up in four general points, is the del Pezzo surface
 of degree 5: -K_Y is ample and its ten (-1)-curves, the branch curves,
@@ -22,17 +23,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product, repeat
-from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .covers import (
-    CHUNK, TUPLE_MEMO, SixTuple, check_bytes, loop_image_rows, normal_form_index, normal_forms,
-    require_admissible,
+    CHUNK, AdmissibilityCheck, SixTuple, check_admissibility, check_bytes, loop_image_rows, normal_form_index,
+    normal_forms, require_admissible,
 )
-from .gf import DEFAULT_MODULUS, Vec2, frozen, reduce_vec, require_prime
+from .gf import DEFAULT_MODULUS, Vec2, frozen, reduce_rows, reduce_vec, require_prime
 from .picard import DivClass, canonical_class, configuration, intersect
 
 
@@ -89,26 +89,15 @@ class CoverRelation(NamedTuple):
 
 class CharacterTable(NamedTuple):
     """The n^2 characters (a, b) on N residue rows, b-major (k = b n + a):
-    residues (N, n^2, 10) on the ten loop images, classes (N, n^2, 5) with
-    n L the residue-weighted branch sum, and void (N, n^2), true where n
-    does not divide that sum; those classes are void."""
+    residues (N, n^2, 10) on the ten loop images, and classes (N, n^2, 5),
+    n L the residue-weighted branch sum W = sum r_i C_i, rounded down.
+    n divides W exactly when chi kills the sum of the six slots: the
+    E-coordinates of W are the loop relations, zero mod n, and its
+    H-coordinate is chi(sum of slots) mod n.  So every class of a row is
+    integral exactly when the row meets admissibility's condition 0."""
 
     residues: np.ndarray
     classes: np.ndarray
-    void: np.ndarray
-
-    def void_error(self, i, k) -> ArithmeticError:
-        """The error for the void class of row i and character k = b n + a."""
-        n = isqrt(self.void.shape[1])
-        weighted = DivClass(*(self.residues[i, k] @ CURVE_CLASSES).tolist())
-        chi = (int(k) % n, int(k) // n)
-        return ArithmeticError(f"weighted branch sum {weighted} for chi={chi} is not divisible by {n}")
-
-    def integral(self) -> "CharacterTable":
-        """self; ArithmeticError for the first void class (row-major)."""
-        if self.void.any():
-            raise self.void_error(*np.argwhere(self.void)[0])
-        return self
 
 
 CURVE_CLASSES = np.array([curve.cls for curve in configuration().curves], dtype=np.int64)
@@ -138,48 +127,62 @@ def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
     """Every character on the loop images of an (N, 12) array of residue
     rows, and its class."""
     residues = _residues(rows, n)
-    weighted = residues @ CURVE_CLASSES
-    classes = weighted // n
-    return CharacterTable(residues, classes, (classes * n != weighted).any(axis=2))
+    return CharacterTable(residues, residues @ CURVE_CLASSES // n)
 
 
 def _index(chi: Vec2, n) -> int:
     return chi[0] % n + n * (chi[1] % n)
 
 
+# Rows remembered by the per-tuple memo, _evaluation: enough for the calls
+# of one query on one tuple, far too few to serve a pool of queries.
+TUPLE_MEMO = 8
+
+
 @lru_cache(maxsize=TUPLE_MEMO)
-def _evaluation(residues, n) -> tuple[CharacterTable, np.ndarray | None]:
-    """The one-row character table of a residue row and, when no class is
-    void, the class_numbers of its n^2 classes; every array read-only.
+def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.ndarray | None]:
+    """The admissibility check of a residue row, read once through
+    reduce_rows, its one-row character table and, when the row meets
+    condition 0 (every class integral), the class_numbers of its n^2
+    classes; every array read-only.  The per-tuple calls that read
+    characters read it, so the calls of one query check and evaluate the
+    characters once; each makes its own refusals from it."""
+    row = reduce_rows((residues,), n)
+    check, table = check_admissibility(row, n), CharacterTable(*map(frozen, character_table(row, n)))
+    return check, table, None if check.condition == 0 else frozen(class_numbers(table.classes[0]))
 
-    The per-tuple calls (invariants, sheaf_table, cover_equations, coeffs,
-    sheaf, epsilon, canonical.basis) all read it, so the calls of one
-    query evaluate the characters once; each still makes its own checks."""
-    table = character_table([residues], n)
-    numbers = None if table.void.any() else class_numbers(table.classes[0])
-    return CharacterTable(*map(frozen, table)), None if numbers is None else frozen(numbers)
 
-
-def _integral(t: SixTuple, n) -> tuple[CharacterTable, np.ndarray]:
-    """_evaluation of t; ArithmeticError for its first void class."""
-    table, numbers = _evaluation(t.residues, n)
+def _integral(t: SixTuple, n, k=None) -> tuple[CharacterTable, np.ndarray | None]:
+    """The table and class_numbers of t; ArithmeticError when the class of
+    character k = b n + a is not integral, or by default at the first class
+    that is not."""
+    _, table, numbers = _evaluation(t.residues, n)
     if numbers is None:
-        table.integral()  # raises
+        fractional = table.residues[0, :, :6].sum(axis=1) % n != 0  # chi(sum of slots) != 0
+        k = int(fractional.argmax()) if k is None else k
+        if fractional[k]:
+            weighted = DivClass(*(table.residues[0, k] @ CURVE_CLASSES).tolist())
+            raise ArithmeticError(f"weighted branch sum {weighted} for chi={(k % n, k // n)} is not divisible by {n}")
+    return table, numbers
+
+
+def _admitted(t: SixTuple, n) -> tuple[CharacterTable, np.ndarray]:
+    """The table and class_numbers of t; ValueError with the reason when t is not admissible."""
+    check, table, numbers = _evaluation(t.residues, n)
+    check.require(t)
     return table, numbers
 
 
 def coeffs(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CoeffVector:
     """The ten residues of a character on the loop images of a tuple."""
-    return CoeffVector(*_evaluation(t.residues, n)[0].residues[0, _index(chi, n)].tolist())
+    return CoeffVector(*_evaluation(t.residues, n)[1].residues[0, _index(chi, n)].tolist())
 
 
 def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
     """The divisor class of the chi-eigensheaf of the cover given by t;
     ArithmeticError when n does not divide its weighted branch sum."""
-    table, k = _evaluation(t.residues, n)[0], _index(chi, n)
-    if table.void[0, k]:
-        raise table.void_error(0, k)
-    return CharacterSheaf(reduce_vec(chi, n), DivClass(*table.classes[0, k].tolist()))
+    k = _index(chi, n)
+    return CharacterSheaf(reduce_vec(chi, n), DivClass(*_integral(t, n, k)[0].classes[0, k].tolist()))
 
 
 def sheaf_table(t: SixTuple, n=DEFAULT_MODULUS) -> list[CharacterSheaf]:
@@ -269,10 +272,10 @@ def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
     character classes L, since the pushforward of O_X is the sum of the
     L^-1 (Pardini, Crelle 417, 1991).  Only modulus 5 is supported.
     """
-    require_admissible(t, n)
-    if n != 5:
+    if n != 5:  # the plain check: no n^2 characters are evaluated for a refused call
+        require_admissible(t, n)
         raise ValueError("surface invariants are only defined for modulus 5")
-    pg, chi_o = _integral(t, n)[1].sum(axis=0).tolist()
+    pg, chi_o = _admitted(t, n)[1].sum(axis=0).tolist()
     chi_o += n * n
     adj = adjunction_class(n)
     return SurfaceInvariants(k2=intersect(adj, adj), chi=chi_o, pg=pg, q=pg + 1 - chi_o)
@@ -305,7 +308,7 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
     whose inertia group has order p (its loop image is a nonzero vector of
     (Z/p)^2).  So the carry is r_i(chi) + r_i(chi2) >= p; n must be prime."""
     require_prime(n)
-    rows = _evaluation(t.residues, n)[0].residues[0]
+    rows = _evaluation(t.residues, n)[1].residues[0]
     return tuple((rows[_index(chi, n)] + rows[_index(chi2, n)] >= n).astype(int).tolist())
 
 
@@ -339,8 +342,7 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
     unordered pair of nontrivial characters (with repetition)."""
     require_prime(n)
     columns, (chi, chi2, rhs) = _character_pairs(n)
-    require_admissible(t, n)
-    rows = _evaluation(t.residues, n)[0].residues[0]
+    rows = _admitted(t, n)[0].residues[0]
     eps = itemgetter(*((rows[columns].sum(axis=0) >= n) @ _BITS).tolist())(_CARRIES)
     return tuple(map(tuple.__new__, repeat(CoverRelation), zip(chi, chi2, eps, rhs)))
 
@@ -358,7 +360,7 @@ def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     used = np.flatnonzero(np.bincount(index, minlength=len(forms)))
     pg = np.zeros(len(forms), dtype=np.int64)
     for part in (used[i:i + step] for i in range(0, len(used), step)):
-        classes = character_table(forms[part], n).integral().classes
+        classes = character_table(forms[part], n).classes
         pg[part] = class_numbers(classes)[..., 0].sum(axis=1)  # H^0(K_X) sums the H^0(K_Y + L)
     out = np.empty(len(index), dtype=np.int64)
     for i in range(0, len(index), CHUNK):

@@ -86,15 +86,18 @@ def s5_generators(n=DEFAULT_MODULUS) -> tuple[SymmetryElement, ...]:
     )
 
 
-def gl2_action(m, n=DEFAULT_MODULUS) -> SymmetryElement:
-    """GL(2, Z/n) element applied to each of the six slots."""
-    block = m if isinstance(m, Mat) else Mat(m, n)
+def gl2_action(m, n=None) -> SymmetryElement:
+    """GL(2, Z/n) element applied to each of the six slots; a Mat brings its
+    own modulus, and a different n is refused."""
+    if isinstance(m, Mat) and n not in (None, m.n):
+        raise ValueError(f"modulus mismatch: a matrix mod {m.n} acting mod {n}")
+    block = m if isinstance(m, Mat) else Mat(m, DEFAULT_MODULUS if n is None else n)
     if block.size != 2:
         raise ValueError("expected a 2x2 matrix")
     if block.det() == 0:
         raise ValueError(f"singular matrix {block!r} does not act")
     rows = ",".join(str(int(x)) for x in block.array.ravel())
-    return SymmetryElement(Mat.block_diagonal(block.array, 6, n), f"gl2[{rows}]")
+    return SymmetryElement(Mat.block_diagonal(block.array, 6, block.n), f"gl2[{rows}]")
 
 
 def default_generators(n=DEFAULT_MODULUS) -> tuple[SymmetryElement, ...]:
@@ -184,15 +187,19 @@ def _decode(code, n) -> SixTuple:
 
 
 class OrbitPartition(NamedTuple):
-    """Orbit decomposition of the admissible tuples, with the orbit id
-    of each normal form (aligned with normal_forms(n))."""
+    """Orbit decomposition of the admissible tuples mod modulus, with the
+    orbit id of each normal form (aligned with normal_forms(modulus))."""
 
     orbits: tuple[Orbit, ...]
     labels: np.ndarray
+    modulus: int
 
-    def orbit_of(self, t: SixTuple, n=DEFAULT_MODULUS) -> int:
+    def orbit_of(self, t: SixTuple, n=None) -> int:
+        """The orbit id of t, read mod the partition's modulus (n, if given, must equal it)."""
+        if n not in (None, self.modulus):
+            raise ValueError(f"modulus mismatch: a tuple mod {n} in the orbit partition mod {self.modulus}")
         try:
-            form = normal_form_index(np.array([t.residues]), n)[0]
+            form = normal_form_index(np.array([t.residues]), self.modulus)[0]
         except ValueError:
             raise ValueError(f"{t.format()} is not an admissible tuple") from None
         return int(self.labels[form])
@@ -220,4 +227,4 @@ def orbit_partition(n=DEFAULT_MODULUS) -> OrbitPartition:
         if closure.order % size:
             raise AssertionError("orbit size does not divide the group order")
         out.append(Orbit(_decode(code, n), size, closure.order // size, classes))
-    return OrbitPartition(tuple(out), labels)
+    return OrbitPartition(tuple(out), labels, n)

@@ -1,6 +1,6 @@
 import pytest
 
-from quadcover import covers, sheaves
+from quadcover import sheaves
 from quadcover.covers import SixTuple
 
 REFERENCE = {
@@ -13,10 +13,9 @@ REFERENCE = {
 
 @pytest.fixture(autouse=True)
 def cold_tuple_memos():
-    """Every test starts with empty per-tuple memos, so that what it counts
+    """Every test starts with an empty per-tuple memo, so that what it counts
     (table builds, evaluations, cache misses) does not depend on the tests
     that ran before it."""
-    covers._check.cache_clear()
     sheaves._evaluation.cache_clear()
 
 

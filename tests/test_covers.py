@@ -1,6 +1,9 @@
 import itertools
 import random
+import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,13 +25,13 @@ def test_parse_and_format(u3):
         SixTuple.parse("a,b,c,d,e,f,g,h,i,j,k,l")
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.7, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [1.5, 1.7, float("nan"), float("inf"), Fraction(3, 2), Decimal("6.5")])
 def test_fractional_residues_are_refused(u3, bad):
     # 1.5 or 1.7 in place of U3's leading 1 must not read as U3 in any reader
     row = [bad, *u3.residues[1:]]
-    with pytest.raises(ValueError, match=r"^residues must be integers, got \(" + str(bad)):
+    with pytest.raises(ValueError, match=r"^residues must be integers, got \(" + re.escape(repr(bad))):
         SixTuple.from_residues(row)
-    for rows in ([row], np.array([row])):
+    for rows in ([row], np.array([row]), np.array([row], dtype=object)):
         for read in (covers.admissibility_mask, sheaves.pg_values, covers.loop_image_rows):
             with pytest.raises(ValueError, match=f"^residue {bad} is not an integer$"):
                 read(rows, 5)
@@ -37,6 +40,10 @@ def test_fractional_residues_are_refused(u3, bad):
     assert SixTuple.from_residues(np.array(u3.residues, dtype=np.int16), 5) == u3
     assert covers.admissibility_mask([[1.0, *u3.residues[1:]]], 5).tolist() == [True]
     assert sheaves.pg_values(np.array([u3.residues], dtype=float), 5).tolist() == [4]
+    # and so do integral Fractions and Decimals
+    assert SixTuple.from_residues([Fraction(2, 2), *u3.residues[1:]], 5) == u3
+    assert covers.admissibility_mask([[Decimal("1"), *u3.residues[1:]]], 5).tolist() == [True]
+    assert sheaves.pg_values(np.array([[Fraction(6), *u3.residues[1:]]], dtype=object), 5).tolist() == [4]
 
 
 def test_loop_images_u3(u3):
@@ -243,6 +250,12 @@ def test_line_table_refuses_before_building(u3):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # lines through a point need a field: a composite modulus is refused by
+    # name, also by the per-tuple calls that read the check
+    for call in (lambda: covers.check_admissibility(u3, 4), lambda: sheaves.coeffs(u3, (1, 0), 4),
+                 lambda: sheaves.sheaf_table(u3, 6)):
+        with pytest.raises(ValueError, match="^modulus [46] is not prime$"):
+            call()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
 import random
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,18 +190,31 @@ def test_reduce_rows_reads_anything_else_as_int64():
         assert reduced.dtype == np.int64 and reduced.tolist() == [[1, 1, 4]]
     assert gf.Mat([[1.0, 5.0], [0.0, 6.0]], 5) == gf.Mat([[1, 0], [0, 1]], 5)
     assert gf.reduce_rows([1.0, (1 << 62) + 1], 7).tolist() == [1, ((1 << 62) + 1) % 7]
+    # so do integral Fractions and Decimals, from a list or an object array
+    for rows in ([Fraction(12, 2), Decimal("6"), Decimal("-1")],
+                 np.array([Fraction(12, 2), Decimal("6"), Decimal("-1")], dtype=object)):
+        reduced = gf.reduce_rows(rows, 5)
+        assert reduced.dtype == np.int64 and reduced.tolist() == [1, 1, 4]
+    assert gf.reduce_rows([Fraction((1 << 62) + 1)], 7).tolist() == [((1 << 62) + 1) % 7]
+    assert gf.Mat([[Fraction(6), 0], [0, Decimal("1")]], 5) == gf.Mat([[1, 0], [0, 1]], 5)
+    for rows in ([Fraction(1 << 63)], np.array([Decimal(2) ** 63], dtype=object)):
+        with pytest.raises(OverflowError):
+            gf.reduce_rows(rows, 5)
     for rows in ([1e19], np.array([1e19]), np.array([-1e19])):
         with pytest.raises(OverflowError):
             gf.reduce_rows(rows, 5)
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.7, -0.5, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [1.5, 1.7, -0.5, float("nan"), float("inf"), -float("inf"),
+                                 Fraction(3, 2), Decimal("6.5"), Decimal("NaN"), Decimal("-Infinity")])
 def test_reduce_rows_refuses_a_float_that_is_not_a_finite_integer(bad):
     # truncated, 1.7 would read as 1 and the row as U3; a NaN cast would
-    # read as a residue after a RuntimeWarning.  A ValueError names the value
+    # read as a residue after a RuntimeWarning.  A ValueError names the
+    # value, a float or any other number, from a list or an object array
     row = [1, 0, 1, 0, 0, 1, 4, 1, 3, 2, 1, 1]
     row[5] = bad
-    for rows in ([row], np.array([row]), np.array([row], dtype=np.float32)):
+    floats = [np.array([row]), np.array([row], dtype=np.float32)] if isinstance(bad, float) else []
+    for rows in ([row], np.array([row], dtype=object), *floats):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^residue {bad} is not an integer$"):

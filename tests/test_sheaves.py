@@ -110,12 +110,20 @@ def test_h0_closed_form_matches_rank(d, es):
     assert sheaves.h0(cls) == oracles.h0_rank(cls)
 
 
+def _integral_classes(rows, p):
+    """The classes of every character on rows, each checked to be integral:
+    p L is the weighted branch sum itself."""
+    table = sheaves.character_table(rows, p)
+    assert (table.classes * p == table.residues @ sheaves.CURVE_CLASSES).all()
+    return table.classes
+
+
 @lru_cache(maxsize=None)
 def _every_class(p):
     """Every character class of every normal form, in chunks to bound memory."""
     forms, seen = covers.normal_forms(p), set()
     for start in range(0, len(forms), 2000):
-        classes = sheaves.character_table(forms[start:start + 2000], p).integral().classes
+        classes = _integral_classes(forms[start:start + 2000], p)
         seen.update(map(tuple, classes.reshape(-1, 5).tolist()))
     return np.array(sorted(seen))
 
@@ -175,7 +183,7 @@ def _sample_rows(p, count, seed):
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_every_character_class_lies_in_the_box(p):
     classes = _every_class(p) if p < 11 else np.unique(
-        sheaves.character_table(_sample_rows(p, 6000, 1511), p).integral().classes.reshape(-1, 5), axis=0)
+        _integral_classes(_sample_rows(p, 6000, 1511), p).reshape(-1, 5), axis=0)
     assert len(classes) > 40
     assert classes[:, 0].min() >= 0 and classes[:, 0].max() <= 5
     assert classes[:, 1:].min() >= -2 and classes[:, 1:].max() <= 0
@@ -200,7 +208,7 @@ def test_chi_from_the_class_table_on_every_normal_form(p):
     # p_g takes two values, on every normal form
     forms, chi, pg = covers.normal_forms(p), set(), set()
     for start in range(0, len(forms), 2000):
-        classes = sheaves.character_table(forms[start:start + 2000], p).integral().classes
+        classes = _integral_classes(forms[start:start + 2000], p)
         numbers = sheaves.class_numbers(classes).sum(axis=1)
         pg.update(numbers[:, 0].tolist())
         chi.update((p * p + numbers[:, 1]).tolist())
@@ -456,10 +464,32 @@ def test_sheaf_integrality_at_7(data):
     f = forms[data.draw(st.integers(0, len(forms) - 1))]
     g = mats[data.draw(st.integers(0, len(mats) - 1))]
     table = sheaves.character_table((f.reshape(6, 2) @ g.T % p).reshape(1, 12), p)
-    assert not table.void.any()
+    assert (table.classes * p == table.residues @ sheaves.CURVE_CLASSES).all()
     classes = map(DivClass._make, table.classes[0].tolist())
     chi = sum(1 + Fraction(intersect(c, c + ky), 2) for c in classes)
     assert chi == Fraction(7 * p * p - 30 * p + 35, 12) == 14
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_a_class_is_integral_exactly_when_chi_kills_the_sum_of_the_slots(p):
+    # the E-coordinates of the weighted branch sum are the loop relations,
+    # zero mod p, and its H-coordinate is chi(sum of slots); so a row has a
+    # class that is not integral exactly when it fails condition 0
+    rng = np.random.default_rng(2100 + p)
+    rows = rng.integers(0, p, size=(40, 12))
+    rows[:20, 10:] = -rows[:20, :10].reshape(-1, 5, 2).sum(axis=1) % p
+    table = sheaves.character_table(rows, p)
+    integral = (table.classes * p == table.residues @ sheaves.CURVE_CLASSES).all(axis=2)
+    chars = [(a, b) for b in range(p) for a in range(p)]
+    for row, row_integral in zip(rows, integral):
+        t, total = SixTuple.from_residues(row), row.reshape(6, 2).sum(axis=0)
+        for chi, chi_integral in zip(chars, row_integral.tolist()):
+            kills = (chi[0] * total[0] + chi[1] * total[1]) % p == 0
+            expected = _outcome(oracles.sheaf_scalar, t, chi, p)
+            assert isinstance(expected, str) == (not kills) == (not chi_integral)
+            assert _outcome(sheaves.sheaf, t, chi, p) == expected
+        assert (covers.check_admissibility(t, p).condition == 0) == (not row_integral.all())
+    assert 0 < integral.all(axis=1).sum() < len(rows)
 
 
 def test_pg_values_match_scalar(representatives):
@@ -510,7 +540,7 @@ def _gl2_images(p, size, seed):
 def _pg_by_table(rows, p):
     """p_g of every row from its own character table, 2000 rows at a time."""
     return np.concatenate([
-        sheaves.class_numbers(sheaves.character_table(rows[i:i + 2000], p).integral().classes)[..., 0]
+        sheaves.class_numbers(_integral_classes(rows[i:i + 2000], p))[..., 0]
         .sum(axis=1)
         for i in range(0, len(rows), 2000)
     ])

@@ -241,6 +241,28 @@ def test_orbits_stabilizer_uses_the_given_generators():
         assert all(o.stabilizer_order == 480 // o.size == 1 for o in sub)
 
 
+def test_orbit_of_reads_the_modulus_of_its_partition():
+    part, forms = symmetry.orbit_partition(7), covers.normal_forms(7)
+    t = SixTuple.from_residues(forms[-1])
+    assert part.modulus == 7
+    assert part.orbit_of(t) == part.orbit_of(t, 7) == part.labels[-1]
+    with pytest.raises(ValueError, match="tuple mod 5 in the orbit partition mod 7"):
+        part.orbit_of(t, 5)
+    u3 = SixTuple.parse("1,0,1,0,0,1,4,1,3,2,1,1")
+    assert symmetry.orbit_partition(5).orbit_of(u3) == symmetry.orbit_partition(5).orbit_of(u3, 5)
+
+
+def test_gl2_action_reads_the_modulus_of_a_mat():
+    m = Mat([[6, 0], [0, 1]], 7)
+    g = symmetry.gl2_action(m)
+    assert g.mat == Mat.block_diagonal([[6, 0], [0, 1]], 6, 7) == symmetry.gl2_action(m, 7).mat
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        symmetry.gl2_action(m, 5)
+    # entries that are not a Mat are read mod n, 5 by default
+    assert symmetry.gl2_action([[6, 0], [0, 1]], 7).mat == g.mat
+    assert symmetry.gl2_action([[6, 0], [0, 1]]).mat == Mat.identity(12)
+
+
 def test_orbit_of_rejects_non_admissible():
     part = symmetry.orbit_partition(5)
     with pytest.raises(ValueError, match="not an admissible"):

@@ -6,7 +6,7 @@ Three medians, each in a fresh state where the figure asks for one:
   * mask_ms: admissibility_mask over 200000 seeded random rows closed to
     sum zero at n = 5 (the candidate pool of perfbench's queries workload);
   * normal_forms_ms: normal_forms(5) with its cache cleared;
-  * check_us: one check_admissibility(U3) with the _check memo cleared.
+  * check_us: one check_admissibility(U3), a plain call that keeps nothing.
 `tree` is the package directory measured.  Point PYTHONPATH at another
 checkout to time that tree instead; the script reads only names that
 both trees export.
@@ -55,8 +55,7 @@ def main():
         "mask_ms": 1e3 * _median_s(lambda: covers.admissibility_mask(rows, 5), args.repeats),
         "normal_forms_ms": 1e3 * _median_s(lambda: covers.normal_forms(5), args.repeats,
                                            covers.normal_forms.cache_clear),
-        "check_us": 1e6 * _median_s(lambda: covers.check_admissibility(U3, 5), 200 * args.repeats,
-                                    covers._check.cache_clear),
+        "check_us": 1e6 * _median_s(lambda: covers.check_admissibility(U3, 5), 200 * args.repeats),
     }
     tree = {"tree": os.path.dirname(os.path.abspath(quadcover.__file__))}
     print(json.dumps(tree | {k: round(v, 2) for k, v in out.items()}))
