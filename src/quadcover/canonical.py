@@ -15,14 +15,13 @@ much of the self-intersection the base scheme eats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .covers import SixTuple, require_admissible
 from .gf import DEFAULT_MODULUS, Vec2, is_prime
 from .picard import CURVE_LABELS, DivClass, incidences, intersect
-from .sheaves import CURVE_CLASSES, _admitted, _character_tuples, _integral, adjunction_class
+from .sheaves import CURVE_CLASSES, _admitted, _characters, _integral, adjunction_class
 
 
 class CanonicalBasis(NamedTuple):
@@ -45,7 +44,7 @@ def basis(t: SixTuple, n=DEFAULT_MODULUS) -> CanonicalBasis:
     """
     table, numbers = _integral(t, n)
     expos = (n - 1 - table.residues[0]).tolist()
-    per_character = zip(_character_tuples(n), numbers[:, 0].tolist(), expos)
+    per_character = zip(map(tuple, _characters(n).tolist()), numbers[:, 0].tolist(), expos)
     # sorted by character: they are distinct, so no exponents are compared
     entries = sorted((chi, count, expo) for chi, count, expo in per_character if count)
     for (a, b), count, _ in entries:
@@ -68,8 +67,7 @@ def _fixed_part(rows) -> tuple[int, ...]:
     return tuple(min(col) for col in zip(*rows))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal2D:
+class MonomialIdeal2D(NamedTuple):
     """Monomial ideal in two local coordinates, kept as its minimal
     generating exponent pairs in sorted order; ((0, 0),) is the unit ideal."""
 
@@ -113,8 +111,7 @@ def _reduce_generators(pairs):
     return tuple(minimal)
 
 
-@dataclass(frozen=True)
-class BasePointType:
+class BasePointType(NamedTuple):
     """Multiplicity tree of a base point under successive blow-ups.
 
     Every case arising from the quadrangle covers is a chain

@@ -18,10 +18,10 @@ from typing import Iterator, NamedTuple
 
 from . import golden
 from .canonical import degree_certificate
-from .covers import CHUNK, SixTuple, admissible_array, normal_forms, require_admissible
+from .covers import CHUNK, SixTuple, admissible_array, normal_forms
 from .gf import gl2_order, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
-from .sheaves import coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
+from .sheaves import _admitted, coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
 from .symmetry import group_closure, orbit_partition
 
 
@@ -157,11 +157,11 @@ def _cmd_orbits(args):
         }
         for i, orb in enumerate(part.orbits)
     ]
+    for entry, orb in zip(entries, part.orbits):
+        inv = invariants(orb.representative, n)
+        entry["pg"], entry["q"] = inv.pg, inv.q
     checks = []
     if n == 5:
-        for entry, orb in zip(entries, part.orbits):
-            inv = invariants(orb.representative, n)
-            entry["pg"], entry["q"] = inv.pg, inv.q
         for name, res in golden.REFERENCE_TUPLES.items():
             t = SixTuple.from_residues(res)
             entries[part.orbit_of(t, n)].update(reference_label=name, reference_tuple=t.format())
@@ -195,7 +195,8 @@ def _cmd_invariants(args):
 
 def _cmd_sheaf_table(args):
     n = args.modulus
-    table = sheaf_table(require_admissible(args.tuple, n), n)
+    _admitted(args.tuple, n)  # the memo's check: the residues are read once
+    table = sheaf_table(args.tuple, n)
     data = {
         "tuple": args.tuple.format(),
         "classes": {f"({a},{b})": list(cls) for (a, b), cls in table},

@@ -218,14 +218,18 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     admissible tuple and GL(2) acts freely and transitively on them.  The
     search runs over the nonzero u2, u3, v2 and solves the sum condition
     for v3, one u2 at a time in one int64 buffer of the (n^2 - 1)^2
-    candidates, which admissibility_mask reads CHUNK at a time.  It raises
-    ValueError as soon as the forms found would exceed MAX_ARRAY_BYTES as
-    five int64 copies: the forms themselves and the working set of
-    orbit_partition on them, which peaks at 3.3 further copies at n = 11.
+    candidates, which admissibility_mask reads CHUNK at a time.  At 161
+    bytes a candidate (buffer 96, i3 and i2 16, rest 16, v3's temporaries
+    32, mask 1; tracemalloc at n = 17, 23, 31) it refuses n >= 37 before
+    building anything; below, it raises ValueError as soon as the forms
+    found would exceed MAX_ARRAY_BYTES as five int64 copies: the forms
+    themselves and the working set of orbit_partition on them, which
+    peaks at 3.3 further copies at n = 11.
     """
     require_prime(n)
+    m = n * n - 1
+    check_bytes(m * m * 161, n, f"{m * m} candidate forms")
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
-    m = len(nz)
     i3, i2 = np.divmod(np.arange(m * m), m)
     # one buffer of candidates, a residue per row; each u2 overwrites its
     # slot and v3

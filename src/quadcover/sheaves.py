@@ -110,12 +110,6 @@ def _characters(n) -> np.ndarray:
     return frozen(np.stack(np.divmod(np.arange(n * n), n)[::-1], axis=1))
 
 
-@lru_cache(maxsize=None)
-def _character_tuples(n) -> tuple[Vec2, ...]:
-    """The rows of _characters(n) as (a, b) tuples."""
-    return tuple(map(tuple, _characters(n).tolist()))
-
-
 def _residues(rows, n) -> np.ndarray:
     """(N, n^2, 10) residues of every character on the loop images of an
     (N, 12) array of residue rows: the only code that evaluates characters."""
@@ -137,6 +131,8 @@ def _index(chi: Vec2, n) -> int:
 # Rows remembered by the per-tuple memo, _evaluation: enough for the calls
 # of one query on one tuple, far too few to serve a pool of queries.
 TUPLE_MEMO = 8
+# bytes a character of a full memo, one build and _characters(n) (see _evaluation)
+_CHARACTER_BYTES = TUPLE_MEMO * 136 + 240 + 16
 
 
 @lru_cache(maxsize=TUPLE_MEMO)
@@ -146,7 +142,13 @@ def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.nda
     condition 0 (every class integral), the class_numbers of its n^2
     classes; every array read-only.  The per-tuple calls that read
     characters read it, so the calls of one query check and evaluate the
-    characters once; each makes its own refusals from it."""
+    characters once; each makes its own refusals from it.  An entry holds
+    136 bytes a character (int64 residues, classes and section counts), a
+    build peaks at 240 and _characters(n) keeps 16 (tracemalloc at n = 101,
+    211 and 401; the admissibility line table has its own bound): with a
+    full memo 1344 bytes, about 1.3 KiB, a character, so ValueError
+    refuses every n from 449 on before anything is built."""
+    check_bytes(n * n * _CHARACTER_BYTES, n, f"{n * n} characters per tuple")
     row = reduce_rows((residues,), n)
     check, table = check_admissibility(row, n), CharacterTable(*map(frozen, character_table(row, n)))
     return check, table, None if check.condition == 0 else frozen(class_numbers(table.classes[0]))
@@ -188,7 +190,7 @@ def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
 def sheaf_table(t: SixTuple, n=DEFAULT_MODULUS) -> list[CharacterSheaf]:
     """All n^2 character sheaves, rows by b with a varying inside."""
     classes = _integral(t, n)[0].classes[0].tolist()
-    pairs = zip(_character_tuples(n), map(DivClass._make, classes))
+    pairs = zip(map(tuple, _characters(n).tolist()), map(DivClass._make, classes))
     return list(map(tuple.__new__, repeat(CharacterSheaf), pairs))
 
 
@@ -270,11 +272,8 @@ def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
 
     chi(O_X) is the sum of chi(L^-1) = 1 + L.(L + K_Y)/2 over the
     character classes L, since the pushforward of O_X is the sum of the
-    L^-1 (Pardini, Crelle 417, 1991).  Only modulus 5 is supported.
+    L^-1 (Pardini, Crelle 417, 1991).
     """
-    if n != 5:  # the plain check: no n^2 characters are evaluated for a refused call
-        require_admissible(t, n)
-        raise ValueError("surface invariants are only defined for modulus 5")
     pg, chi_o = _admitted(t, n)[1].sum(axis=0).tolist()
     chi_o += n * n
     adj = adjunction_class(n)

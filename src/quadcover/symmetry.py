@@ -24,7 +24,6 @@ is computed on the normal forms alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
@@ -51,8 +50,7 @@ def _restrict(mats, n) -> np.ndarray:
     return (np.asarray(mats, dtype=np.int64)[..., :10, :] @ _sum_zero_basis(n) % n).astype(np.int16)
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryElement:
+class SymmetryElement(NamedTuple):
     """A symmetry as a 12x12 matrix over Z/n plus an optional provenance
     tag (generator name or defining GL(2) block)."""
 

@@ -39,9 +39,9 @@ from quadcover.covers import (
 )
 from quadcover.gf import Mat, reduce_vec
 from quadcover.picard import (
-    CURVE_LABELS, ZERO, DivClass, canonical_class, configuration, incidences, intersect,
+    CURVE_LABELS, CURVE_PAIRS, ZERO, DivClass, canonical_class, configuration, incidences, intersect,
 )
-from quadcover.sheaves import CharacterSheaf
+from quadcover.sheaves import CharacterSheaf, SurfaceInvariants
 from quadcover.symmetry import (
     SymmetryElement, _least, _restrict, default_generators, group_closure,
     s5_generators,
@@ -280,6 +280,57 @@ def sheaf_scalar(t: SixTuple, chi, n=5) -> CharacterSheaf:
             f"weighted branch sum {weighted} for chi={chi} is not divisible by {n}"
         )
     return CharacterSheaf(reduce_vec(chi, n), DivClass(*(x // n for x in weighted)))
+
+
+def invariants_scalar(t: SixTuple, n=5) -> SurfaceInvariants:
+    """The invariants one character at a time: the classes L of
+    sheaf_scalar, p_g the sum of the interpolation ranks h0_rank(K_Y + L),
+    chi(O_X) the sum of 1 + L.(L + K_Y)/2, K^2 = n^2 (K_Y + (n-1)/n D)^2
+    over the rationals and q = p_g + 1 - chi."""
+    ky = canonical_class()
+    classes = [sheaf_scalar(t, (a, b), n).cls for b in range(n) for a in range(n)]
+    pg = sum(h0_rank(ky + c) for c in classes)
+    chi = sum(1 + Fraction(intersect(c, c + ky), 2) for c in classes)
+    adj = ky + Fraction(n - 1, n) * configuration().total_branch_class()
+    return SurfaceInvariants(int(n * n * intersect(adj, adj)), int(chi), pg, int(pg + 1 - chi))
+
+
+def euler_number(p) -> int:
+    """e(X) of a (Z/p)^2 cover of Y from the configuration alone
+    (Hirzebruch, Arrangements of lines and algebraic surfaces, 1983).
+    e(Y) = 2 + rank Pic(Y); the branch curves are rational and meet in
+    nodes, so e(D) = 2 #curves - #nodes.  X has p^2 points over each
+    point off D, p over each other point of D (inertia of order p) and
+    one over each node, so e(X) = p^2 (e(Y) - e(D)) + p (e(D) - #nodes) + #nodes."""
+    curves, nodes = configuration().curves, len(incidences())
+    e_y = 2 + len(curves[0].cls)
+    e_d = 2 * len(curves) - nodes
+    return p * p * (e_y - e_d) + p * (e_d - nodes) + nodes
+
+
+def pencils() -> tuple[tuple[int, ...], ...]:
+    """The five conic pencils of Y, pencil k the positions of the four
+    curves whose CURVE_PAIRS label holds k: the disjoint sections of the
+    k-th conic bundle Y -> P^1 (for k = 0, the conics through the four
+    points, whose sections are E0, ..., E3)."""
+    return tuple(tuple(c for c, pair in enumerate(CURVE_PAIRS) if k in pair) for k in range(5))
+
+
+def pencil_counts(rows, n=5) -> np.ndarray:
+    """The pencils of each (N, 12) residue row: those whose four loop
+    images lie on one line of (Z/n)^2, every two of them dependent.  Then
+    the bundle's fibres are disconnected upstairs, and the Stein
+    factorization maps X onto a curve of genus (n - 1)/2, so a row with a
+    pencil has q >= (n - 1)/2 (Catanese, Invent. Math. 104, 1991).  That
+    q equals (n - 1)/2 times the count is proved only as this
+    inequality; the tests gate the equality on the forms."""
+    images = loop_image_rows(rows, n)
+    counts = np.zeros(len(images), dtype=np.int64)
+    for curves in pencils():
+        x, y = images[:, curves, 0], images[:, curves, 1]
+        cross = x[:, :, None] * y[:, None, :] - y[:, :, None] * x[:, None, :]
+        counts += (cross % n == 0).all(axis=(1, 2))
+    return counts
 
 
 def char_order(chi, n=5) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadcover import canonical, cli, covers, symmetry
+from quadcover import canonical, cli, covers, golden, symmetry
 
 U3 = "1,0,1,0,0,1,4,1,3,2,1,1"
 
@@ -90,6 +90,59 @@ def test_verify_without_reference_data(capsys):
     code, _, err = run(capsys, "sheaf-table", other, "--verify")
     assert code == 1
     assert "no reference sheaf table" in err
+
+
+def _drifted(name, key, value):
+    """golden.<name> with its entry key set to value."""
+    return {**getattr(golden, name), key: value}
+
+
+_U1_RESIDUES = golden.REFERENCE_TUPLES["U1"]
+_U3_INVARIANTS = {"k2": 45, "chi": 5, "pg": 4, "q": 0}
+
+# One case per reference check: the golden value it reads, drifted, the
+# command that reads it and the verify line it must print.  printed: the
+# drifted value is part of stdout (the orbits' reference labels).
+VERIFY_DRIFTS = {
+    "enumerate count": ("ADMISSIBLE_COUNT", 201601, "enumerate", "count 201600 != 201601", False),
+    "orbit sizes": ("ORBIT_SIZES", (28800, 28800, 57600, 57600), "orbits",
+                    "orbit sizes [28800, 57600, 57600, 57600] != [28800, 28800, 57600, 57600]", False),
+    "orbit labels": ("REFERENCE_TUPLES", _drifted("REFERENCE_TUPLES", "U4", _U1_RESIDUES), "orbits",
+                     "reference tuples do not fall in four distinct orbits", True),
+    "invariants": ("INVARIANTS", _drifted("INVARIANTS", "U3", {**_U3_INVARIANTS, "pg": 5, "q": 1}),
+                   f"invariants {U3}",
+                   f"invariants {_U3_INVARIANTS} != reference {({**_U3_INVARIANTS, 'pg': 5, 'q': 1})}", False),
+    "sheaf table": ("SHEAF_TABLE_U3", _drifted("SHEAF_TABLE_U3", (1, 0), (0, 0, 0, 0, 0)), f"sheaf-table {U3}",
+                    "sheaf (1,0) = (2, 0, -1, -1, -1) != (0, 0, 0, 0, 0)", False),
+    "homology": ("HOMOLOGY_RANK", 6, "homology", "homology (5, ()) != reference", False),
+    "group": ("S5_ORDER", 121, "group", "group closure orders differ from reference", False),
+    "equations": ("COVER_RELATION_COUNT", 301, f"equations {U3}", "relation count 300 != 301", False),
+    "canonical": ("CANONICAL_U3", _drifted("CANONICAL_U3", "degree_product", 18), f"canonical {U3}",
+                  "degree_product 19 != 18", False),
+    "canonical without reference": (
+        "REFERENCE_TUPLES", {f"{k}'" if k == "U3" else k: v for k, v in golden.REFERENCE_TUPLES.items()},
+        f"canonical {U3}", "no reference canonical data for this tuple", False),
+    "report invariants": ("INVARIANTS", _drifted("INVARIANTS", "U1", _U3_INVARIANTS), "report",
+                          "invariants of U1 differ from reference", False),
+    "report branch residues": ("COEFF_ROWS_U3", _drifted("COEFF_ROWS_U3", (1, 3), (0,) * 10), "report",
+                               "U3 branch residue rows differ from reference", False),
+    "report ramification curves": ("RAM_CURVE", (-1, 3, 3), "report",
+                                   "ramification curve numbers differ from reference", False),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_DRIFTS)
+def test_verify_names_every_drift(monkeypatch, capsys, case):
+    # --verify adds the named line and exit 1, and leaves stdout as it is
+    name, value, argv, line, printed = VERIFY_DRIFTS[case]
+    code, reference, err = run(capsys, *argv.split(), "--verify")
+    assert (code, err) == (0, "verify: all reference checks passed\n")
+    monkeypatch.setattr(golden, name, value)
+    code, plain, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert (plain == reference) is not printed
+    code, out, err = run(capsys, *argv.split(), "--verify")
+    assert (code, out, err) == (1, plain, f"verify: {line}\n")
 
 
 def test_sheaf_table_rejects_non_admissible(capsys):
@@ -246,9 +299,10 @@ def test_residue_not_below_modulus_is_rejected(capsys):
 
 def test_oversized_modulus_is_refused(capsys):
     # the expanded admissible array at n = 7 (11640 normal forms x 2016
-    # matrices) and the working set of the normal forms at n = 13 are
-    # over the byte limit
-    for argv in (["--modulus", "7", "enumerate", "--dump"], ["--modulus", "13", "report"]):
+    # matrices), the working set of the normal forms at n = 13 and their
+    # search buffer at n = 127 are over the byte limit
+    for argv in (["--modulus", "7", "enumerate", "--dump"], ["--modulus", "13", "report"],
+                 ["--modulus", "127", "enumerate"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -269,6 +323,17 @@ def test_equations_at_an_oversized_modulus_are_refused_before_building(capsys):
     assert out == ""
     assert "character pairs over 256 MiB" in err
     assert peak < 1 << 20
+
+
+def test_invariants_beyond_the_memo_bound_exit_2(capsys):
+    # an admissible tuple at 449, the smallest prime whose characters the
+    # per-tuple memo refuses
+    t = "1,0,0,1,97,107,97,366,197,63,57,361"
+    assert covers.check_admissibility(covers.SixTuple.parse(t), 449)
+    for command in ("invariants", "sheaf-table"):
+        code, out, err = run(capsys, "--modulus", "449", command, t)
+        assert (code, out) == (2, "")
+        assert err == "error: modulus 449: 201601 characters per tuple over 256 MiB\n"
 
 
 def test_group_order_at_a_large_modulus_builds_no_gl2_array(capsys):
@@ -337,7 +402,7 @@ REPORT_DUMP_DIGESTS = {
         (f"sheaf-table {U3}", "831f6227d14f4d299ac95d29a71185315bfe38b360b2d0a53c7aa2068507fb18"),
         (f"equations {U3}", "9f4c3f3d9abb08d84684ff12fabe0bc743711628481c8b79f2f6e5c057a9f2ce"),
         (f"canonical {U3}", "a82d5cec25e7a3b590efddd2a0d1d009899f42c0b884f11397a9e6f625791000"),
-        ("--modulus 7 orbits", "0521b6de6243d5ff078fba5aa889a5ed9df8309d60ee1f899f3757fb847fc8ac"),
+        ("--modulus 7 orbits", "2ea483293e40e2a2a44e40e9c6724ff1dd1c8612d6441deece8d1105a4c15452"),
         ("--modulus 3 enumerate --dump", "b3de6cdfcab9b6083a5f347a35810e588703bb9d4a65b905e0856434da6374ff"),
         ("report --format md", "e973b6f7da60635700e0f91651b53b271af9d01bcd93d46182e97c48ce141c1d"),
         ("report --format csv", "4dd36c33500825dca8b86412288c1c8209185e084f273b759362406c16c6103c"),
@@ -480,6 +545,9 @@ def test_modulus_7_from_the_forms(capsys):
     code, out, _ = run(capsys, "--modulus", "7", "orbits")
     assert code == 0 and json.loads(out)["orbit_count"] == 100
     assert sum(e["size"] for e in json.loads(out)["orbits"]) == 23466240
+    # p_g and q at every prime: 75 orbits have (13, 0), 25 have (16, 3)
+    values = sorted((e["pg"], e["q"]) for e in json.loads(out)["orbits"])
+    assert values == [(13, 0)] * 75 + [(16, 3)] * 25
     code, out, _ = run(capsys, "--modulus", "7", "group", "--format", "csv")
     assert code == 0 and out.splitlines()[1] == "120,2016,241920"
 

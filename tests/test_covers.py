@@ -258,6 +258,21 @@ def test_line_table_refuses_before_building(u3):
             call()
 
 
+@pytest.mark.parametrize("n", [37, 101])
+def test_normal_forms_refuse_before_building_the_search_buffer(n):
+    # 161 bytes a candidate: the (n^2 - 1)^2 candidates pass the limit from
+    # n = 37 on (31 passes this check), and nothing is allocated first
+    assert (31 * 31 - 1) ** 2 * 161 <= covers.MAX_ARRAY_BYTES < (37 * 37 - 1) ** 2 * 161
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^modulus {n}: {(n * n - 1) ** 2} candidate forms over 256 MiB$"):
+            covers.normal_forms(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_failures_and_first_reason_at_7(data):

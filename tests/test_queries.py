@@ -15,7 +15,7 @@ from types import ModuleType
 import numpy as np
 import pytest
 
-from quadcover import canonical, covers, gf, picard, sheaves, symmetry
+from quadcover import canonical, cli, covers, gf, picard, sheaves, symmetry
 from quadcover.covers import SixTuple
 
 import oracles
@@ -99,9 +99,10 @@ def test_irregular_query_checks_and_tabulates_once_per_call(u1, monkeypatch):
     assert _count_evaluations(u1, monkeypatch) == ONCE
 
 
-def test_a_cold_query_converts_the_residues_once(u3, monkeypatch):
+def test_a_cold_query_converts_the_residues_once(u3, monkeypatch, capsys):
     # the memo reads the tuple's residues into an array once; every reader
-    # after it (the conditions, the loop images) is handed that array
+    # after it (the conditions, the loop images) is handed that array, and
+    # the sheaf-table command takes its admissibility check from the memo
     converted = []
 
     def count(module):
@@ -119,6 +120,9 @@ def test_a_cold_query_converts_the_residues_once(u3, monkeypatch):
     MEMO.cache_clear()
     assert query(u3)["degree_product"] == 19
     assert converted == ["tuple"]
+    MEMO.cache_clear()
+    assert cli.main(["sheaf-table", u3.format()]) == 0
+    assert converted == ["tuple"] * 2
 
 
 CHARACTERS = [(0, 0), (1, 0), (0, 1), (4, 3), (2, 2), (3, 4)]
@@ -244,7 +248,16 @@ def test_error_paths_on_a_warm_memo(u3):
         else:
             assert len(warm) == 25
         warm_up()
-    fails(lambda: sheaves.invariants(f7, 7), ValueError, "only defined for modulus 5")
+    # f7 is admissible at 7: a warm memo serves its invariants with no new
+    # entry, and cold they equal the oracle's, one character at a time
+    before = MEMO.cache_info()
+    warm = sheaves.invariants(f7, 7)
+    after = MEMO.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    MEMO.cache_clear()
+    assert sheaves.invariants(f7, 7) == warm == oracles.invariants_scalar(f7, 7)
+    assert MEMO.cache_info().currsize == 1
+    warm_up()
     fails(lambda: canonical.degree_certificate(f7, 7), ValueError, "only defined for modulus 5")
     fails(lambda: canonical.basis(two_dim, 7), AssertionError, r"L\(6,6\)\) = 2: .* not a basis")
 

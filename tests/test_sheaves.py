@@ -1,8 +1,10 @@
 import random
 import re
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ import sympy
 from hypothesis import given, seed, settings, strategies as st
 
 import oracles
-from quadcover import covers, gf, golden, sheaves
+from quadcover import covers, gf, golden, sheaves, symmetry
 from quadcover.covers import SixTuple
-from quadcover.picard import DivClass, ZERO, H, canonical_class, configuration, intersect
+from quadcover.picard import CURVE_PAIRS, DivClass, ZERO, H, canonical_class, configuration, intersect
 
 
 def test_coeffs_golden_rows(u3):
@@ -225,6 +227,67 @@ def test_chi_derived_on_all_normal_forms():
         assert 12 * inv.chi == inv.k2 + euler  # Noether
 
 
+def _seeded_forms(p):
+    """Every normal form at 5 and 7, 2000 seeded ones at 11."""
+    forms = covers.normal_forms(p)
+    if p == 11:
+        forms = forms[np.random.default_rng(1101).choice(len(forms), 2000, replace=False)]
+    return forms
+
+
+def _pg_and_chi(forms, p):
+    """p_g and chi(O_X) of every form, read from the class table 2000 forms at a time."""
+    numbers = np.concatenate([
+        sheaves.class_numbers(sheaves.character_table(forms[i:i + 2000], p).classes).sum(axis=1)
+        for i in range(0, len(forms), 2000)
+    ])
+    return numbers[:, 0], p * p + numbers[:, 1]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_noether_the_volume_bound_and_the_pencils_on_the_forms(p):
+    # K^2 = 5 (p - 2)^2 from the adjunction class, e from the configuration,
+    # chi and p_g from the class table: 12 chi = K^2 + e (Noether),
+    # 9 chi - K^2 = (p - 5)^2 / 4, zero exactly at p = 5 (the paper's
+    # equality in Bogomolov-Miyaoka-Yau), and q = (p - 1)/2 x #pencils
+    forms, k2, e = _seeded_forms(p), 5 * (p - 2) ** 2, oracles.euler_number(p)
+    assert e == 2 * p * p - 10 * p + 15
+    assert intersect(sheaves.adjunction_class(p), sheaves.adjunction_class(p)) == k2
+    pg, chi = _pg_and_chi(forms, p)
+    q, pencils = pg + 1 - chi, oracles.pencil_counts(forms, p)
+    assert (12 * chi == k2 + e).all()
+    assert (4 * (9 * chi - k2) == (p - 5) ** 2).all()
+    assert (2 * q == (p - 1) * pencils).all()
+    if p < 11:
+        assert np.bincount(pencils).tolist() == {5: [120, 300], 7: [8840, 2800]}[p]
+    # the per-tuple calls read the same values
+    for i in np.random.default_rng(p).choice(len(forms), 100, replace=False):
+        inv = sheaves.invariants(SixTuple.from_residues(forms[i]), p)
+        assert inv == (k2, chi[i], pg[i], q[i])
+
+
+def test_sym5_permutes_the_pencils():
+    # the label permutation s sends the curves of pencil k to those of pencil s(k)
+    pencils, labelled = oracles.pencils(), {frozenset(pair): c for c, pair in enumerate(CURVE_PAIRS)}
+    assert sorted(c for pencil in pencils for c in pencil) == sorted(list(range(10)) * 2)
+    for s in permutations(range(5)):
+        for k, pencil in enumerate(pencils):
+            image = {labelled[frozenset(s[a] for a in CURVE_PAIRS[c])] for c in pencil}
+            assert image == set(pencils[s[k]])
+
+
+def test_pg_and_q_are_constant_on_the_orbits_at_7():
+    # each orbit's classes share p_g and q, and its representative's
+    # invariants read them: 75 orbits have (13, 0) and 25 have (16, 3)
+    pg, chi = _pg_and_chi(covers.normal_forms(7), 7)
+    q, values = pg + 1 - chi, Counter()
+    for orb in symmetry.orbit_partition(7).orbits:
+        inv = sheaves.invariants(orb.representative, 7)
+        assert set(zip(pg[orb.classes].tolist(), q[orb.classes].tolist())) == {(inv.pg, inv.q)}
+        values[inv.pg, inv.q] += 1
+    assert values == {(13, 0): 75, (16, 3): 25}
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -283,8 +346,34 @@ def test_invariants_rejects_bad_input(u3):
             found = t
             break
     assert found is not None
-    with pytest.raises(ValueError, match="modulus 5"):
-        sheaves.invariants(found, 7)
+    # an admissible tuple at another prime has invariants: the class table's
+    # equal the oracle's, interpolation ranks over sheaf_scalar's classes,
+    # and a warm memo serves them with no new entry
+    inv = sheaves.invariants(found, 7)
+    assert inv == oracles.invariants_scalar(found, 7)
+    assert (inv.k2, inv.chi) == (125, 14)
+    before = sheaves._evaluation.cache_info()
+    assert sheaves.invariants(found, 7) == inv
+    after = sheaves._evaluation.cache_info()
+    assert (after.misses, after.currsize, after.hits) == (before.misses, before.currsize, before.hits + 1)
+
+
+def test_per_tuple_calls_refuse_the_memo_bound_before_building():
+    # a full memo and one build take 1344 bytes a character: 443 fits the
+    # limit, 449, the next prime, does not, and no character is evaluated
+    # before the refusal, admissible tuple or not
+    assert 443 ** 2 * sheaves._CHARACTER_BYTES <= covers.MAX_ARRAY_BYTES < 449 ** 2 * sheaves._CHARACTER_BYTES
+    calls = (sheaves.invariants, sheaves.sheaf_table, lambda t, n: sheaves.coeffs(t, (1, 0), n))
+    for text in ("1,0,0,1,97,107,97,366,197,63,57,361", "1,0,0,1,0,0,0,0,0,0,0,0"):
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="^modulus 449: 201601 characters per tuple over 256 MiB$"):
+                    call(SixTuple.parse(text, 449), 449)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 def test_k2_recomputed_from_rational_classes():

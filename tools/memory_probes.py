@@ -14,6 +14,11 @@
   * admissible_array_mib: tracemalloc peak of admissible_array(5), with
     normal_forms, gl2_array and the line table built first;
   * mask_mib: tracemalloc peak of admissibility_mask over that array;
+  * evaluation_<n>_held_b, evaluation_<n>_peak_b: bytes a character that
+    one entry of the per-tuple memo (sheaves._evaluation) holds, and the
+    tracemalloc peak of building it with _characters(n) cleared, at
+    n = 101 and 211, on a row that meets condition 0; the admissibility
+    line table (72 bytes a character, bounded on its own) is built first;
   * import_cli_s: median wall time of a cold `import quadcover.cli` in a
     child interpreter;
   * tree: the package directory measured;
@@ -41,7 +46,7 @@ import tracemalloc
 PACKAGE = os.path.dirname(importlib.util.find_spec("quadcover").origin)
 BYTECODE = os.path.isdir(os.path.join(PACKAGE, "__pycache__"))
 
-from quadcover import covers, gf  # noqa: E402
+from quadcover import covers, gf, sheaves  # noqa: E402
 
 DUMP = (
     "import sys\n"
@@ -71,6 +76,24 @@ def _traced_mib(fn):
         tracemalloc.stop()
 
 
+def _evaluation_bytes(n):
+    """Held bytes and tracemalloc peak, a character, of one cold memo entry
+    at n; the row's six slots sum to zero, so its section counts are held."""
+    row = [1, 0, 0, 1, 1, 1, 2, 3, 5, 7]
+    row += [-sum(row[0::2]) % n, -sum(row[1::2]) % n]
+    covers._line_table(n)
+    sheaves._evaluation.cache_clear()
+    sheaves._characters.cache_clear()
+    tracemalloc.start()
+    try:
+        _, table, numbers = sheaves._evaluation(tuple(row), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = table.residues.nbytes + table.classes.nbytes + numbers.nbytes
+    return held / (n * n), peak / (n * n)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -85,6 +108,8 @@ def main():
     out["admissible_array_mib"] = _traced_mib(lambda: covers.admissible_array(5))
     rows = covers.admissible_array(5)
     out["mask_mib"] = _traced_mib(lambda: covers.admissibility_mask(rows, 5))
+    for n in (101, 211):
+        out[f"evaluation_{n}_held_b"], out[f"evaluation_{n}_peak_b"] = _evaluation_bytes(n)
     out["import_cli_s"] = statistics.median(
         _child(["-c", "import quadcover.cli"])[0] for _ in range(4 * args.repeats))
     print(json.dumps({"tree": PACKAGE} | {k: round(v, 3) for k, v in out.items()} | {"bytecode": BYTECODE}))
