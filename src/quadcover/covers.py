@@ -115,10 +115,10 @@ _REASONS = (
 )
 
 
-# Largest array built: the expanded admissible set (int16 rows; sorting
-# them peaks at 56 bytes a row), the normal forms as five int64 copies, a
-# class table of normal_form_index or the line table of _failures.  The
-# tests' group-element oracle keeps to it too.
+# Each stage checks what it builds against this before building it: the
+# expanded admissible set (int16 rows; sorting them peaks at 56 bytes a
+# row), the normal-form search, symmetry.orbit_partition, a class table of
+# normal_form_index, the line table of _failures, the tests' group oracle.
 MAX_ARRAY_BYTES = 256 << 20
 
 
@@ -212,7 +212,7 @@ def encode_rows(rows, n=DEFAULT_MODULUS) -> np.ndarray:
 @lru_cache(maxsize=None)
 def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     """Admissible rows with (u1, v1) = ((1,0), (0,1)), lexicographically
-    sorted and read-only: one per GL(2, Z/n)-class.
+    sorted, as a read-only int16 array: one per GL(2, Z/n)-class.
 
     L1' and L1 are incident, so u1 and v1 are independent in every
     admissible tuple and GL(2) acts freely and transitively on them.  The
@@ -221,14 +221,15 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     candidates, which admissibility_mask reads CHUNK at a time.  At 161
     bytes a candidate (buffer 96, i3 and i2 16, rest 16, v3's temporaries
     32, mask 1; tracemalloc at n = 17, 23, 31) it refuses n >= 37 before
-    building anything; below, it raises ValueError as soon as the forms
-    found would exceed MAX_ARRAY_BYTES as five int64 copies: the forms
-    themselves and the working set of orbit_partition on them, which
-    peaks at 3.3 further copies at n = 11.
+    building anything; below, it raises ValueError before it keeps a u2's
+    forms if that working set and the forms, narrowed to int16 (24 bytes
+    each, held twice while they are stacked), would exceed
+    MAX_ARRAY_BYTES, as they do from n = 17 on.
     """
     require_prime(n)
     m = n * n - 1
-    check_bytes(m * m * 161, n, f"{m * m} candidate forms")
+    search = m * m * 161
+    check_bytes(search, n, f"{m * m} candidate forms")
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
     i3, i2 = np.divmod(np.arange(m * m), m)
     # one buffer of candidates, a residue per row; each u2 overwrites its
@@ -240,9 +241,11 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     forms, count = [], 0
     for u2 in nz[:, :, None]:
         cand[2:4], cand[10:12] = u2, (rest - u2) % n
-        forms.append(cand.T[admissibility_mask(cand.T, n)])
-        count += len(forms[-1])
-        check_bytes(count * 5 * 12 * 8, n, "normal forms")
+        found = admissibility_mask(cand.T, n)
+        count += 24 * int(found.sum())
+        check_bytes(search + 2 * count, n, "normal forms")
+        # a residue at a time: at n = 31 one u2's forms as int64 are 57 MiB
+        forms.append(np.stack([residues[found].astype(np.int16) for residues in cand], axis=1))
     return frozen(np.vstack(forms))
 
 
@@ -313,8 +316,7 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
     forms = normal_forms(n)
     gl2 = gl2_array(n).astype(np.int16)
     check_bytes(len(forms) * len(gl2) * 12 * 2, n, "admissible array")
-    forms = forms.reshape(-1, 6, 2).astype(np.int16)
-    rows = (forms @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12)
+    rows = (forms.reshape(-1, 6, 2) @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12)
     rows %= n
     # the rows are distinct, so any sort of their codes gives one order
     return frozen(rows[np.argsort(encode_rows(rows, n))])

@@ -24,30 +24,23 @@ is computed on the normal forms alone.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gf
-from .covers import LOOP_SLOTS, SixTuple, normal_form_index, normal_forms
+from .covers import CHUNK, LOOP_SLOTS, SixTuple, check_bytes, normal_form_index, normal_forms
 from .gf import DEFAULT_MODULUS, Mat, frozen
 from .picard import CURVE_PAIRS
 
 
-@lru_cache(maxsize=None)
-def _sum_zero_basis(n):
-    """Columns span the sum-zero subspace, parameterized by the first ten
-    coordinates."""
-    basis = np.vstack([np.eye(10, dtype=np.int64), np.tile(np.eye(2, dtype=np.int64) * (n - 1), 5)])
-    return frozen(basis)
-
-
 def _restrict(mats, n) -> np.ndarray:
-    """(..., 12, 12) matrices -> their (..., 10, 10) actions on the
-    sum-zero subspace."""
-    return (np.asarray(mats, dtype=np.int64)[..., :10, :] @ _sum_zero_basis(n) % n).astype(np.int16)
+    """(..., 12, 12) matrices -> their (..., 10, 10) actions on the first ten
+    coordinates of sum-zero rows, whose last two are minus the x and y sums."""
+    m = np.asarray(mats, dtype=np.int64)[..., :10, :]
+    return ((m[..., :10] - np.tile(m[..., 10:], 5)) % n).astype(np.int16)
 
 
 class SymmetryElement(NamedTuple):
@@ -160,11 +153,9 @@ class Orbit(NamedTuple):
 
 def _least(moves, start) -> np.ndarray:
     """Minimum of start over each orbit of the index permutations moves."""
-    while True:
-        step = np.minimum.reduce([start] + [start[m] for m in moves])
-        if (step == start).all():
-            return start
+    while ((step := reduce(np.minimum, (start[m] for m in moves), start)) != start).any():
         start = step
+    return start
 
 
 def _least_member_codes(forms, n) -> np.ndarray:
@@ -175,13 +166,9 @@ def _least_member_codes(forms, n) -> np.ndarray:
     term in b, and the two are minimised separately."""
     x, y = forms[:, 0::2], forms[:, 1::2]
     weights = np.uint64(n) ** np.arange(11, -1, -1, dtype=np.uint64)
-    in_a = [(a * y % n).astype(np.uint64) @ weights[0::2] for a in range(1, n)]
-    in_b = [((x + b * y) % n).astype(np.uint64) @ weights[1::2] for b in range(n)]
-    return np.minimum.reduce(in_a) + np.minimum.reduce(in_b)
-
-
-def _decode(code, n) -> SixTuple:
-    return SixTuple.from_residues(int(code) // n ** k % n for k in range(11, -1, -1))
+    in_a = ((a * y % n).astype(np.uint64) @ weights[0::2] for a in range(1, n))
+    in_b = (((x + b * y) % n).astype(np.uint64) @ weights[1::2] for b in range(n))
+    return reduce(np.minimum, in_a) + reduce(np.minimum, in_b)
 
 
 class OrbitPartition(NamedTuple):
@@ -211,18 +198,28 @@ def orbit_partition(n=DEFAULT_MODULUS) -> OrbitPartition:
     orbit is the union of the classes in one swap orbit, and its size is
     |GL(2)| times their number.  Orbits are numbered by, and represented
     by, their lexicographically least member.
+
+    Before building anything it refuses a working set over
+    MAX_ARRAY_BYTES: 73 bytes a form (tracemalloc at n = 11, 13), the
+    int32 moves 16, the uint64 codes and their orbit minima 16, np.unique's
+    41 (a copy, sort order, sorted copy, inverse and its cumulative sum, 8
+    each, and a mask); moves and codes are built CHUNK forms at a time.
     """
     forms = normal_forms(n)
+    check_bytes(len(forms) * 73, n, f"orbit partition of {len(forms)} forms")
     closure = group_closure(n)
-    moves = [normal_form_index(g.mat.apply_rows(forms), n) for g in s5_generators(n)]
+    chunks = [forms[i:i + CHUNK] for i in range(0, max(len(forms), 1), CHUNK)]
+    moves = [np.concatenate([normal_form_index(g.mat.apply_rows(c), n) for c in chunks]) for g in s5_generators(n)]
     # the orbit minimum of the codes labels each form, and np.unique sorts the orbits by it
-    least, labels = np.unique(_least(moves, _least_member_codes(forms, n)), return_inverse=True)
+    codes = np.concatenate([_least_member_codes(c, n) for c in chunks])
+    least, labels = np.unique(_least(moves, codes), return_inverse=True)
+    residues = least[:, None] // n ** np.arange(11, -1, -1, dtype=np.uint64) % n
     # read-only, and so is every orbit's classes, a view of by_form
     labels, by_form = frozen(labels.astype(np.int32)), frozen(np.argsort(labels, kind="stable"))
     out = []
-    for code, classes in zip(least, np.split(by_form, np.cumsum(np.bincount(labels))[:-1])):
+    for rep, classes in zip(residues, np.split(by_form, np.cumsum(np.bincount(labels))[:-1])):
         size = closure.gl2_order * len(classes)
         if closure.order % size:
             raise AssertionError("orbit size does not divide the group order")
-        out.append(Orbit(_decode(code, n), size, closure.order // size, classes))
+        out.append(Orbit(SixTuple.from_residues(rep), size, closure.order // size, classes))
     return OrbitPartition(tuple(out), labels, n)

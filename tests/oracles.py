@@ -15,17 +15,19 @@ carries over the lcm of the character orders, section counts as
 interpolation ranks and by peeling fixed curves off one class at a
 time, the failure matrix from int64 cross products, one tuple's loop
 images and incident pairs at a time, a hand-written swap table,
-breadth-first closures, minimal generators by pairwise domination,
-base-point multiplicities from the Newton polygon and the blow-up
-recursion on whole ideals.  They are slow and memory-hungry by design
-and are only meant for n <= 5 (the closures, the swap table, the search
-and the carries for n <= 7; the cross products at any modulus).
+breadth-first closures, orbit counts by Burnside's lemma, minimal
+generators by pairwise domination, base-point multiplicities from the
+Newton polygon and the blow-up recursion on whole ideals.  They are slow
+and memory-hungry by design and are only meant for n <= 5 (the closures,
+the swap table, the search, Burnside's count and the carries for
+n <= 7; the cross products at any modulus).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -524,6 +526,74 @@ def expanded_partition(n=5) -> ExpandedPartition:
     least = _least(moves, first)[classes]
     parts, labels = _orbit_list(rows, least, np.arange(len(rows)), group_closure(n).order)
     return ExpandedPartition(tuple(parts), labels, codes)
+
+
+def _cycle_length(s, a) -> int:
+    """Length of the cycle of the permutation s through a."""
+    k, b = 1, s[a]
+    while b != a:
+        k, b = k + 1, s[b]
+    return k
+
+
+def cycle_types() -> list[tuple[tuple[int, ...], int]]:
+    """One permutation of {0, ..., 4} per cycle type, the first in
+    lexicographic order, with the size of its conjugacy class: the
+    permutations grouped by the sorted cycle lengths of their points."""
+    classes = {}
+    for s in permutations(range(5)):
+        classes.setdefault(tuple(sorted(_cycle_length(s, a) for a in range(5))), [s, 0])[1] += 1
+    return [(s, size) for s, size in classes.values()]
+
+
+def _star_word(perm) -> list[int]:
+    """Labels h of transpositions (0 h) whose product, left to right, is
+    the permutation perm (or its inverse): each cycle (a1 ... ak) as
+    (a1 ak) ... (a1 a2), and each (a b) with a, b != 0 as (0a)(0b)(0a)."""
+    word, seen = [], set()
+    for a in range(5):
+        cycle = [a]
+        while perm[cycle[-1]] != a:
+            cycle.append(perm[cycle[-1]])
+        if a in seen or len(cycle) == 1:
+            continue
+        seen.update(cycle)
+        for b in reversed(cycle[1:]):
+            word += [b] if a == 0 else [a, b, a]
+    return word
+
+
+def star_swap(perm, n=5) -> Mat:
+    """The 12x12 action of a label permutation, multiplied out of the
+    hand-written swap table: it acts as perm or as its inverse, which fix
+    the same classes."""
+    out = Mat.identity(12, n)
+    for h in _star_word(perm):
+        out = out * Mat(np.kron(SWAP_SLOTS[f"(0{h})"], np.eye(2, dtype=np.int64)), n)
+    return out
+
+
+def fixes_class(perm, rows, n=5) -> np.ndarray:
+    """Whether the label permutation perm fixes the GL(2)-class of each
+    admissible (N, 12) row: the class of perm . row, found by search, is
+    the row's own."""
+    image = star_swap(perm, n).apply_rows(rows)
+    return normal_form_index_by_search(image, n) == normal_form_index_by_search(rows, n)
+
+
+def burnside_count(n=5, fixes=fixes_class) -> int:
+    """The number of orbits by Burnside's lemma, with no orbit built.
+    GL(2) acts freely, so the orbits are the Sym(5)-orbits on the
+    GL(2)-classes, and their number is the mean over the 120 permutations
+    of the classes each fixes.  That count is constant on a conjugacy
+    class: one permutation per cycle type, weighted by the class size.
+    fixes(perm, rows, n) is fixes_class or another route to the same
+    mask."""
+    forms = normal_forms(n)
+    fixed = sum(size * int(fixes(s, forms, n).sum()) for s, size in cycle_types())
+    if fixed % 120:
+        raise AssertionError(f"the fixed classes sum to {fixed}, not a multiple of 120")
+    return fixed // 120
 
 
 def pg_values_rowwise(rows, n=5) -> np.ndarray:

@@ -176,6 +176,19 @@ def test_charts_have_no_common_factor(pairs):
         assert MonomialIdeal2D.from_exponents(chart).common_factor() == (0, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_exponent_pairs, st.integers(1, 7), st.integers(1, 7))
+@example([(3, 0), (1, 1), (0, 3)], 3, 3)
+@example([(2, 3), (5, 1)], 7, 6)
+def test_square_sum_is_twice_the_newton_area(pairs, a, b):
+    # with x^a and y^b among its generators the ideal is m-primary, so the
+    # squared multiplicities of its base points sum to its multiplicity
+    # (Noether's formula), twice the area under its Newton polygon
+    # (Kushnirenko)
+    ideal = I(*pairs, (a, 0), (0, b))
+    assert canonical.resolve_type(ideal).square_sum() == oracles.newton_multiplicity(ideal.generators)
+
+
 def test_resolve_type_depth_budget():
     # (x^3, y) needs three blow-ups; the message names the chart left over.
     # resolve_type sets the budget itself (10 here), so the net is tried on _resolve
@@ -270,12 +283,15 @@ def test_degree_certificate_u3(u3):
     ]
 
 
-def test_degree_certificate_on_every_regular_form():
-    # all 120 normal forms with p_g = 4, each resolved cold; the Newton
-    # polygon gives each base point's square sum without the blow-up
-    # recursion, and the recursion on whole ideals its type
-    forms = covers.normal_forms(5)
-    regular = forms[sheaves.pg_values(forms) == 4]
+def test_degree_certificate_on_every_regular_form(u3):
+    # all 120 normal forms with p_g = 4, exactly the classes of U3's orbit,
+    # each resolved cold; the Newton polygon gives each base point's square
+    # sum without the blow-up recursion, and the recursion on whole ideals
+    # its type
+    forms, part = covers.normal_forms(5), symmetry.orbit_partition(5)
+    is_regular = sheaves.pg_values(forms) == 4
+    assert np.array_equal(np.flatnonzero(is_regular), np.sort(part.orbits[part.orbit_of(u3)].classes))
+    regular = forms[is_regular]
     assert len(regular) == 120
     canonical._base_scheme.cache_clear()
     types = Counter()

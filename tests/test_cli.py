@@ -299,14 +299,28 @@ def test_residue_not_below_modulus_is_rejected(capsys):
 
 def test_oversized_modulus_is_refused(capsys):
     # the expanded admissible array at n = 7 (11640 normal forms x 2016
-    # matrices), the working set of the normal forms at n = 13 and their
-    # search buffer at n = 127 are over the byte limit
-    for argv in (["--modulus", "7", "enumerate", "--dump"], ["--modulus", "13", "report"],
+    # matrices), the normal forms at n = 17, the smallest prime whose
+    # search refuses them, and their search buffer at n = 127 are over
+    # the byte limit; the search refuses before its working set passes it
+    for argv in (["--modulus", "7", "enumerate", "--dump"], ["--modulus", "17", "report"],
                  ["--modulus", "127", "enumerate"]):
-        code, out, err = run(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2
         assert out == ""
         assert "MiB" in err
+        assert peak <= covers.MAX_ARRAY_BYTES
+
+
+def test_enumerate_at_13_counts_the_forms_times_gl2(capsys):
+    # 1520340 normal forms, each the form of |GL(2, Z/13)| = 26208 tuples
+    code, out, err = run(capsys, "--modulus", "13", "enumerate")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"modulus": 13, "count": 39845070720}
 
 
 def test_equations_at_an_oversized_modulus_are_refused_before_building(capsys):

@@ -458,6 +458,10 @@ def test_admissible_array_refuses_oversized_modulus():
 def test_normal_forms_are_cached_and_read_only():
     forms = covers.normal_forms(5)
     assert covers.normal_forms(5) is forms
+    # int16, the dtype of admissible_array, and strictly lexicographic
+    for n in (5, 7):
+        codes = covers.encode_rows(covers.normal_forms(n), n)
+        assert covers.normal_forms(n).dtype == np.int16 and (codes[1:] > codes[:-1]).all()
     with pytest.raises(ValueError, match="read-only"):
         forms[0, 0] = 0
 

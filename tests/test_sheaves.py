@@ -228,10 +228,10 @@ def test_chi_derived_on_all_normal_forms():
 
 
 def _seeded_forms(p):
-    """Every normal form at 5 and 7, 2000 seeded ones at 11."""
+    """Every normal form at 5 and 7, 2000 seeded ones from 11 on."""
     forms = covers.normal_forms(p)
-    if p == 11:
-        forms = forms[np.random.default_rng(1101).choice(len(forms), 2000, replace=False)]
+    if p >= 11:
+        forms = forms[np.random.default_rng(100 * p + 1).choice(len(forms), 2000, replace=False)]
     return forms
 
 
@@ -244,7 +244,7 @@ def _pg_and_chi(forms, p):
     return numbers[:, 0], p * p + numbers[:, 1]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_noether_the_volume_bound_and_the_pencils_on_the_forms(p):
     # K^2 = 5 (p - 2)^2 from the adjunction class, e from the configuration,
     # chi and p_g from the class table: 12 chi = K^2 + e (Noether),
@@ -252,11 +252,14 @@ def test_noether_the_volume_bound_and_the_pencils_on_the_forms(p):
     # equality in Bogomolov-Miyaoka-Yau), and q = (p - 1)/2 x #pencils
     forms, k2, e = _seeded_forms(p), 5 * (p - 2) ** 2, oracles.euler_number(p)
     assert e == 2 * p * p - 10 * p + 15
+    assert (k2, e) == {5: (45, 15), 7: (125, 43), 11: (405, 147), 13: (605, 223)}[p]
     assert intersect(sheaves.adjunction_class(p), sheaves.adjunction_class(p)) == k2
     pg, chi = _pg_and_chi(forms, p)
     q, pencils = pg + 1 - chi, oracles.pencil_counts(forms, p)
     assert (12 * chi == k2 + e).all()
     assert (4 * (9 * chi - k2) == (p - 5) ** 2).all()
+    assert set(chi.tolist()) == {{5: 5, 7: 14, 11: 46, 13: 69}[p]}
+    assert set((9 * chi - k2).tolist()) == {{5: 0, 7: 1, 11: 9, 13: 16}[p]}
     assert (2 * q == (p - 1) * pencils).all()
     if p < 11:
         assert np.bincount(pencils).tolist() == {5: [120, 300], 7: [8840, 2800]}[p]

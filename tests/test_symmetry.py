@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -284,6 +286,38 @@ def test_forms_match_expanded_path(n):
     rows_pg = np.unique(oracles.admissible_pg(n), return_counts=True)
     assert np.array_equal(forms_pg[0], rows_pg[0])
     assert np.array_equal(forms_pg[1] * gl2_order, rows_pg[1])
+
+
+@pytest.mark.parametrize("n, count", [(5, 4), (7, 100)])
+def test_orbits_stabilizers_and_class_equation_by_burnside(n, count):
+    # the orbit count by Burnside's lemma; each orbit's stabilizer as the
+    # permutations that fix its representative's GL(2)-class; and the
+    # class equation, the orbit sizes |G|/|Stab| summing to the admissible count
+    part = symmetry.orbit_partition(n)
+    assert len(part.orbits) == oracles.burnside_count(n) == count
+    reps = np.array([orb.representative.residues for orb in part.orbits])
+    stabilizers = sum(oracles.fixes_class(s, reps, n).astype(int) for s in permutations(range(5)))
+    assert stabilizers.tolist() == [orb.stabilizer_order for orb in part.orbits]
+    order = symmetry.group_closure(n).order
+    assert (order % stabilizers == 0).all()
+    assert (order // stabilizers).sum() == len(covers.normal_forms(n)) * gf.gl2_order(n)
+
+
+def test_orbit_partition_refuses_before_building(monkeypatch):
+    # 73 bytes a form: a limit one byte short of that for the 11640 forms
+    # at 7 refuses the partition before any of its arrays is built
+    forms = covers.normal_forms(7)
+    monkeypatch.setattr(covers, "MAX_ARRAY_BYTES", len(forms) * 73 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^modulus 7: orbit partition of 11640 forms over"):
+            symmetry.orbit_partition.__wrapped__(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    monkeypatch.setattr(covers, "MAX_ARRAY_BYTES", len(forms) * 73)
+    assert len(symmetry.orbit_partition.__wrapped__(7).orbits) == 100
 
 
 def test_group_order_certificate_detects_a_shared_element(monkeypatch):

@@ -1,0 +1,105 @@
+"""Orbit counts and the cost of the whole-set commands at n = 11 and 13, one JSON line per modulus.
+
+    PYTHONPATH=path/to/checkout/src python3 tools/orbit_probes.py
+
+  * orbits_s, orbits_rss_mib, enumerate_s, enumerate_rss_mib: wall time
+    of a child interpreter that runs `quadcover --modulus n orbits` (or
+    `enumerate`), interpreter start included, and its peak RSS, read by
+    the child itself from VmHWM in /proc/self/status at its exit (Linux
+    carries the parent's peak over to a child's getrusage at exec);
+  * orbits, count: the orbit count and the tuple count the children print;
+  * burnside: the orbit count by Burnside's lemma (tests/oracles.py),
+    computed on the normal forms with no orbit built; each class is read
+    by normal_form_index and each permutation's matrix by the package's
+    swap matrices, CHUNK forms at a time, since the oracle's search
+    route holds too much at 13;
+  * partition_b_per_form: tracemalloc peak of orbit_partition(n), with
+    the normal forms, the class tables of normal_form_index and the
+    group closure built first, over the number of normal forms: the
+    figure that orbit_partition checks against MAX_ARRAY_BYTES;
+  * refused_<n>_s, refused_<n>_rss_mib: the same child figures of
+    `quadcover --modulus n enumerate` at 17 and 31, which the
+    normal-form search refuses (exit 2).
+Point PYTHONPATH at another checkout to measure that tree instead; the
+children inherit it.  Measure from a tree without `__pycache__`, with
+PYTHONDONTWRITEBYTECODE=1.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+
+import oracles  # noqa: E402
+from quadcover import covers, symmetry  # noqa: E402
+from quadcover.gf import Mat  # noqa: E402
+
+CHILD = (
+    "import sys\n"
+    "from quadcover import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+
+
+def _child(*argv):
+    """Exit code, wall time, peak RSS in MiB and stdout of one CLI child."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, env=os.environ)
+    wall = time.perf_counter() - start
+    return done.returncode, wall, int(done.stderr.split()[-2]) / 1024, done.stdout
+
+
+def _fixes_class(perm, rows, n):
+    """oracles.fixes_class by the package's own routes, CHUNK rows at a time."""
+    swap = Mat(symmetry._swap_matrices([perm])[0], n)
+    chunks = [rows[i:i + covers.CHUNK] for i in range(0, len(rows), covers.CHUNK)]
+    index = covers.normal_form_index
+    return np.concatenate([index(swap.apply_rows(c), n) == index(c, n) for c in chunks])
+
+
+def _partition_bytes_per_form(n):
+    forms = covers.normal_forms(n)
+    covers.normal_form_index(forms[:1], n), symmetry.group_closure(n)
+    symmetry.orbit_partition.cache_clear()
+    tracemalloc.start()
+    try:
+        symmetry.orbit_partition(n)
+        return tracemalloc.get_traced_memory()[1] / len(forms)
+    finally:
+        tracemalloc.stop()
+
+
+def main():
+    for n in (11, 13):
+        out = {"modulus": n}
+        for command, key in (("orbits", "orbit_count"), ("enumerate", "count")):
+            code, wall, rss, stdout = _child("--modulus", str(n), command)
+            if code:
+                raise SystemExit(f"{command} at {n} exited {code}")
+            out[f"{command}_s"], out[f"{command}_rss_mib"] = round(wall, 2), round(rss, 1)
+            out["orbits" if command == "orbits" else "count"] = json.loads(stdout)[key]
+        out["burnside"] = oracles.burnside_count(n, _fixes_class)
+        out["partition_b_per_form"] = round(_partition_bytes_per_form(n), 1)
+        print(json.dumps(out), flush=True)
+    refused = {}
+    for n in (17, 31):
+        code, wall, rss, _ = _child("--modulus", str(n), "enumerate")
+        refused[f"refused_{n}_exit"] = code
+        refused[f"refused_{n}_s"], refused[f"refused_{n}_rss_mib"] = round(wall, 2), round(rss, 1)
+    print(json.dumps(refused))
+
+
+if __name__ == "__main__":
+    main()
