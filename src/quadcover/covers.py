@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import DEFAULT_MODULUS, Vec2, frozen, gl2_array, is_integer, nonzero_vectors, reduce_rows, require_prime
+from .gf import DEFAULT_MODULUS, Vec2, frozen, gl2_array, inverses, is_integer, nonzero_vectors, reduce_rows
+from .gf import require_prime
 from .picard import CURVE_LABELS, LOOP_RELATIONS, incidences
 
 
@@ -151,10 +152,8 @@ def _line_table(n) -> np.ndarray:
     so it refuses n above 1930; lines need n prime.
     """
     check_bytes(36 * n * n * 2, n, "admissibility table")
-    require_prime(n)
-    inv = np.array([pow(v, -1, n) if v else 0 for v in range(n)])
     x, y = np.arange(n), np.arange(n)[:, None]
-    line = np.where(x != 0, 1 + y * inv[x] % n, np.where(y != 0, n + 1, 0))
+    line = np.where(x != 0, 1 + y * inverses(n)[x] % n, np.where(y != 0, n + 1, 0))
     return frozen(np.tile(line.astype(np.uint16), (6, 6)).ravel())
 
 
@@ -218,18 +217,16 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     admissible tuple and GL(2) acts freely and transitively on them.  The
     search runs over the nonzero u2, u3, v2 and solves the sum condition
     for v3, one u2 at a time in one int64 buffer of the (n^2 - 1)^2
-    candidates, which admissibility_mask reads CHUNK at a time.  At 161
-    bytes a candidate (buffer 96, i3 and i2 16, rest 16, v3's temporaries
-    32, mask 1; tracemalloc at n = 17, 23, 31) it refuses n >= 37 before
-    building anything; below, it raises ValueError before it keeps a u2's
-    forms if that working set and the forms, narrowed to int16 (24 bytes
-    each, held twice while they are stacked), would exceed
-    MAX_ARRAY_BYTES, as they do from n = 17 on.
+    candidates, which admissibility_mask reads CHUNK at a time.  Before
+    building anything it refuses that buffer, at 161 bytes a candidate
+    (buffer 96, i3 and i2 16, rest 16, v3's temporaries 32, mask 1;
+    tracemalloc at n = 17, 23, 31), and all (n^2 - 1)^3 candidates as
+    int16 forms (24 bytes, held twice while stacked) over MAX_ARRAY_BYTES,
+    which 13 passes and 17 does not.
     """
     require_prime(n)
     m = n * n - 1
-    search = m * m * 161
-    check_bytes(search, n, f"{m * m} candidate forms")
+    check_bytes(m * m * 161 + m ** 3 * 48, n, f"{m * m} candidate forms")
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
     i3, i2 = np.divmod(np.arange(m * m), m)
     # one buffer of candidates, a residue per row; each u2 overwrites its
@@ -238,14 +235,10 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     cand[0], cand[7] = 1, 1
     cand[4:6], cand[8:10] = nz[i3].T, nz[i2].T
     rest = -cand.reshape(6, 2, -1).sum(axis=0)
-    forms, count = [], 0
+    forms = []
     for u2 in nz[:, :, None]:
         cand[2:4], cand[10:12] = u2, (rest - u2) % n
-        found = admissibility_mask(cand.T, n)
-        count += 24 * int(found.sum())
-        check_bytes(search + 2 * count, n, "normal forms")
-        # a residue at a time: at n = 31 one u2's forms as int64 are 57 MiB
-        forms.append(np.stack([residues[found].astype(np.int16) for residues in cand], axis=1))
+        forms.append(cand.T[admissibility_mask(cand.T, n)].astype(np.int16))
     return frozen(np.vstack(forms))
 
 
@@ -257,7 +250,7 @@ def _vec_table(n) -> np.ndarray:
     a, c, b, d = (np.arange(n ** 4)[:, None] // n ** k % n for k in range(4))
     x, y = np.arange(n * n) % n, np.arange(n * n) // n
     det = (a * d - b * c) % n
-    scale = np.array([pow(v, -1, n) if v else 0 for v in range(n)])[det]
+    scale = inverses(n)[det]
     table = (d * x - b * y) * scale % n + n * ((a * y - c * x) * scale % n)
     table[det[:, 0] == 0] = -1
     return frozen(table.astype(np.int16).ravel())

@@ -160,6 +160,12 @@ def gl2_enumerate(n=DEFAULT_MODULUS) -> list[Mat]:
     return [Mat(m, n) for m in gl2_array(n)]
 
 
+def inverses(n) -> np.ndarray:
+    """The inverse of each residue mod n, n prime, as an int64 array; 0 reads 0."""
+    require_prime(n)
+    return np.array([pow(v, -1, n) if v else 0 for v in range(n)])
+
+
 def primitive_root(n) -> int:
     """Smallest generator of the multiplicative group of Z/n, n prime: the
     least g with n - 1 distinct powers."""

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
-from .covers import CHUNK, LOOP_SLOTS, SixTuple, check_bytes, normal_form_index, normal_forms
+from .covers import CHUNK, LOOP_SLOTS, SixTuple, check_bytes, encode_rows, normal_form_index, normal_forms
 from .gf import DEFAULT_MODULUS, Mat, frozen
 from .picard import CURVE_PAIRS
 
@@ -158,17 +158,16 @@ def _least(moves, start) -> np.ndarray:
     return start
 
 
-def _least_member_codes(forms, n) -> np.ndarray:
-    """Code of the lexicographically least member of each form's
-    GL(2)-class.  u1 is never zero, so that member has u1 = (0,1): it is
-    the least image under the p(p-1) matrices g = [[0, a], [1, b]], a != 0.
-    As g.(x, y) = (a y, x + b y), the code of g.f is a term in a plus a
-    term in b, and the two are minimised separately."""
+def _least_members(forms, n) -> np.ndarray:
+    """Rows of the lexicographically least member of each form's
+    GL(2)-class.  u1 is never zero, so that member has u1 = (0,1) and is
+    g.f for a g = [[0, a], [1, b]], a != 0: g.(x, y) = (a y, x + b y) keeps
+    each slot with y = 0 at (0, x), and the first slot with y != 0 (v1 is
+    one) takes (1, 0), its least value, only for a = 1/y and b = -x/y."""
     x, y = forms[:, 0::2], forms[:, 1::2]
-    weights = np.uint64(n) ** np.arange(11, -1, -1, dtype=np.uint64)
-    in_a = ((a * y % n).astype(np.uint64) @ weights[0::2] for a in range(1, n))
-    in_b = (((x + b * y) % n).astype(np.uint64) @ weights[1::2] for b in range(n))
-    return reduce(np.minimum, in_a) + reduce(np.minimum, in_b)
+    first = np.arange(len(forms)), (y != 0).argmax(axis=1)
+    a = gf.inverses(n)[y[first]][:, None]  # int64, as is every product with it
+    return np.stack([a * y % n, (x - x[first][:, None] * a * y) % n], axis=2).reshape(-1, 12)
 
 
 class OrbitPartition(NamedTuple):
@@ -211,9 +210,11 @@ def orbit_partition(n=DEFAULT_MODULUS) -> OrbitPartition:
     chunks = [forms[i:i + CHUNK] for i in range(0, max(len(forms), 1), CHUNK)]
     moves = [np.concatenate([normal_form_index(g.mat.apply_rows(c), n) for c in chunks]) for g in s5_generators(n)]
     # the orbit minimum of the codes labels each form, and np.unique sorts the orbits by it
-    codes = np.concatenate([_least_member_codes(c, n) for c in chunks])
-    least, labels = np.unique(_least(moves, codes), return_inverse=True)
-    residues = least[:, None] // n ** np.arange(11, -1, -1, dtype=np.uint64) % n
+    codes = np.concatenate([encode_rows(_least_members(c, n), n) for c in chunks])
+    minima = _least(moves, codes)
+    _, labels = np.unique(minima, return_inverse=True)
+    reps = np.flatnonzero(codes == minima)  # the one class of each orbit that holds its least member
+    residues = _least_members(forms[reps[np.argsort(labels[reps])]], n)
     # read-only, and so is every orbit's classes, a view of by_form
     labels, by_form = frozen(labels.astype(np.int32)), frozen(np.argsort(labels, kind="stable"))
     out = []

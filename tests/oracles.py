@@ -10,7 +10,8 @@ images, and the swaps from the curve labels.  The functions here work
 on the expanded objects instead: every admissible row by one einsum
 over forms and matrices, every group element, compared by its action
 on the sum-zero subspace, each row's form by search among the encoded
-forms, every row's 25 character classes, one character at a time,
+forms, each class's least member by a scan over the matrices that send
+u1 to (0,1), every row's 25 character classes, one character at a time,
 carries over the lcm of the character orders, section counts as
 interpolation ranks and by peeling fixed curves off one class at a
 time, the failure matrix from int64 cross products, one tuple's loop
@@ -20,13 +21,13 @@ generators by pairwise domination, base-point multiplicities from the
 Newton polygon and the blow-up recursion on whole ideals.  They are slow
 and memory-hungry by design and are only meant for n <= 5 (the closures,
 the swap table, the search, Burnside's count and the carries for
-n <= 7; the cross products at any modulus).
+n <= 7; the cross products and the scan at any modulus).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import gcd, lcm
 from typing import NamedTuple
@@ -440,6 +441,20 @@ def normal_form_index_by_search(rows, n=5) -> np.ndarray:
     if bad.any():
         raise ValueError("a row is not in the GL(2)-orbit of an admissible normal form")
     return pos
+
+
+def least_member_codes_by_scan(forms, n=5) -> np.ndarray:
+    """Code of the lexicographically least member of each form's
+    GL(2)-class, by a scan.  u1 is never zero, so that member has
+    u1 = (0,1): it is the least image under the p(p-1) matrices
+    g = [[0, a], [1, b]], a != 0.  As g.(x, y) = (a y, x + b y), the code
+    of g.f is a term in a plus a term in b, and the two are minimised
+    separately."""
+    x, y = forms[:, 0::2].astype(np.int64), forms[:, 1::2].astype(np.int64)
+    weights = np.uint64(n) ** np.arange(11, -1, -1, dtype=np.uint64)
+    in_a = ((a * y % n).astype(np.uint64) @ weights[0::2] for a in range(1, n))
+    in_b = (((x + b * y) % n).astype(np.uint64) @ weights[1::2] for b in range(n))
+    return reduce(np.minimum, in_a) + reduce(np.minimum, in_b)
 
 
 class Orbit(NamedTuple):

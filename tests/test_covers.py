@@ -258,11 +258,15 @@ def test_line_table_refuses_before_building(u3):
             call()
 
 
-@pytest.mark.parametrize("n", [37, 101])
+@pytest.mark.parametrize("n", [17, 31, 37, 101])
 def test_normal_forms_refuse_before_building_the_search_buffer(n):
-    # 161 bytes a candidate: the (n^2 - 1)^2 candidates pass the limit from
-    # n = 37 on (31 passes this check), and nothing is allocated first
-    assert (31 * 31 - 1) ** 2 * 161 <= covers.MAX_ARRAY_BYTES < (37 * 37 - 1) ** 2 * 161
+    # 161 bytes a candidate of the (n^2 - 1)^2 in the buffer, and 48 for
+    # each of the (n^2 - 1)^3 candidates as a form: 13 passes, the limit
+    # refuses from 17 on, and nothing is allocated first
+    def search(p):
+        return (p * p - 1) ** 2 * 161 + (p * p - 1) ** 3 * 48
+
+    assert search(13) <= covers.MAX_ARRAY_BYTES < search(17)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"^modulus {n}: {(n * n - 1) ** 2} candidate forms over 256 MiB$"):

@@ -110,6 +110,13 @@ def test_is_prime():
             gf.require_prime(n)
 
 
+def test_inverses_match_pow():
+    for n in (2, 5, 13, 1931):
+        assert gf.inverses(n).tolist() == [0] + [pow(v, -1, n) for v in range(1, n)]
+    with pytest.raises(ValueError, match="^modulus 6 is not prime$"):
+        gf.inverses(6)
+
+
 def test_primitive_root():
     assert gf.primitive_root(2) == 1
     assert gf.primitive_root(3) == 2

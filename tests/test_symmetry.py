@@ -155,6 +155,25 @@ def test_orbit_representative_is_lex_minimal():
         assert orb.size == len(np.unique(codes))
 
 
+@pytest.mark.parametrize("n, sample", [(5, None), (7, None), (11, 2000), (13, 2000)])
+def test_least_members_match_the_scan(n, sample):
+    # the closed form against the scan over the p(p - 1) matrices that
+    # send u1 to (0, 1), on every form or on a seeded sample of them
+    forms = covers.normal_forms(n)
+    if sample:
+        forms = forms[np.random.default_rng(n).choice(len(forms), sample, replace=False)]
+    least = symmetry._least_members(forms, n)
+    assert np.array_equal(covers.encode_rows(least, n), oracles.least_member_codes_by_scan(forms, n))
+
+
+def test_least_members_are_least_over_each_expanded_class():
+    # the least code among every admissible row at 5 of each class
+    rows, forms = covers.admissible_array(5), covers.normal_forms(5)
+    least = np.full(len(forms), np.iinfo(np.uint64).max)
+    np.minimum.at(least, covers.normal_form_index(rows, 5), covers.encode_rows(rows, 5))
+    assert np.array_equal(covers.encode_rows(symmetry._least_members(forms, 5), 5), least)
+
+
 def test_stabilizer_order_by_direct_count(u1, u3):
     # count closure elements fixing the tuple; must equal |G| / orbit size
     elements = oracles.group_elements(5)

@@ -16,10 +16,16 @@
   * partition_b_per_form: tracemalloc peak of orbit_partition(n), with
     the normal forms, the class tables of normal_form_index and the
     group closure built first, over the number of normal forms: the
-    figure that orbit_partition checks against MAX_ARRAY_BYTES;
+    figure that orbit_partition checks against MAX_ARRAY_BYTES (73.1 at
+    both 11 and 13 on a 2-core Linux host, Python 3.11, numpy 2.4);
+  * moves_s, least_members_s, least_s, unique_s: wall time of each phase
+    of orbit_partition(n), run in turn as it runs them with the same
+    tables built first: the four swap moves by apply_rows and
+    normal_form_index, the codes of each class's least member, their
+    orbit minima by _least, and the orbit labels by np.unique;
   * refused_<n>_s, refused_<n>_rss_mib: the same child figures of
     `quadcover --modulus n enumerate` at 17 and 31, which the
-    normal-form search refuses (exit 2).
+    normal-form search refuses before it starts (exit 2).
 Point PYTHONPATH at another checkout to measure that tree instead; the
 children inherit it.  Measure from a tree without `__pycache__`, with
 PYTHONDONTWRITEBYTECODE=1.
@@ -81,6 +87,24 @@ def _partition_bytes_per_form(n):
         tracemalloc.stop()
 
 
+def _phase_times(n):
+    forms = covers.normal_forms(n)
+    covers.normal_form_index(forms[:1], n), symmetry.group_closure(n)
+    chunks = [forms[i:i + covers.CHUNK] for i in range(0, len(forms), covers.CHUNK)]
+    stamps = [time.perf_counter()]
+    moves = [np.concatenate([covers.normal_form_index(g.mat.apply_rows(c), n) for c in chunks])
+             for g in symmetry.s5_generators(n)]
+    stamps.append(time.perf_counter())
+    codes = np.concatenate([covers.encode_rows(symmetry._least_members(c, n), n) for c in chunks])
+    stamps.append(time.perf_counter())
+    minima = symmetry._least(moves, codes)
+    stamps.append(time.perf_counter())
+    np.unique(minima, return_inverse=True)
+    stamps.append(time.perf_counter())
+    keys = ("moves_s", "least_members_s", "least_s", "unique_s")
+    return {key: round(end - start, 3) for key, start, end in zip(keys, stamps, stamps[1:])}
+
+
 def main():
     for n in (11, 13):
         out = {"modulus": n}
@@ -92,6 +116,7 @@ def main():
             out["orbits" if command == "orbits" else "count"] = json.loads(stdout)[key]
         out["burnside"] = oracles.burnside_count(n, _fixes_class)
         out["partition_b_per_form"] = round(_partition_bytes_per_form(n), 1)
+        out.update(_phase_times(n))
         print(json.dumps(out), flush=True)
     refused = {}
     for n in (17, 31):
