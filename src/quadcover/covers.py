@@ -287,8 +287,8 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
         code = cols[0::2] + n * cols[1::2]  # (6, N) vector codes, slots in tuple order
         g = (code[0] + n * n * code[3].astype(np.intp)) * (n * n)
         # where det g = 0 all three read -1: their key wraps, and u2 < 0 rejects them
-        u2, u3, v2 = (vec[g + code[s]] for s in (1, 2, 4))
-        index[i:i + CHUNK] = found = form[u2 + n * n * (u3 + n * n * v2.astype(np.intp))]
+        u2, u3, v2 = (vec.take(g + code[s]) for s in (1, 2, 4))
+        index[i:i + CHUNK] = found = form.take(u2 + n * n * (u3 + n * n * v2.astype(np.intp)))
         total = cols.reshape(6, 2, -1).sum(axis=0, dtype=np.int16)  # below 6n
         # numpy divides by a scalar far faster than it takes a remainder
         if (u2 < 0).any() or (found < 0).any() or (total != total // n * n).any():

@@ -111,17 +111,21 @@ def _characters(n) -> np.ndarray:
 
 
 def _residues(rows, n) -> np.ndarray:
-    """(N, n^2, 10) residues of every character on the loop images of an
-    (N, 12) array of residue rows: the only code that evaluates characters."""
-    values = _characters(n) @ loop_image_rows(rows, n).swapaxes(1, 2)
+    """(N, n^2, 10) int32 residues of every character on the loop images of
+    an (N, 12) array of residue rows: the only code that evaluates characters."""
+    values = (_characters(n).astype(float) @ loop_image_rows(rows, n).swapaxes(1, 2).astype(float)).astype(np.int32)
     return values - values // n * n  # numpy divides by a scalar far faster than it takes a remainder
 
 
 def character_table(rows, n=DEFAULT_MODULUS) -> CharacterTable:
     """Every character on the loop images of an (N, 12) array of residue
-    rows, and its class."""
+    rows, and its class, both int64.  Both products run on float64
+    operands, which numpy hands to BLAS (its integer matmul has none, nor
+    has a matmul of mixed dtypes, and either takes 2-3 times as long);
+    every value is an integer far below 2^53, so each is exact."""
     residues = _residues(rows, n)
-    return CharacterTable(residues, residues @ CURVE_CLASSES // n)
+    classes = (residues.astype(float) @ CURVE_CLASSES.astype(float)).astype(np.int32) // n
+    return CharacterTable(residues.astype(np.int64), classes.astype(np.int64))
 
 
 def _index(chi: Vec2, n) -> int:
@@ -144,10 +148,11 @@ def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.nda
     characters read it, so the calls of one query check and evaluate the
     characters once; each makes its own refusals from it.  An entry holds
     136 bytes a character (int64 residues, classes and section counts), a
-    build peaks at 240 and _characters(n) keeps 16 (tracemalloc at n = 101,
-    211 and 401; the admissibility line table has its own bound): with a
-    full memo 1344 bytes, about 1.3 KiB, a character, so ValueError
-    refuses every n from 449 on before anything is built."""
+    build peaks at 190, counted as 240, and _characters(n) keeps 16
+    (tracemalloc at n = 101, 211 and 401; the admissibility line table has
+    its own bound): with a full memo 1344 bytes, about 1.3 KiB, a
+    character, so ValueError refuses every n from 449 on before anything
+    is built."""
     check_bytes(n * n * _CHARACTER_BYTES, n, f"{n * n} characters per tuple")
     row = reduce_rows((residues,), n)
     check, table = check_admissibility(row, n), CharacterTable(*map(frozen, character_table(row, n)))
@@ -249,13 +254,16 @@ def class_numbers(classes) -> np.ndarray:
     of an (..., 5) int array: one key product and one gather from
     _class_table.  ValueError for a class outside the box, which no
     character class is."""
-    offset = np.asarray(classes, dtype=np.int64) - _BOX_LOW
+    classes = np.asarray(classes, dtype=np.int64)
+    # one row a coordinate: numpy is about twice as slow along a last axis of length 5
+    offset = np.subtract(classes.reshape(-1, 5).T, _BOX_LOW[:, None], order="C")
     # a negative offset reads as a huge unsigned one, so one comparison bounds both sides
-    outside = offset.view(np.uint64) > _BOX_SPAN
+    outside = offset.view(np.uint64) > _BOX_SPAN[:, None]
     if outside.any():
-        first = DivClass(*(offset[outside.any(axis=-1)][0] + _BOX_LOW).tolist())
+        first = DivClass(*(offset[:, outside.any(axis=0)][:, 0] + _BOX_LOW).tolist())
         raise ValueError(f"class {first.format()} is outside the box of character classes")
-    return _class_table().take(offset @ _BOX_STRIDES, axis=0)  # far faster than [] on two columns
+    key = (_BOX_STRIDES @ offset).reshape(classes.shape[:-1])
+    return _class_table().take(key, axis=0)  # far faster than [] on two columns
 
 
 @lru_cache(maxsize=None)
@@ -312,22 +320,22 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
 
 
 # bytes held per character pair by cover_equations: the cached columns and
-# heads and its record (about 450 at its peak, at n = 7 and 11)
+# heads and its record (300 held, 370 at its peak, at n = 7, 11 and 13)
 _PAIR_BYTES = 512
 
 
 @lru_cache(maxsize=None)
 def _character_pairs(n):
     """The pairs of nontrivial characters, with repetition, ordered by (a, b):
-    their (2, pairs) columns b n + a in the character table, and columns chi, chi2, chi + chi2.
-    ValueError, before anything is built, when the pairs would hold more
-    than MAX_ARRAY_BYTES (every prime from 37 on)."""
+    the (3, pairs) positions b n + a of chi, chi2 and chi + chi2 in the character
+    table, and those characters as tuples.  ValueError, before anything is
+    built, when the pairs would hold more than MAX_ARRAY_BYTES (from 37 on)."""
     pairs = (n * n - 1) * n * n // 2
     check_bytes(pairs * _PAIR_BYTES, n, f"{pairs} character pairs")
     chars = np.stack(np.divmod(np.arange(1, n * n), n), axis=1)
     first, second = (chars[k] for k in np.triu_indices(len(chars)))
-    heads = (tuple(map(tuple, c.tolist())) for c in (first, second, (first + second) % n))
-    return frozen(np.stack([first, second]) @ (1, n)), tuple(heads)
+    columns = np.stack([first, second, (first + second) % n])
+    return frozen(columns @ (1, n)), tuple(tuple(map(tuple, c.tolist())) for c in columns)
 
 
 # the carry tuple of every 10-bit code: entry i is bit i
@@ -342,7 +350,8 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
     require_prime(n)
     columns, (chi, chi2, rhs) = _character_pairs(n)
     rows = _admitted(t, n)[0].residues[0]
-    eps = itemgetter(*((rows[columns].sum(axis=0) >= n) @ _BITS).tolist())(_CARRIES)
+    # r_i(chi) + r_i(chi2) - r_i(chi + chi2) is n times carry i
+    eps = itemgetter(*((1, 1, -1) @ (rows @ _BITS)[columns] // n).tolist())(_CARRIES)
     return tuple(map(tuple.__new__, repeat(CoverRelation), zip(chi, chi2, eps, rhs)))
 
 
