@@ -21,7 +21,7 @@ from .canonical import degree_certificate
 from .covers import CHUNK, SixTuple, admissible_array, normal_forms
 from .gf import gl2_order, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
-from .sheaves import _admitted, coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
+from .sheaves import _admitted, check_sheaf_table, coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
 from .symmetry import group_closure, orbit_partition
 
 
@@ -195,6 +195,7 @@ def _cmd_invariants(args):
 
 def _cmd_sheaf_table(args):
     n = args.modulus
+    check_sheaf_table(n)
     _admitted(args.tuple, n)  # the memo's check: the residues are read once
     table = sheaf_table(args.tuple, n)
     data = {

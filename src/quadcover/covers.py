@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import DEFAULT_MODULUS, Vec2, frozen, gl2_array, inverses, is_integer, nonzero_vectors, reduce_rows
+from .gf import DEFAULT_MODULUS, Vec2, frozen, gl2_order, inverses, is_integer, nonzero_vectors, reduce_rows
 from .gf import require_prime
 from .picard import CURVE_LABELS, LOOP_RELATIONS, incidences
 
@@ -117,8 +117,8 @@ _REASONS = (
 
 
 # Each stage checks what it builds against this before building it: the
-# expanded admissible set (int16 rows; sorting them peaks at 56 bytes a
-# row), the normal-form search, symmetry.orbit_partition, a class table of
+# expanded admissible set (int16 rows; their sorted keys peak at 37 bytes
+# a row), the normal-form search, symmetry.orbit_partition, a class table of
 # normal_form_index, the line table of _failures, the tests' group oracle.
 MAX_ARRAY_BYTES = 256 << 20
 
@@ -226,7 +226,7 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     """
     require_prime(n)
     m = n * n - 1
-    check_bytes(m * m * 161 + m ** 3 * 48, n, f"{m * m} candidate forms")
+    check_bytes(m * m * 161 + m ** 3 * 48, n, f"{m ** 3} candidate forms")
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
     i3, i2 = np.divmod(np.arange(m * m), m)
     # one buffer of candidates, a residue per row; each u2 overwrites its
@@ -247,13 +247,13 @@ def _vec_table(n) -> np.ndarray:
     """Read-only int16 table of g^-1 w for every matrix g with columns u1
     and v1 and every vector w, in vector codes x + n y: entry
     (code(u1) + n^2 code(v1)) n^2 + code(w), or -1 where det g = 0."""
-    a, c, b, d = (np.arange(n ** 4)[:, None] // n ** k % n for k in range(4))
-    x, y = np.arange(n * n) % n, np.arange(n * n) // n
-    det = (a * d - b * c) % n
-    scale = inverses(n)[det]
-    table = (d * x - b * y) * scale % n + n * ((a * y - c * x) * scale % n)
-    table[det[:, 0] == 0] = -1
-    return frozen(table.astype(np.int16).ravel())
+    x, y, g, inv = np.arange(n * n) % n, np.arange(n * n) // n, np.arange(n ** 4)[:, None], inverses(n)
+    table, step = np.empty((n ** 4, n * n), dtype=np.int16), max(1, CHUNK // (n * n))
+    for i in range(0, n ** 4, step):  # CHUNK entries at a time: no int64 temporary has n^6
+        a, c, b, d = (g[i:i + step] // n ** k % n for k in range(4))
+        scale = inv[(a * d - b * c) % n]  # 0 where det g = 0
+        table[i:i + step] = np.where(scale == 0, -1, (d * x - b * y) * scale % n + n * ((a * y - c * x) * scale % n))
+    return frozen(table.ravel())
 
 
 @lru_cache(maxsize=None)
@@ -261,9 +261,9 @@ def _form_table(n) -> np.ndarray:
     """Read-only int32 table of positions in normal_forms(n), at
     code(u2) + n^2 code(u3) + n^4 code(v2) of each form (the sum condition
     gives its v3), and -1 where no form has those vectors."""
-    forms = normal_forms(n)
-    table = np.full(n ** 6, -1, dtype=np.int32)
-    table[forms[:, [2, 3, 4, 5, 8, 9]] @ n ** np.arange(6)] = np.arange(len(forms))
+    forms, table = normal_forms(n), np.full(n ** 6, -1, dtype=np.int32)
+    for i in range(0, len(forms), CHUNK):  # int64 codes of CHUNK forms at a time
+        table[forms[i:i + CHUNK, [2, 3, 4, 5, 8, 9]] @ n ** np.arange(6)] = np.arange(i, min(i + CHUNK, len(forms)))
     return frozen(table)
 
 
@@ -299,17 +299,24 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
 @lru_cache(maxsize=None)
 def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
     """All admissible tuples as a read-only int16 (N, 12) array sorted
-    lexicographically by the 12 residues.
-
-    Every admissible tuple is g.f for exactly one GL(2) matrix g and one
-    normal form f (see normal_forms), so the array is the normal forms
-    expanded by all of GL(2, Z/n) in one stacked matmul, then sorted.
-    ValueError when the array would exceed MAX_ARRAY_BYTES.
+    lexicographically by the 12 residues: each is g^-1 . f for one normal
+    form f and one invertible row g of _vec_table (see normal_forms; g ->
+    g^-1 permutes GL(2)), keyed by base-n^2 digits x n + y as encode_rows
+    orders them.  weights[f, w] sums n^(10 - 2s) over the slots s of f with
+    vector code w, so weights @ digit holds every key; the keys are sorted
+    in place and decoded CHUNK rows at a time.  ValueError, before the
+    table is built, when the array would exceed MAX_ARRAY_BYTES.
     """
     forms = normal_forms(n)
-    gl2 = gl2_array(n).astype(np.int16)
-    check_bytes(len(forms) * len(gl2) * 12 * 2, n, "admissible array")
-    rows = (forms.reshape(-1, 6, 2) @ gl2.transpose(0, 2, 1)[:, None]).reshape(-1, 12)
-    rows %= n
-    # the rows are distinct, so any sort of their codes gives one order
-    return frozen(rows[np.argsort(encode_rows(rows, n))])
+    check_bytes(len(forms) * gl2_order(n) * 12 * 2, n, "admissible array")
+    vec = _vec_table(n).reshape(n ** 4, n * n)  # a row of -1 where det g = 0
+    digit = np.ascontiguousarray((vec % n * n + vec // n)[vec[:, 0] == 0].T, dtype=np.int64)  # [code(w), g]
+    weights = n ** np.arange(10, -1, -2) @ (forms[:, 0::2, None] + n * forms[:, 1::2, None] == np.arange(n * n))
+    key = (weights @ digit).ravel()
+    key.sort()
+    quads = (np.arange(n ** 4)[:, None] // n ** np.arange(3, -1, -1) % n).astype(np.int16).view(np.int64).ravel()
+    rows = np.empty((len(key), 3), dtype=np.int64)  # each int64 four int16 residues, as in quads
+    for i in range(0, len(key), CHUNK):
+        k = key[i:i + CHUNK]
+        rows[i:i + CHUNK] = quads.take(np.stack([k // n ** 8, k // n ** 4 % n ** 4, k % n ** 4], axis=1))
+    return frozen(rows.view(np.int16))

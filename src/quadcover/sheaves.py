@@ -139,6 +139,12 @@ TUPLE_MEMO = 8
 _CHARACTER_BYTES = TUPLE_MEMO * 136 + 240 + 16
 
 
+def check_sheaf_table(n):
+    """ValueError, from 389 on, when a full memo and sheaf_table's records, 448 bytes a character at their
+    peak (tracemalloc, the memo built: 401 at n = 101 and 211, 424 at 401), would exceed MAX_ARRAY_BYTES."""
+    check_bytes(n * n * (_CHARACTER_BYTES + 448), n, f"{n * n} characters per tuple")
+
+
 @lru_cache(maxsize=TUPLE_MEMO)
 def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.ndarray | None]:
     """The admissibility check of a residue row, read once through
@@ -194,6 +200,7 @@ def sheaf(t: SixTuple, chi: Vec2, n=DEFAULT_MODULUS) -> CharacterSheaf:
 
 def sheaf_table(t: SixTuple, n=DEFAULT_MODULUS) -> list[CharacterSheaf]:
     """All n^2 character sheaves, rows by b with a varying inside."""
+    check_sheaf_table(n)
     classes = _integral(t, n)[0].classes[0].tolist()
     pairs = zip(map(tuple, _characters(n).tolist()), map(DivClass._make, classes))
     return list(map(tuple.__new__, repeat(CharacterSheaf), pairs))

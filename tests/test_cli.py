@@ -350,6 +350,21 @@ def test_invariants_beyond_the_memo_bound_exit_2(capsys):
         assert err == "error: modulus 449: 201601 characters per tuple over 256 MiB\n"
 
 
+def test_sheaf_table_command_refuses_its_records_before_building(capsys):
+    # 389, the smallest prime whose records sheaf_table refuses: the
+    # command checks them before the memo's admissibility check
+    t = "1,0,67,3,248,206,0,1,332,163,130,16"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "--modulus", "389", "sheaf-table", t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: modulus 389: 151321 characters per tuple over 256 MiB\n"
+    assert peak < 1 << 20
+
+
 def test_group_order_at_a_large_modulus_builds_no_gl2_array(capsys):
     # GL(2, Z/37) has 1.8 million elements; its order is the closed form
     symmetry.group_closure.cache_clear()

@@ -262,14 +262,14 @@ def test_line_table_refuses_before_building(u3):
 def test_normal_forms_refuse_before_building_the_search_buffer(n):
     # 161 bytes a candidate of the (n^2 - 1)^2 in the buffer, and 48 for
     # each of the (n^2 - 1)^3 candidates as a form: 13 passes, the limit
-    # refuses from 17 on, and nothing is allocated first
+    # refuses from 17 on, naming the forms, and nothing is allocated first
     def search(p):
         return (p * p - 1) ** 2 * 161 + (p * p - 1) ** 3 * 48
 
     assert search(13) <= covers.MAX_ARRAY_BYTES < search(17)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"^modulus {n}: {(n * n - 1) ** 2} candidate forms over 256 MiB$"):
+        with pytest.raises(ValueError, match=f"^modulus {n}: {(n * n - 1) ** 3} candidate forms over 256 MiB$"):
             covers.normal_forms(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -410,11 +410,12 @@ def test_encode_rows_reduces_residues_out_of_range():
 
 
 def test_admissible_array_peak_memory():
-    # the expanded rows, reduced in place, then their codes by Horner
-    # steps and one sorted copy: about 56 bytes a row, 10.8 MiB; a uint64
-    # copy of all the rows would add 18.5 MiB
-    covers.normal_forms(5), gf.gl2_array(5), covers._line_table(5)
-    covers.admissible_array.cache_clear()
+    # from the forms, the GL(2) action table included: the rows' base-n^2
+    # keys, sorted in place, and the int16 rows decoded from them 2^14 at
+    # a time, about 37 bytes a row, 7.1 MiB; an argsort of the keys would
+    # add 1.5 MiB and a uint64 copy of all the rows 18.5
+    covers.normal_forms(5)
+    covers.admissible_array.cache_clear(), covers._vec_table.cache_clear()
     tracemalloc.start()
     try:
         rows = covers.admissible_array(5)
@@ -423,6 +424,20 @@ def test_admissible_array_peak_memory():
         tracemalloc.stop()
     assert rows.shape == (201600, 12)
     assert peak <= 12 << 20
+
+
+def test_expansion_peak_with_its_tables_built():
+    # with the forms and the GL(2) action table built, the expansion itself
+    # peaks at about 7.1 MiB for the 4.6 MiB array
+    covers.normal_forms(5), covers._vec_table(5)
+    covers.admissible_array.cache_clear()
+    tracemalloc.start()
+    try:
+        covers.admissible_array(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
 
 
 def test_admissibility_mask_converts_one_chunk_at_a_time():
@@ -446,7 +461,7 @@ def test_encode_rows_refuses_overflowing_modulus():
         covers.encode_rows(np.full((1, 12), 40), 41)
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_admissible_array_matches_the_einsum_oracle(n):
     arr, ref = covers.admissible_array(n), oracles.admissible_array_by_einsum(n)
     assert arr.dtype == ref.dtype == np.int16 and arr.shape == ref.shape
@@ -455,8 +470,11 @@ def test_admissible_array_matches_the_einsum_oracle(n):
 
 
 def test_admissible_array_refuses_oversized_modulus():
+    # the byte check comes before the GL(2) action table at 7 is built
+    covers._vec_table.cache_clear()
     with pytest.raises(ValueError, match="MiB"):
         covers.admissible_array(7)
+    assert covers._vec_table.cache_info().misses == 0
 
 
 def test_normal_forms_are_cached_and_read_only():
@@ -616,6 +634,23 @@ def test_class_tables_are_built_once_per_modulus_and_read_only(u3):
     # both tables count against the byte limit: 19^6 * 6 bytes exceed it
     with pytest.raises(ValueError, match="class tables over 256 MiB"):
         covers.normal_form_index(np.zeros((0, 12), dtype=np.int64), 19)
+
+
+@pytest.mark.parametrize("table", [covers._vec_table, covers._form_table])
+def test_class_table_builds_stay_near_what_they_hold(table):
+    # each table is built in blocks of about 2^14 entries or forms, so no
+    # n^6 int64 temporary is made: at 11 the build peaks within twice the
+    # bytes it keeps (3.5 and 7.1 MB) and 1 MiB
+    covers.normal_forms(11)
+    table.cache_clear()
+    tracemalloc.start()
+    try:
+        held = table(11).nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table.cache_clear()
+    assert peak <= 2 * held + (1 << 20)
 
 
 def _draw_gl2_image(data, n):

@@ -379,6 +379,26 @@ def test_per_tuple_calls_refuse_the_memo_bound_before_building():
             assert peak < 1 << 20
 
 
+def test_sheaf_table_refuses_its_records_before_building():
+    # a full memo and the records of sheaf_table take 1792 bytes a
+    # character: 383 fits the limit and 389, the next prime, does not,
+    # though its memo alone would; the admissible tuple is refused before
+    # any character is evaluated
+    per = sheaves._CHARACTER_BYTES + 448
+    assert 383 ** 2 * per <= covers.MAX_ARRAY_BYTES < 389 ** 2 * per
+    assert 389 ** 2 * sheaves._CHARACTER_BYTES <= covers.MAX_ARRAY_BYTES
+    t = SixTuple.parse("1,0,67,3,248,206,0,1,332,163,130,16", 389)
+    assert covers.check_admissibility(t, 389)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^modulus 389: 151321 characters per tuple over 256 MiB$"):
+            sheaves.sheaf_table(t, 389)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_k2_recomputed_from_rational_classes():
     k = canonical_class()
     d = configuration().total_branch_class()

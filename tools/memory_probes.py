@@ -12,7 +12,8 @@
   * report_dump_<fmt>_rss_mib, report_dump_<fmt>_s: the same of
     `quadcover report --dump --format <fmt>`;
   * admissible_array_mib: tracemalloc peak of admissible_array(5), with
-    normal_forms, gl2_array and the line table built first;
+    normal_forms, the GL(2) action table _vec_table and the line table
+    built first;
   * mask_mib: tracemalloc peak of admissibility_mask over that array;
   * evaluation_<n>_held_b, evaluation_<n>_peak_b: bytes a character that
     one entry of the per-tuple memo (sheaves._evaluation) holds, and the
@@ -46,7 +47,7 @@ import tracemalloc
 PACKAGE = os.path.dirname(importlib.util.find_spec("quadcover").origin)
 BYTECODE = os.path.isdir(os.path.join(PACKAGE, "__pycache__"))
 
-from quadcover import covers, gf, sheaves  # noqa: E402
+from quadcover import covers, sheaves  # noqa: E402
 
 DUMP = (
     "import sys\n"
@@ -104,7 +105,7 @@ def main():
             runs = [_child(["-c", DUMP, command, fmt]) for _ in range(args.repeats)]
             out[f"{prefix}_{fmt}_rss_mib"] = statistics.median(int(err.split()[-2]) / 1024 for _, err in runs)
             out[f"{prefix}_{fmt}_s"] = statistics.median(wall for wall, _ in runs)
-    covers.normal_forms(5), gf.gl2_array(5), covers._line_table(5)
+    covers.normal_forms(5), covers._vec_table(5), covers._line_table(5)
     out["admissible_array_mib"] = _traced_mib(lambda: covers.admissible_array(5))
     rows = covers.admissible_array(5)
     out["mask_mib"] = _traced_mib(lambda: covers.admissibility_mask(rows, 5))

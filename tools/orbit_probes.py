@@ -18,6 +18,10 @@
     group closure built first, over the number of normal forms: the
     figure that orbit_partition checks against MAX_ARRAY_BYTES (73.1 at
     both 11 and 13 on a 2-core Linux host, Python 3.11, numpy 2.4);
+  * vec_table_held_mib, vec_table_peak_mib, form_table_held_mib,
+    form_table_peak_mib: what each class table of normal_form_index
+    keeps, and the tracemalloc peak of its build, with the normal forms
+    built first;
   * moves_s, least_members_s, least_s, unique_s: wall time of each phase
     of orbit_partition(n), run in turn as it runs them with the same
     tables built first: the four swap moves by apply_rows and
@@ -87,6 +91,22 @@ def _partition_bytes_per_form(n):
         tracemalloc.stop()
 
 
+def _table_builds(n):
+    covers.normal_forms(n)
+    out = {}
+    for table in (covers._vec_table, covers._form_table):
+        table.cache_clear()
+        tracemalloc.start()
+        try:
+            held = table(n).nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        name = table.__name__.strip("_")
+        out[f"{name}_held_mib"], out[f"{name}_peak_mib"] = round(held / (1 << 20), 2), round(peak / (1 << 20), 2)
+    return out
+
+
 def _phase_times(n):
     forms = covers.normal_forms(n)
     covers.normal_form_index(forms[:1], n), symmetry.group_closure(n)
@@ -114,6 +134,7 @@ def main():
                 raise SystemExit(f"{command} at {n} exited {code}")
             out[f"{command}_s"], out[f"{command}_rss_mib"] = round(wall, 2), round(rss, 1)
             out["orbits" if command == "orbits" else "count"] = json.loads(stdout)[key]
+        out.update(_table_builds(n))
         out["burnside"] = oracles.burnside_count(n, _fixes_class)
         out["partition_b_per_form"] = round(_partition_bytes_per_form(n), 1)
         out.update(_phase_times(n))

@@ -9,7 +9,9 @@
     forms;
   * pg5_batched_ms: pg_values over the same rows in calls of CHUNK rows;
   * table5_ms: character_table over the 420 normal forms at p = 5, the
-    per-form evaluation inside each pass at p = 5.
+    per-form evaluation inside each pass at p = 5;
+  * admissible5_ms: a cold admissible_array(5), the sweep's set-up, with
+    the normal forms and the GL(2) action table already built.
 pg5_first_ms and pg7_first_ms time the first pg5 and pg7 calls of the
 process, which build the per-modulus tables (normal forms, class tables,
 the class box); the repeats run after them.  Each repeated figure is the
@@ -54,7 +56,8 @@ def main():
     sample = _gl2_sample(7, 20000, 7)
     first = {"pg5_first_ms": _ms(lambda: sheaves.pg_values(rows, 5)),
              "pg7_first_ms": _ms(lambda: sheaves.pg_values(sample, 7))}
-    runs = {"normal_form_index_ms": [], "pg5_ms": [], "pg7_ms": [], "pg5_batched_ms": [], "table5_ms": []}
+    runs = {"normal_form_index_ms": [], "pg5_ms": [], "pg7_ms": [], "pg5_batched_ms": [], "table5_ms": [],
+            "admissible5_ms": []}
     for _ in range(args.repeats):
         runs["normal_form_index_ms"].append(_ms(lambda: covers.normal_form_index(rows, 5)))
         runs["pg5_ms"].append(_ms(lambda: sheaves.pg_values(rows, 5)))
@@ -62,6 +65,8 @@ def main():
         runs["pg5_batched_ms"].append(_ms(lambda: [sheaves.pg_values(rows[i:i + covers.CHUNK], 5)
                                                    for i in range(0, len(rows), covers.CHUNK)]))
         runs["table5_ms"].append(_ms(lambda: sheaves.character_table(covers.normal_forms(5), 5)))
+        covers.admissible_array.cache_clear()
+        runs["admissible5_ms"].append(_ms(lambda: covers.admissible_array(5)))
     out = {"tree": os.path.dirname(os.path.abspath(quadcover.__file__))}
     out |= {k: round(v, 3) for k, v in first.items()}
     out |= {k: round(statistics.median(v), 3) for k, v in runs.items()}
