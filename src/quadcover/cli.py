@@ -21,7 +21,8 @@ from .canonical import degree_certificate
 from .covers import CHUNK, SixTuple, admissible_array, normal_forms
 from .gf import gl2_order, require_prime
 from .picard import BASIS_LABELS, CURVE_LABELS, h1_complement, intersection_matrix
-from .sheaves import _admitted, check_sheaf_table, coeffs, cover_equations, invariants, ram_curve_numbers, sheaf_table
+from .sheaves import _admitted, _invariants, _pg_chi, check_sheaf_table, coeffs, cover_equations, invariants
+from .sheaves import ram_curve_numbers, sheaf_table
 from .symmetry import group_closure, orbit_partition
 
 
@@ -147,6 +148,7 @@ def _cmd_enumerate(args):
 def _cmd_orbits(args):
     n = args.modulus
     part = orbit_partition(n)
+    sums = _pg_chi([orb.representative.residues for orb in part.orbits], n)  # one batched pass
     entries = [
         {
             "id": i,
@@ -154,12 +156,11 @@ def _cmd_orbits(args):
             "stabilizer_order": orb.stabilizer_order,
             "representative": orb.representative.format(),
             "reference_label": None,
+            "pg": inv.pg,
+            "q": inv.q,
         }
-        for i, orb in enumerate(part.orbits)
+        for i, (orb, inv) in enumerate(zip(part.orbits, (_invariants(*s, n) for s in sums.tolist())))
     ]
-    for entry, orb in zip(entries, part.orbits):
-        inv = invariants(orb.representative, n)
-        entry["pg"], entry["q"] = inv.pg, inv.q
     checks = []
     if n == 5:
         for name, res in golden.REFERENCE_TUPLES.items():

@@ -117,8 +117,8 @@ _REASONS = (
 
 
 # Each stage checks what it builds against this before building it: the
-# expanded admissible set (int16 rows; their sorted keys peak at 37 bytes
-# a row), the normal-form search, symmetry.orbit_partition, a class table of
+# expanded admissible set (int16 rows, int64 sort keys, a decode chunk),
+# the normal-form search, symmetry.orbit_partition, a class table of
 # normal_form_index, the line table of _failures, the tests' group oracle.
 MAX_ARRAY_BYTES = 256 << 20
 
@@ -298,17 +298,15 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
-    """All admissible tuples as a read-only int16 (N, 12) array sorted
-    lexicographically by the 12 residues: each is g^-1 . f for one normal
-    form f and one invertible row g of _vec_table (see normal_forms; g ->
-    g^-1 permutes GL(2)), keyed by base-n^2 digits x n + y as encode_rows
-    orders them.  weights[f, w] sums n^(10 - 2s) over the slots s of f with
-    vector code w, so weights @ digit holds every key; the keys are sorted
-    in place and decoded CHUNK rows at a time.  ValueError, before the
-    table is built, when the array would exceed MAX_ARRAY_BYTES.
-    """
+    """All admissible tuples as a read-only int16 (N, 12) array sorted lexicographically by the 12
+    residues: each is g^-1 . f for one normal form f and one invertible row g of _vec_table (see
+    normal_forms; g -> g^-1 permutes GL(2)), keyed by base-n^2 digits x n + y as encode_rows orders them.
+    weights[f, w] sums n^(10 - 2s) over the slots s of f with vector code w, so weights @ digit holds every
+    key; the keys are sorted in place and decoded CHUNK rows at a time.  ValueError, before the table is
+    built, when the rows and keys, 32 bytes a row, and a decode chunk, 64 bytes a row of it with the
+    weights and digits, would exceed MAX_ARRAY_BYTES (tracemalloc at 5: 7.43 of 7.50 MB)."""
     forms = normal_forms(n)
-    check_bytes(len(forms) * gl2_order(n) * 12 * 2, n, "admissible array")
+    check_bytes(len(forms) * gl2_order(n) * 32 + CHUNK * 64, n, "admissible array")
     vec = _vec_table(n).reshape(n ** 4, n * n)  # a row of -1 where det g = 0
     digit = np.ascontiguousarray((vec % n * n + vec // n)[vec[:, 0] == 0].T, dtype=np.int64)  # [code(w), g]
     weights = n ** np.arange(10, -1, -2) @ (forms[:, 0::2, None] + n * forms[:, 1::2, None] == np.arange(n * n))

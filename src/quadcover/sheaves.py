@@ -9,14 +9,12 @@ on a batch of tuples in one product; every per-character quantity here
 and in `canonical` is read from it.  The per-tuple calls read one memo,
 _evaluation: a tuple's admissibility check and its one-row table.
 
-Y, the plane blown up in four general points, is the del Pezzo surface
-of degree 5: -K_Y is ample and its ten (-1)-curves, the branch curves,
-span the effective cone.  So h0 has a closed form: peel off the branch
-curves a class meets negatively (fixed components), then Riemann-Roch
-with vanishing higher cohomology.  p_g and chi(O_X) of the cover are
-sums over the character classes, and every character class, whatever n,
-lies in one box of 486 classes: both summands are read from one table
-of that box.
+Y, the plane blown up in four general points, is the del Pezzo surface of degree 5: -K_Y is ample and
+its ten (-1)-curves, the branch curves, span the effective cone.  So h0 has a closed form: peel off the
+branch curves a class meets negatively (fixed components), then Riemann-Roch with vanishing higher
+cohomology.  Every character class, whatever n, lies in one box of 486 classes, and p_g and chi(O_X) of
+the cover sum over the character classes two numbers read from one table of that box: _sums is that
+one sum, over one tuple's memo in invariants and over batches of rows in _pg_chi.
 """
 
 from __future__ import annotations
@@ -147,18 +145,14 @@ def check_sheaf_table(n):
 
 @lru_cache(maxsize=TUPLE_MEMO)
 def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.ndarray | None]:
-    """The admissibility check of a residue row, read once through
-    reduce_rows, its one-row character table and, when the row meets
-    condition 0 (every class integral), the class_numbers of its n^2
-    classes; every array read-only.  The per-tuple calls that read
-    characters read it, so the calls of one query check and evaluate the
-    characters once; each makes its own refusals from it.  An entry holds
-    136 bytes a character (int64 residues, classes and section counts), a
-    build peaks at 190, counted as 240, and _characters(n) keeps 16
-    (tracemalloc at n = 101, 211 and 401; the admissibility line table has
-    its own bound): with a full memo 1344 bytes, about 1.3 KiB, a
-    character, so ValueError refuses every n from 449 on before anything
-    is built."""
+    """The admissibility check of a residue row, read once through reduce_rows, its one-row character
+    table and, when the row meets condition 0 (every class integral), the class_numbers of its n^2 classes,
+    which invariants sums through _sums as _pg_chi sums a batch's; every array read-only.  The per-tuple
+    calls that read characters read it, so the calls of one query check and evaluate the characters once;
+    each makes its own refusals from it.  An entry holds 136 bytes a character (int64 residues, classes
+    and section counts), a build peaks at 190, counted as 240, and _characters(n) keeps 16 (tracemalloc at
+    n = 101, 211 and 401; the admissibility line table has its own bound): with a full memo 1344 bytes,
+    about 1.3 KiB, a character, so ValueError refuses every n from 449 on before anything is built."""
     check_bytes(n * n * _CHARACTER_BYTES, n, f"{n * n} characters per tuple")
     row = reduce_rows((residues,), n)
     check, table = check_admissibility(row, n), CharacterTable(*map(frozen, character_table(row, n)))
@@ -257,9 +251,8 @@ def _class_table() -> np.ndarray:
 
 
 def class_numbers(classes) -> np.ndarray:
-    """h0(K_Y + L) and L.(L + K_Y)/2, on the last axis, for every class L
-    of an (..., 5) int array: one key product and one gather from
-    _class_table.  ValueError for a class outside the box, which no
+    """h0(K_Y + L) and L.(L + K_Y)/2, on the last axis, for every class L of an (..., 5) int array: one
+    key product and one gather from _class_table.  ValueError for a class outside the box, which no
     character class is."""
     classes = np.asarray(classes, dtype=np.int64)
     # one row a coordinate: numpy is about twice as slow along a last axis of length 5
@@ -280,19 +273,32 @@ def adjunction_class(n) -> DivClass:
     return n * canonical_class() + (n - 1) * configuration().total_branch_class()
 
 
-def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
-    """Holomorphic invariants of the smooth cover given by an admissible
-    tuple: K^2 = (n K_Y + (n-1) D)^2, p_g summed from the twisted
-    canonical section counts, q = p_g + 1 - chi.
+def _sums(numbers, n) -> np.ndarray:
+    """p_g and chi(O_X), on the last axis, of class_numbers (..., n^2, 2): the one sum over the characters,
+    as pi_* K_X and pi_* O_X sum the K_Y + L and the L^-1, and chi(L^-1) = 1 + L.(L + K_Y)/2 (Pardini 1991)."""
+    return np.ones(n * n, dtype=np.int64) @ numbers + (0, n * n)  # ten times faster than sum(axis=-2)
 
-    chi(O_X) is the sum of chi(L^-1) = 1 + L.(L + K_Y)/2 over the
-    character classes L, since the pushforward of O_X is the sum of the
-    L^-1 (Pardini, Crelle 417, 1991).
-    """
-    pg, chi_o = _admitted(t, n)[1].sum(axis=0).tolist()
-    chi_o += n * n
+
+def _pg_chi(rows, n) -> np.ndarray:
+    """(N, 2) int64 p_g and chi(O_X) of (N, 12) residue rows, 2^20 table residues at a time.  The rows must
+    be admissible, which is not checked: a row that fails condition 0 has floored, non-integral classes.
+    Orbit representatives and normal forms are admissible by construction."""
+    rows, step = np.asarray(rows).reshape(-1, 12), (1 << 20) // (10 * n * n)
+    out = np.empty((len(rows), 2), dtype=np.int64)
+    for i in range(0, len(rows), step):
+        classes = character_table(rows[i:i + step], n).classes  # kept till rebound, lest glibc trim the heap
+        out[i:i + step] = _sums(class_numbers(classes), n)
+    return out
+
+
+def _invariants(pg, chi_o, n) -> SurfaceInvariants:
     adj = adjunction_class(n)
     return SurfaceInvariants(k2=intersect(adj, adj), chi=chi_o, pg=pg, q=pg + 1 - chi_o)
+
+
+def invariants(t: SixTuple, n=DEFAULT_MODULUS) -> SurfaceInvariants:
+    """K^2 = (n K_Y + (n-1) D)^2, chi(O_X), p_g and q = p_g + 1 - chi of the cover given by an admissible t."""
+    return _invariants(*_sums(_admitted(t, n)[1], n).tolist(), n)
 
 
 def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
@@ -363,20 +369,15 @@ def cover_equations(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[CoverRelation, ...]
 
 
 def pg_values(rows, n=DEFAULT_MODULUS) -> np.ndarray:
-    """Geometric genus for every residue row of an (N, 12) array at once.
-
-    Each row is g.f for its normal form f (normal_form_index) and a GL(2)
-    matrix g; chi takes the values of chi o g on the loop images of g.f,
-    so g.f's classes are f's, permuted: p_g is read off the forms that
-    occur, 2^20 table residues at a time, and gathered CHUNK rows at a
-    time (an int32 index is cast chunk by chunk, not whole).  ValueError
-    for a row that is not admissible."""
-    index, forms, step = normal_form_index(rows, n), normal_forms(n), (1 << 20) // (10 * n * n)
+    """Geometric genus of every row of an (N, 12) array of residue rows.  A row is g.f for its normal form
+    f (normal_form_index) and a GL(2) matrix g, and chi takes the values of chi o g on the loop images of
+    g.f, so g.f's classes are f's, permuted: the forms that occur go through _pg_chi once, and their p_g is
+    gathered CHUNK rows at a time.  np.bincount, which finds those forms, first casts the whole int32 index
+    to intp, 8 bytes a row (1.6 MB at n = 5).  ValueError for a row that is not admissible."""
+    index, forms = normal_form_index(rows, n), normal_forms(n)
     used = np.flatnonzero(np.bincount(index, minlength=len(forms)))
     pg = np.zeros(len(forms), dtype=np.int64)
-    for part in (used[i:i + step] for i in range(0, len(used), step)):
-        classes = character_table(forms[part], n).classes
-        pg[part] = class_numbers(classes)[..., 0].sum(axis=1)  # H^0(K_X) sums the H^0(K_Y + L)
+    pg[used] = _pg_chi(forms[used], n)[:, 0]
     out = np.empty(len(index), dtype=np.int64)
     for i in range(0, len(index), CHUNK):
         pg.take(index[i:i + CHUNK], out=out[i:i + CHUNK])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadcover import canonical, cli, covers, golden, symmetry
+from quadcover import canonical, cli, covers, golden, sheaves, symmetry
 
 U3 = "1,0,1,0,0,1,4,1,3,2,1,1"
 
@@ -579,6 +579,21 @@ def test_modulus_7_from_the_forms(capsys):
     assert values == [(13, 0)] * 75 + [(16, 3)] * 25
     code, out, _ = run(capsys, "--modulus", "7", "group", "--format", "csv")
     assert code == 0 and out.splitlines()[1] == "120,2016,241920"
+
+
+def test_orbits_read_invariants_from_one_batched_pass(capsys, monkeypatch):
+    # the per-tuple route is not taken: every representative's p_g and q
+    # come from one sheaves._pg_chi call
+    def refuse(t, n=5):
+        raise AssertionError("invariants called")
+
+    calls, batched = [], sheaves._pg_chi
+    monkeypatch.setattr(sheaves, "invariants", refuse)
+    monkeypatch.setattr(cli, "invariants", refuse)
+    monkeypatch.setattr(cli, "_pg_chi", lambda rows, n: calls.append(len(rows)) or batched(rows, n))
+    code, out, _ = run(capsys, "--modulus", "7", "orbits")
+    assert code == 0 and calls == [100]
+    assert sorted((e["pg"], e["q"]) for e in json.loads(out)["orbits"]) == [(13, 0)] * 75 + [(16, 3)] * 25
 
 
 def test_report_does_not_expand(monkeypatch, tmp_path):

@@ -461,6 +461,25 @@ def test_encode_rows_refuses_overflowing_modulus():
         covers.encode_rows(np.full((1, 12), 40), 41)
 
 
+def test_admissible_array_peaks_within_the_bytes_it_checks(monkeypatch):
+    # with the forms and the GL(2) action table built, as a caller holds
+    # them, the expansion peaks at 7.43 MB: the figure it checks counts the
+    # rows, their sort keys and one decode chunk (7.50 MB); the rows alone
+    # were 4.84 MB
+    checked, check = [], covers.check_bytes
+    monkeypatch.setattr(covers, "check_bytes", lambda size, n, what: checked.append(size) or check(size, n, what))
+    covers.normal_forms(5), covers._vec_table(5)
+    covers.admissible_array.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = covers.admissible_array(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and checked[0] > rows.nbytes
+    assert peak <= checked[0]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_admissible_array_matches_the_einsum_oracle(n):
     arr, ref = covers.admissible_array(n), oracles.admissible_array_by_einsum(n)

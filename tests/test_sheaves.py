@@ -604,6 +604,22 @@ def test_a_class_is_integral_exactly_when_chi_kills_the_sum_of_the_slots(p):
     assert 0 < integral.all(axis=1).sum() < len(rows)
 
 
+@pytest.mark.parametrize("p, size", [(5, None), (7, None), (11, 2000)])
+def test_one_batched_sum_matches_invariants(p, size):
+    # the batched p_g and chi against the per-tuple memo's, on every normal
+    # form at 5 and 7 and on seeded forms at 11; each batch is one part of
+    # 2^20 table residues, so several parts are read at 7 and 11
+    forms = covers.normal_forms(p)
+    if size is not None:
+        forms = forms[np.sort(np.random.default_rng(3711).choice(len(forms), size, replace=False))]
+    sums = sheaves._pg_chi(forms, p)
+    assert sums.dtype == np.int64 and sums.shape == (len(forms), 2)
+    expected = [(inv.pg, inv.chi) for inv in (sheaves.invariants(SixTuple.from_residues(f), p) for f in forms)]
+    assert sums.tolist() == [list(e) for e in expected]
+    if p > 5:
+        assert len(forms) > (1 << 20) // (10 * p * p)  # more than one part
+
+
 def test_pg_values_match_scalar(representatives):
     rows = np.array([t.residues for t in representatives.values()], dtype=np.int16)
     pg = sheaves.pg_values(rows)

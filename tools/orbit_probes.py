@@ -8,6 +8,12 @@
     the child itself from VmHWM in /proc/self/status at its exit (Linux
     carries the parent's peak over to a child's getrusage at exec);
   * orbits, count: the orbit count and the tuple count the children print;
+  * orbits_sha256: the sha256 of the `orbits` child's stdout, its json;
+  * invariants_s: wall time that cli._cmd_orbits spends on the
+    representatives' p_g and q, in the sheaves functions it calls for them
+    (sheaves._pg_chi and _invariants, or per-tuple invariants in trees
+    that have no batched pass), summed over one run in process with the
+    orbit partition built first;
   * burnside: the orbit count by Burnside's lemma (tests/oracles.py),
     computed on the normal forms with no orbit built; each class is read
     by normal_form_index and each permutation's matrix by the package's
@@ -37,6 +43,8 @@ PYTHONDONTWRITEBYTECODE=1.
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -49,7 +57,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
 import oracles  # noqa: E402
-from quadcover import covers, symmetry  # noqa: E402
+from quadcover import cli, covers, symmetry  # noqa: E402
 from quadcover.gf import Mat  # noqa: E402
 
 CHILD = (
@@ -125,6 +133,31 @@ def _phase_times(n):
     return {key: round(end - start, 3) for key, start, end in zip(keys, stamps, stamps[1:])}
 
 
+def _invariants_seconds(n):
+    symmetry.orbit_partition(n)
+    spent = [0.0]
+
+    def timed(fn):
+        def wrapper(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[0] += time.perf_counter() - start
+        return wrapper
+
+    names = [name for name in ("invariants", "_pg_chi", "_invariants") if hasattr(cli, name)]
+    saved = {name: getattr(cli, name) for name in names}
+    try:
+        for name in names:
+            setattr(cli, name, timed(saved[name]))
+        cli._cmd_orbits(argparse.Namespace(modulus=n))
+    finally:
+        for name in names:
+            setattr(cli, name, saved[name])
+    return spent[0]
+
+
 def main():
     for n in (11, 13):
         out = {"modulus": n}
@@ -134,10 +167,13 @@ def main():
                 raise SystemExit(f"{command} at {n} exited {code}")
             out[f"{command}_s"], out[f"{command}_rss_mib"] = round(wall, 2), round(rss, 1)
             out["orbits" if command == "orbits" else "count"] = json.loads(stdout)[key]
+            if command == "orbits":
+                out["orbits_sha256"] = hashlib.sha256(stdout.encode()).hexdigest()
         out.update(_table_builds(n))
         out["burnside"] = oracles.burnside_count(n, _fixes_class)
         out["partition_b_per_form"] = round(_partition_bytes_per_form(n), 1)
         out.update(_phase_times(n))
+        out["invariants_s"] = round(_invariants_seconds(n), 3)
         print(json.dumps(out), flush=True)
     refused = {}
     for n in (17, 31):
