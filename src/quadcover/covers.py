@@ -116,10 +116,8 @@ _REASONS = (
 )
 
 
-# Each stage checks what it builds against this before building it: the
-# expanded admissible set (int16 rows, int64 sort keys, a decode chunk),
-# the normal-form search, symmetry.orbit_partition, a class table of
-# normal_form_index, the line table of _failures, the tests' group oracle.
+# Each stage that builds a table checks the bytes of its build against this
+# first (check_bytes), and so does the tests' group oracle.
 MAX_ARRAY_BYTES = 256 << 20
 
 
@@ -148,13 +146,16 @@ def _line_table(n) -> np.ndarray:
     X + 6n Y names the line through (X, Y) mod n: 0 for the zero vector,
     1 + y/x for (x, y) with x != 0 and n + 1 for (0, y).  Two vectors
     are dependent exactly when one names 0 or both name the same line.
-    The table holds 72 n^2 bytes and its build a few n^2 int64 arrays,
-    so it refuses n above 1930; lines need n prime.
+    Derived figure: the table's 36 n^2 entries and the n^2 lines it is
+    filled from, uint16 both, and 4 KiB for the Python objects of the call,
+    so it refuses n above 1904; lines need n prime.
     """
-    check_bytes(36 * n * n * 2, n, "admissibility table")
-    x, y = np.arange(n), np.arange(n)[:, None]
-    line = np.where(x != 0, 1 + y * inverses(n)[x] % n, np.where(y != 0, n + 1, 0))
-    return frozen(np.tile(line.astype(np.uint16), (6, 6)).ravel())
+    check_bytes((36 + 1) * n * n * 2 + (1 << 12), n, "admissibility table")
+    line = (1 + np.outer(np.arange(n), inverses(n)) % n).astype(np.uint16)  # [y, x]: 1 + y/x for x != 0
+    line[:, 0], line[0, 0] = n + 1, 0
+    table = np.empty((6, n, 6, n), dtype=np.uint16)  # entry X + 6n Y at [Y // n, Y % n, X // n, X % n]
+    table[:] = line[:, None]
+    return frozen(table.ravel())
 
 
 def _failures(rows, n) -> np.ndarray:
@@ -218,15 +219,13 @@ def normal_forms(n=DEFAULT_MODULUS) -> np.ndarray:
     search runs over the nonzero u2, u3, v2 and solves the sum condition
     for v3, one u2 at a time in one int64 buffer of the (n^2 - 1)^2
     candidates, which admissibility_mask reads CHUNK at a time.  Before
-    building anything it refuses that buffer, at 161 bytes a candidate
-    (buffer 96, i3 and i2 16, rest 16, v3's temporaries 32, mask 1;
-    tracemalloc at n = 17, 23, 31), and all (n^2 - 1)^3 candidates as
-    int16 forms (24 bytes, held twice while stacked) over MAX_ARRAY_BYTES,
-    which 13 passes and 17 does not.
+    building anything it refuses, over MAX_ARRAY_BYTES, that buffer with
+    its temporaries (measured) and every candidate as an int16 form, held
+    twice while stacked (derived): 13 passes and 17 does not.
     """
     require_prime(n)
     m = n * n - 1
-    check_bytes(m * m * 161 + m ** 3 * 48, n, f"{m ** 3} candidate forms")
+    check_bytes(m * m * 161 + m ** 3 * 24 * 2, n, f"{m ** 3} candidate forms")
     nz = np.array(nonzero_vectors(n), dtype=np.int64)
     i3, i2 = np.divmod(np.arange(m * m), m)
     # one buffer of candidates, a residue per row; each u2 overwrites its
@@ -276,8 +275,10 @@ def normal_form_index(rows, n=DEFAULT_MODULUS) -> np.ndarray:
     g^-1 maps u2, u3 and v2 to the free vectors of the form (_vec_table),
     which locate it (_form_table), and keeps the sum zero exactly when
     the row's sum is zero; so a row fails when det g = 0, when no form
-    has those vectors, or when its own sum is nonzero."""
-    check_bytes(n ** 6 * (2 + 4), n, "class tables")
+    has those vectors, or when its own sum is nonzero.  Its figure: the
+    int16 and int32 tables (derived) and one block of CHUNK entries of their
+    builds, or rows of the lookup and their index, at 80 bytes each (measured)."""
+    check_bytes(n ** 6 * (2 + 4) + CHUNK * 80, n, "class tables")
     form, vec = _form_table(n), _vec_table(n)  # the forms first: they refuse large n
     rows = reduce_rows(rows, n).reshape(-1, 12)
     index = np.empty(len(rows), dtype=np.int32)
@@ -303,10 +304,11 @@ def admissible_array(n=DEFAULT_MODULUS) -> np.ndarray:
     normal_forms; g -> g^-1 permutes GL(2)), keyed by base-n^2 digits x n + y as encode_rows orders them.
     weights[f, w] sums n^(10 - 2s) over the slots s of f with vector code w, so weights @ digit holds every
     key; the keys are sorted in place and decoded CHUNK rows at a time.  ValueError, before the table is
-    built, when the rows and keys, 32 bytes a row, and a decode chunk, 64 bytes a row of it with the
-    weights and digits, would exceed MAX_ARRAY_BYTES (tracemalloc at 5: 7.43 of 7.50 MB)."""
-    forms = normal_forms(n)
-    check_bytes(len(forms) * gl2_order(n) * 32 + CHUNK * 64, n, "admissible array")
+    built, when the rows, keys, weights, digits and quads (derived) and a decode chunk (measured) would
+    exceed MAX_ARRAY_BYTES."""
+    forms, order = normal_forms(n), gl2_order(n)
+    check_bytes(len(forms) * order * (24 + 8) + (len(forms) + order) * n * n * 8 + n ** 4 * 8 + CHUNK * 64, n,
+                "admissible array")
     vec = _vec_table(n).reshape(n ** 4, n * n)  # a row of -1 where det g = 0
     digit = np.ascontiguousarray((vec % n * n + vec // n)[vec[:, 0] == 0].T, dtype=np.int64)  # [code(w), g]
     weights = n ** np.arange(10, -1, -2) @ (forms[:, 0::2, None] + n * forms[:, 1::2, None] == np.arange(n * n))

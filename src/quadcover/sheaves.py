@@ -133,13 +133,14 @@ def _index(chi: Vec2, n) -> int:
 # Rows remembered by the per-tuple memo, _evaluation: enough for the calls
 # of one query on one tuple, far too few to serve a pool of queries.
 TUPLE_MEMO = 8
-# bytes a character of a full memo, one build and _characters(n) (see _evaluation)
-_CHARACTER_BYTES = TUPLE_MEMO * 136 + 240 + 16
+# bytes a character: a full memo's int64 residues, classes and section counts and _characters(n)
+# (derived), and one build of _evaluation (measured)
+_CHARACTER_BYTES = TUPLE_MEMO * (10 + 5 + 2) * 8 + 2 * 8 + 240
 
 
 def check_sheaf_table(n):
-    """ValueError, from 389 on, when a full memo and sheaf_table's records, 448 bytes a character at their
-    peak (tracemalloc, the memo built: 401 at n = 101 and 211, 424 at 401), would exceed MAX_ARRAY_BYTES."""
+    """ValueError, from 389 on, when a full memo and sheaf_table's records, 448 bytes a character
+    (measured), would exceed MAX_ARRAY_BYTES."""
     check_bytes(n * n * (_CHARACTER_BYTES + 448), n, f"{n * n} characters per tuple")
 
 
@@ -149,10 +150,8 @@ def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.nda
     table and, when the row meets condition 0 (every class integral), the class_numbers of its n^2 classes,
     which invariants sums through _sums as _pg_chi sums a batch's; every array read-only.  The per-tuple
     calls that read characters read it, so the calls of one query check and evaluate the characters once;
-    each makes its own refusals from it.  An entry holds 136 bytes a character (int64 residues, classes
-    and section counts), a build peaks at 190, counted as 240, and _characters(n) keeps 16 (tracemalloc at
-    n = 101, 211 and 401; the admissibility line table has its own bound): with a full memo 1344 bytes,
-    about 1.3 KiB, a character, so ValueError refuses every n from 449 on before anything is built."""
+    each makes its own refusals from it.  ValueError, from 449 on and before anything is built, when a full
+    memo would exceed MAX_ARRAY_BYTES (_CHARACTER_BYTES; the line table has its own bound)."""
     check_bytes(n * n * _CHARACTER_BYTES, n, f"{n * n} characters per tuple")
     row = reduce_rows((residues,), n)
     check, table = check_admissibility(row, n), CharacterTable(*map(frozen, character_table(row, n)))
@@ -332,8 +331,8 @@ def epsilon(t: SixTuple, chi: Vec2, chi2: Vec2, n=DEFAULT_MODULUS) -> tuple[int,
     return tuple((rows[_index(chi, n)] + rows[_index(chi2, n)] >= n).astype(int).tolist())
 
 
-# bytes held per character pair by cover_equations: the cached columns and
-# heads and its record (300 held, 370 at its peak, at n = 7, 11 and 13)
+# bytes a character pair of cover_equations (measured): the cached positions
+# and heads, and its record
 _PAIR_BYTES = 512
 
 

@@ -198,14 +198,13 @@ def orbit_partition(n=DEFAULT_MODULUS) -> OrbitPartition:
     |GL(2)| times their number.  Orbits are numbered by, and represented
     by, their lexicographically least member.
 
-    Before building anything it refuses a working set over
-    MAX_ARRAY_BYTES: 73 bytes a form (tracemalloc at n = 11, 13), the
-    int32 moves 16, the uint64 codes and their orbit minima 16, np.unique's
-    41 (a copy, sort order, sorted copy, inverse and its cumulative sum, 8
-    each, and a mask); moves and codes are built CHUNK forms at a time.
+    Before building anything it refuses a working set over MAX_ARRAY_BYTES:
+    the four int32 moves and the uint64 codes and their orbit minima of each
+    form (derived), np.unique's 41 bytes a form, and the moves and codes
+    of one block of CHUNK forms, built at 224 bytes a form (measured).
     """
     forms = normal_forms(n)
-    check_bytes(len(forms) * 73, n, f"orbit partition of {len(forms)} forms")
+    check_bytes(len(forms) * (4 * 4 + 2 * 8 + 41) + CHUNK * 224, n, f"orbit partition of {len(forms)} forms")
     closure = group_closure(n)
     chunks = [forms[i:i + CHUNK] for i in range(0, max(len(forms), 1), CHUNK)]
     moves = [np.concatenate([normal_form_index(g.mat.apply_rows(c), n) for c in chunks]) for g in s5_generators(n)]

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 import re
@@ -240,8 +241,9 @@ def test_one_row_check_at_a_large_prime_stays_small(n):
 
 
 def test_line_table_refuses_before_building(u3):
-    # 72 n^2 bytes exceed the limit from n = 1931 on, and nothing that
-    # size is allocated before the refusal
+    # the table and its lines, 74 n^2 bytes, exceed the limit from the
+    # prime 1907 on, as at 1931, and nothing that size is allocated before
+    # the refusal
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="admissibility table over 256 MiB"):
@@ -461,23 +463,95 @@ def test_encode_rows_refuses_overflowing_modulus():
         covers.encode_rows(np.full((1, 12), 40), 41)
 
 
-def test_admissible_array_peaks_within_the_bytes_it_checks(monkeypatch):
-    # with the forms and the GL(2) action table built, as a caller holds
-    # them, the expansion peaks at 7.43 MB: the figure it checks counts the
-    # rows, their sort keys and one decode chunk (7.50 MB); the rows alone
-    # were 4.84 MB
+def _admissible_tuple(n):
+    """A seeded admissible tuple mod n: random residues closed to sum zero."""
+    rng = random.Random(n)
+    while True:
+        res = [rng.randrange(n) for _ in range(10)]
+        t = SixTuple.from_residues(res + [-sum(res[0::2]) % n, -sum(res[1::2]) % n])
+        if covers.check_admissibility(t, n):
+            return t
+
+
+def _class_tables(n):
+    # a block of forms to look up; the forms are refused from 17 on, the tables from 19
+    rows = covers.normal_forms(n)[:covers.CHUNK] if n < 17 else np.zeros((0, 12), dtype=np.int16)
+    covers._form_table.cache_clear(), covers._vec_table.cache_clear()
+    return lambda: covers.normal_form_index(rows, n)
+
+
+def _admissible_array(n):
+    covers.normal_forms(n), covers._vec_table(n)
+    return lambda: covers.admissible_array.__wrapped__(n)
+
+
+def _orbit_partition(n):
+    forms = covers.normal_forms(n)
+    symmetry.group_closure(n), covers.normal_form_index(forms[:1], n)
+    return lambda: symmetry.orbit_partition.__wrapped__(n)
+
+
+def _evaluation(n):
+    t = _admissible_tuple(n)
+    sheaves._characters(n)
+    return lambda: sheaves._evaluation.__wrapped__(t.residues, n)
+
+
+def _sheaf_table(n):
+    t = _admissible_tuple(n)
+    sheaves._characters(n), sheaves._evaluation.cache_clear()
+    return lambda: sheaves.sheaf_table(t, n)
+
+
+def _character_pairs(n):
+    t = _admissible_tuple(n)
+    sheaves.coeffs(t, (1, 0), n), sheaves._character_pairs.cache_clear()
+    return lambda: sheaves.cover_equations(t, n)
+
+
+# each stage that calls check_bytes: the call that builds its inputs and
+# returns the stage, two admitted moduli, and the first refused one
+# (orbit_partition's refusal is shown under a limit one byte short of its
+# figure, as 17 is refused by the forms first)
+BYTE_STAGES = {
+    "line_table": (lambda n: lambda: covers._line_table.__wrapped__(n), (101, 401), 1907),
+    "normal_forms": (lambda n: lambda: covers.normal_forms.__wrapped__(n), (5, 7), 17),
+    "class_tables": (_class_tables, (7, 11), 19),
+    "admissible_array": (_admissible_array, (3, 5), 7),
+    "orbit_partition": (_orbit_partition, (7, 11), None),
+    "evaluation": (_evaluation, (101, 211), 449),
+    "sheaf_table": (_sheaf_table, (101, 211), 389),
+    "character_pairs": (_character_pairs, (7, 13), 37),
+}
+
+
+@pytest.mark.parametrize("stage", BYTE_STAGES)
+def test_every_stage_peaks_within_the_bytes_it_checks(monkeypatch, stage):
+    # with its inputs built, as a caller holds them, each stage's tracemalloc
+    # peak stays within the figure it checks first, at two admitted moduli;
+    # at the first refused one that check raises before anything is built
+    build, admitted, refused = BYTE_STAGES[stage]
     checked, check = [], covers.check_bytes
-    monkeypatch.setattr(covers, "check_bytes", lambda size, n, what: checked.append(size) or check(size, n, what))
-    covers.normal_forms(5), covers._vec_table(5)
-    covers.admissible_array.cache_clear()
-    tracemalloc.start()
-    try:
-        rows = covers.admissible_array(5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(checked) == 1 and checked[0] > rows.nbytes
-    assert peak <= checked[0]
+    for module in (covers, sheaves, symmetry):
+        monkeypatch.setattr(module, "check_bytes", lambda size, n, what: checked.append(size) or check(size, n, what))
+
+    def peak(run, refused=False):
+        checked.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MiB") if refused else contextlib.nullcontext():
+                run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for n in admitted:
+        used = peak(build(n))
+        assert used <= checked[0], f"modulus {n}: peak {used} over the {checked[0]} bytes checked"
+    if refused is None:
+        monkeypatch.setattr(covers, "MAX_ARRAY_BYTES", checked[0] - 1)
+        refused = admitted[-1]
+    assert peak(build(refused), refused=True) < 1 << 20 and len(checked) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -323,10 +323,12 @@ def test_orbits_stabilizers_and_class_equation_by_burnside(n, count):
 
 
 def test_orbit_partition_refuses_before_building(monkeypatch):
-    # 73 bytes a form: a limit one byte short of that for the 11640 forms
-    # at 7 refuses the partition before any of its arrays is built
+    # the moves, codes and minima of each form, np.unique's 41 bytes a form
+    # and one block of CHUNK forms at 224 bytes each: a limit one byte short
+    # of that at 7 refuses the partition before any of its arrays is built
     forms = covers.normal_forms(7)
-    monkeypatch.setattr(covers, "MAX_ARRAY_BYTES", len(forms) * 73 - 1)
+    figure = len(forms) * (4 * 4 + 2 * 8 + 41) + covers.CHUNK * 224
+    monkeypatch.setattr(covers, "MAX_ARRAY_BYTES", figure - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^modulus 7: orbit partition of 11640 forms over"):
@@ -335,7 +337,7 @@ def test_orbit_partition_refuses_before_building(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    monkeypatch.setattr(covers, "MAX_ARRAY_BYTES", len(forms) * 73)
+    monkeypatch.setattr(covers, "MAX_ARRAY_BYTES", figure)
     assert len(symmetry.orbit_partition.__wrapped__(7).orbits) == 100
 
 

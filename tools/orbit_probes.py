@@ -21,9 +21,10 @@
     route holds too much at 13;
   * partition_b_per_form: tracemalloc peak of orbit_partition(n), with
     the normal forms, the class tables of normal_form_index and the
-    group closure built first, over the number of normal forms: the
-    figure that orbit_partition checks against MAX_ARRAY_BYTES (73.1 at
-    both 11 and 13 on a 2-core Linux host, Python 3.11, numpy 2.4);
+    group closure built first, over the number of normal forms (73.1 at
+    both 11 and 13 on a 2-core Linux host, Python 3.11, numpy 2.4; the
+    figure that orbit_partition checks counts 73 bytes a form and one
+    block of CHUNK forms);
   * vec_table_held_mib, vec_table_peak_mib, form_table_held_mib,
     form_table_peak_mib: what each class table of normal_form_index
     keeps, and the tracemalloc peak of its build, with the normal forms
