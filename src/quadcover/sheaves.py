@@ -134,7 +134,7 @@ def _index(chi: Vec2, n) -> int:
 # of one query on one tuple, far too few to serve a pool of queries.
 TUPLE_MEMO = 8
 # bytes a character: a full memo's int64 residues, classes and section counts and _characters(n)
-# (derived), and one build of _evaluation (measured)
+# (derived), and one build of _evaluation (measured); the line table has its own bound
 _CHARACTER_BYTES = TUPLE_MEMO * (10 + 5 + 2) * 8 + 2 * 8 + 240
 
 
@@ -151,7 +151,7 @@ def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.nda
     which invariants sums through _sums as _pg_chi sums a batch's; every array read-only.  The per-tuple
     calls that read characters read it, so the calls of one query check and evaluate the characters once;
     each makes its own refusals from it.  ValueError, from 449 on and before anything is built, when a full
-    memo would exceed MAX_ARRAY_BYTES (_CHARACTER_BYTES; the line table has its own bound)."""
+    memo (derived) and one build (measured) would exceed MAX_ARRAY_BYTES (_CHARACTER_BYTES)."""
     check_bytes(n * n * _CHARACTER_BYTES, n, f"{n * n} characters per tuple")
     row = reduce_rows((residues,), n)
     check, table = check_admissibility(row, n), CharacterTable(*map(frozen, character_table(row, n)))
@@ -341,7 +341,7 @@ def _character_pairs(n):
     """The pairs of nontrivial characters, with repetition, ordered by (a, b):
     the (3, pairs) positions b n + a of chi, chi2 and chi + chi2 in the character
     table, and those characters as tuples.  ValueError, before anything is
-    built, when the pairs would hold more than MAX_ARRAY_BYTES (from 37 on)."""
+    built, when the pairs would hold more than MAX_ARRAY_BYTES (from 37 on; _PAIR_BYTES, measured)."""
     pairs = (n * n - 1) * n * n // 2
     check_bytes(pairs * _PAIR_BYTES, n, f"{pairs} character pairs")
     chars = np.stack(np.divmod(np.arange(1, n * n), n), axis=1)
