@@ -16,6 +16,8 @@ from collections import Counter
 from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from . import golden
 from .canonical import degree_certificate
 from .covers import CHUNK, SixTuple, admissible_array, normal_forms
@@ -33,11 +35,12 @@ def _reference_label(t: SixTuple) -> str | None:
 class Section(NamedTuple):
     """One command's result, or one part of the report.
 
-    data is what json writes, _Rows in it as lists of rows.  md is a list of
-    blocks joined by blank lines; a block is a text string, a (headers,
-    rows) table or _Rows.  csv is one (headers, rows) table, rows possibly
-    lazy lists or ready lines, a list's last cell possibly a generator of
-    JSON pieces.  checks lists the mismatches that --verify reports.
+    data is what json writes, an (N, 12) int16 array of residue rows in it
+    as lists of rows.  md is a list of blocks joined by blank lines; a block
+    is a text string, a (headers, rows) table or such an array.  csv is one
+    (headers, rows) table, rows possibly lazy lists or ready lines, a list's
+    last cell possibly a generator of JSON pieces.  checks lists the
+    mismatches that --verify reports.
     """
 
     data: object
@@ -49,18 +52,12 @@ class Section(NamedTuple):
 _PIECES = 1 << 11  # pieces of output text joined per write: lines, or json rows of up to 170 bytes
 
 
-class _Rows:
-    """An (N, 12) int16 array of residue rows; lines is the only code that
-    writes a row as text, each format passing its own template."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def lines(self, sep=",", head="", tail=""):
-        """Each row as head + its residues joined by sep + tail, CHUNK rows at a time."""
-        template = head + sep.join(["%d"] * self.rows.shape[1]) + tail
-        for i in range(0, len(self.rows), CHUNK):
-            yield from map(template.__mod__, map(tuple, self.rows[i:i + CHUNK].tolist()))
+def _row_lines(rows, sep=",", head="", tail=""):
+    """Each row of an (N, 12) array as head + its residues joined by sep + tail, CHUNK rows at a
+    time: the only code that writes a row as text, each format passing its own template."""
+    template = head + sep.join(["%d"] * rows.shape[1]) + tail
+    for i in range(0, len(rows), CHUNK):
+        yield from map(template.__mod__, map(tuple, rows[i:i + CHUNK].tolist()))
 
 
 def _md_lines(blocks):
@@ -74,12 +71,12 @@ def _md_lines(blocks):
             yield "|" + "|".join("---" for _ in headers) + "|"
             yield from ("| " + " | ".join(map(str, row)) + " |" for row in rows)
         else:
-            yield from block.lines() if isinstance(block, _Rows) else [block]
+            yield from _row_lines(block) if isinstance(block, np.ndarray) else [block]
 
 
 def _json_pieces(data, indent=None, depth=0):
     """data, depth levels deep, as json.dumps(data, indent=indent, sort_keys=True)
-    writes it, in pieces: a dict key by key, _Rows a row at a time, any other
+    writes it, in pieces: a dict key by key, an array a row at a time, any other
     value whole, re-indented (json.dumps escapes every newline in a string)."""
     step = " " * (indent or 0)
     outer = "" if indent is None else "\n" + step * depth  # what starts a line at this depth
@@ -89,18 +86,18 @@ def _json_pieces(data, indent=None, depth=0):
             yield (comma if i else "{") + inner + json.dumps(key) + ": "
             yield from _json_pieces(data[key], indent, depth + 1)
         yield outer + "}"
-    elif isinstance(data, _Rows):
-        rows = data.lines(comma + inner + step, comma + inner + "[" + inner + step, inner + "]")
+    elif isinstance(data, np.ndarray):
+        rows = _row_lines(data, comma + inner + step, comma + inner + "[" + inner + step, inner + "]")
         for row in rows:  # once: the first row opens the list where the others have a comma
             yield "[" + row[len(comma):]
             yield from rows
-        yield outer + "]" if len(data.rows) else "[]"
+        yield outer + "]" if len(data) else "[]"
     else:
         yield json.dumps(data, indent=indent, sort_keys=True).replace("\n", outer)
 
 
 def _csv_lines(headers, rows):
-    """The csv lines of a table, a str row (a _Rows line) as it is.  A last cell that is a
+    """The csv lines of a table, a str row (a _row_lines line) as it is.  A last cell that is a
     generator of JSON pieces (of a dict or a list, so it holds a '"') is quoted piece by piece."""
     import csv
     from types import GeneratorType, SimpleNamespace
@@ -137,9 +134,9 @@ def _cmd_enumerate(args):
     md = [f"# Admissible six-tuples (mod {n})", f"count: {count}"]
     csv = (["count"], [[count]])
     if args.dump:
-        data["tuples"] = tuples = _Rows(admissible_array(n))
+        data["tuples"] = tuples = admissible_array(n)
         md += [tuples] if count else []
-        csv = (["tuple"], tuples.lines(head='"', tail='"\n'))  # one quoted field, as csv.writer writes it
+        csv = (["tuple"], _row_lines(tuples, head='"', tail='"\n'))  # one quoted field, as csv.writer writes it
     drift = n == 5 and count != golden.ADMISSIBLE_COUNT
     checks = [f"count {count} != {golden.ADMISSIBLE_COUNT}"] if drift else []
     return Section(data, md, csv, checks)
@@ -203,23 +200,20 @@ def _cmd_sheaf_table(args):
         "tuple": args.tuple.format(),
         "classes": {f"({a},{b})": list(cls) for (a, b), cls in table},
     }
-    grid = {cs.chi: cs.cls for cs in table}
+    # the table is b-major, so row b is table[b n:(b + 1) n]; md and csv rows are written as they are read
     md = [
         f"# Character sheaves of {args.tuple.format()}",
         (
             ["L(a,b)"] + [f"a={a}" for a in range(n)],
-            [[f"b={b}"] + [grid[(a, b)].format() for a in range(n)] for b in range(n)],
+            ([f"b={b}"] + [cs.cls.format() for cs in table[b * n:(b + 1) * n]] for b in range(n)),
         ),
     ]
-    csv = (
-        ["a", "b", "h", "e0", "e1", "e2", "e3"],
-        [[a, b] + list(grid[(a, b)]) for b in range(n) for a in range(n)],
-    )
+    csv = (["a", "b", "h", "e0", "e1", "e2", "e3"], ([*cs.chi, *cs.cls] for cs in table))
     checks = []
     if _reference_label(args.tuple) == "U3":
         for (a, b), cls in golden.SHEAF_TABLE_U3.items():
-            if tuple(grid[(a, b)]) != cls:
-                checks.append(f"sheaf ({a},{b}) = {tuple(grid[(a, b)])} != {cls}")
+            if tuple(table[b * n + a].cls) != cls:
+                checks.append(f"sheaf ({a},{b}) = {tuple(table[b * n + a].cls)} != {cls}")
     else:
         checks.append("no reference sheaf table for this tuple")
     return Section(data, md, csv, checks)

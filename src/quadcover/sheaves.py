@@ -7,7 +7,7 @@ images (delta residues on the L' curves, lambda on the L curves, mu on
 the exceptional curves).  character_table evaluates all n^2 characters
 on a batch of tuples in one product; every per-character quantity here
 and in `canonical` is read from it.  The per-tuple calls read one memo,
-_evaluation: a tuple's admissibility check and its one-row table.
+_evaluation, of the last tuple read: its admissibility check and its one-row table.
 
 Y, the plane blown up in four general points, is the del Pezzo surface of degree 5: -K_Y is ample and
 its ten (-1)-curves, the branch curves, span the effective cone.  So h0 has a closed form: peel off the
@@ -130,28 +130,26 @@ def _index(chi: Vec2, n) -> int:
     return chi[0] % n + n * (chi[1] % n)
 
 
-# Rows remembered by the per-tuple memo, _evaluation: enough for the calls
-# of one query on one tuple, far too few to serve a pool of queries.
-TUPLE_MEMO = 8
-# bytes a character: a full memo's int64 residues, classes and section counts and _characters(n)
+# bytes a character: the memo's one entry (int64 residues, classes and section counts) and _characters(n)
 # (derived), and one build of _evaluation (measured); the line table has its own bound
-_CHARACTER_BYTES = TUPLE_MEMO * (10 + 5 + 2) * 8 + 2 * 8 + 240
+_CHARACTER_BYTES = (10 + 5 + 2) * 8 + 2 * 8 + 240
 
 
 def check_sheaf_table(n):
-    """ValueError, from 389 on, when a full memo and sheaf_table's records, 448 bytes a character
+    """ValueError, from 569 on, when the memo and sheaf_table's records, 448 bytes a character
     (measured), would exceed MAX_ARRAY_BYTES."""
     check_bytes(n * n * (_CHARACTER_BYTES + 448), n, f"{n * n} characters per tuple")
 
 
-@lru_cache(maxsize=TUPLE_MEMO)
+@lru_cache(maxsize=1)
 def _evaluation(residues, n) -> tuple[AdmissibilityCheck, CharacterTable, np.ndarray | None]:
     """The admissibility check of a residue row, read once through reduce_rows, its one-row character
     table and, when the row meets condition 0 (every class integral), the class_numbers of its n^2 classes,
     which invariants sums through _sums as _pg_chi sums a batch's; every array read-only.  The per-tuple
-    calls that read characters read it, so the calls of one query check and evaluate the characters once;
-    each makes its own refusals from it.  ValueError, from 449 on and before anything is built, when a full
-    memo (derived) and one build (measured) would exceed MAX_ARRAY_BYTES (_CHARACTER_BYTES)."""
+    calls that read characters read it, and callers read one tuple at a time, so it holds the last tuple
+    only: the calls of one query check and evaluate the characters once; each makes its own refusals from
+    it.  ValueError, from 829 on and before anything is built, when the held entry (derived) and one build
+    (measured) would exceed MAX_ARRAY_BYTES (_CHARACTER_BYTES)."""
     check_bytes(n * n * _CHARACTER_BYTES, n, f"{n * n} characters per tuple")
     row = reduce_rows((residues,), n)
     check, table = check_admissibility(row, n), CharacterTable(*map(frozen, character_table(row, n)))
@@ -305,11 +303,6 @@ def ram_curve_numbers(t: SixTuple, n=DEFAULT_MODULUS) -> tuple[RamCurve, ...]:
     equals the branch curve's, K.R comes from the projection formula, and
     the genus from adjunction.  They depend on n alone; t must be admissible."""
     require_admissible(t, n)
-    return _ram_curves(n)
-
-
-@lru_cache(maxsize=None)
-def _ram_curves(n) -> tuple[RamCurve, ...]:
     adj = adjunction_class(n)
     out = []
     for label, cls in configuration().curves:

@@ -40,7 +40,7 @@ def _restrict(mats, n) -> np.ndarray:
     """(..., 12, 12) matrices -> their (..., 10, 10) actions on the first ten
     coordinates of sum-zero rows, whose last two are minus the x and y sums."""
     m = np.asarray(mats, dtype=np.int64)[..., :10, :]
-    return ((m[..., :10] - np.tile(m[..., 10:], 5)) % n).astype(np.int16)
+    return (m[..., :10] - np.tile(m[..., 10:], 5)) % n
 
 
 class SymmetryElement(NamedTuple):
@@ -98,7 +98,7 @@ def default_generators(n=DEFAULT_MODULUS) -> tuple[SymmetryElement, ...]:
 
 
 class GroupClosure(NamedTuple):
-    """Orders of the symmetry group, and the swap closure as an int8
+    """Orders of the symmetry group, and the swap closure as an int64
     (k, 10, 10) array: the action on the first ten coordinates of
     sum-zero rows, whose last two follow from the sum condition."""
 
@@ -110,13 +110,11 @@ class GroupClosure(NamedTuple):
 
 def _sym5_actions(n) -> np.ndarray:
     """The distinct actions of the 120 label permutations on the sum-zero
-    subspace, as an int8 (k, 10, 10) array in lexicographic order."""
-    if n > 127:
-        raise ValueError(f"modulus {n} is above 127: the swap actions are kept as int8 residues")
-    actions = _restrict(_swap_matrices(permutations(range(5))), n).astype(np.int8)
-    # one 100-byte key per action; its residues are below 128, so byte
-    # order is lexicographic order
-    _, first = np.unique(actions.reshape(len(actions), 100).view("V100").ravel(), return_index=True)
+    subspace, as an int64 (k, 10, 10) array in lexicographic order."""
+    actions = _restrict(_swap_matrices(permutations(range(5))), n)
+    # one 800-byte key per action: big-endian residues, whose byte order is their lexicographic order
+    # (np.unique over rows, axis=0, would import numpy.ma, 30 ms of a cold report)
+    _, first = np.unique(actions.astype(">i8").reshape(len(actions), 100).view("V800").ravel(), return_index=True)
     return actions[first]
 
 
@@ -130,7 +128,7 @@ def group_closure(n=DEFAULT_MODULUS) -> GroupClosure:
     with each GL(2) block, so the group is the set product of the two
     subgroups.  Its order is the product of theirs because the only swap
     action that is a GL(2) block, kron(I5, g) on the sum-zero subspace,
-    is the identity; that is checked.  The actions are int8, so n <= 127.
+    is the identity; that is checked.
     """
     s5 = _sym5_actions(n)
     as_block = np.einsum("ij,kab->kiajb", np.eye(5, dtype=np.int8), s5[:, :2, :2])

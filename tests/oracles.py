@@ -26,10 +26,11 @@ n <= 7; the cross products and the scan at any modulus).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +104,26 @@ def check_admissibility(t: SixTuple, n=5) -> AdmissibilityCheck:
         if not is_independent(images[i], images[j], n):
             return AdmissibilityCheck(False, 2, (CURVE_LABELS[i], CURVE_LABELS[j]))
     return AdmissibilityCheck(True)
+
+
+def admissible_tuple(n) -> SixTuple:
+    """A seeded admissible tuple mod n, random residues closed to sum zero,
+    checked one condition at a time, so that no table is built at n."""
+    rng = random.Random(n)
+    while True:
+        res = [rng.randrange(n) for _ in range(10)]
+        t = SixTuple.from_residues(res + [-sum(res[0::2]) % n, -sum(res[1::2]) % n])
+        if check_admissibility(t, n):
+            return t
+
+
+def first_refused(per_character) -> int:
+    """The smallest prime n whose n^2 characters, at per_character bytes
+    each, exceed MAX_ARRAY_BYTES."""
+    n = isqrt(MAX_ARRAY_BYTES // per_character) + 1
+    while not gf.is_prime(n):
+        n += 1
+    return n
 
 
 # Slot-level coefficient rows of the four swaps, acting on

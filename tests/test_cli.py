@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from quadcover import canonical, cli, covers, golden, sheaves, symmetry
 
 U3 = "1,0,1,0,0,1,4,1,3,2,1,1"
@@ -249,6 +250,9 @@ def test_report_verify_stdout_equals_the_golden_report(capsys):
     code, out, _ = run(capsys, "report", "--verify")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+    # from a cleared memo, which holds one tuple: the invariants of U1 to
+    # U4, then U3's sheaf table, branch residues and certificate
+    assert sheaves._evaluation.cache_info().misses == 5
 
 
 def test_report_does_not_import_numpy_ma():
@@ -340,28 +344,29 @@ def test_equations_at_an_oversized_modulus_are_refused_before_building(capsys):
 
 
 def test_invariants_beyond_the_memo_bound_exit_2(capsys):
-    # an admissible tuple at 449, the smallest prime whose characters the
-    # per-tuple memo refuses
-    t = "1,0,0,1,97,107,97,366,197,63,57,361"
-    assert covers.check_admissibility(covers.SixTuple.parse(t), 449)
+    # an admissible tuple at the smallest prime whose characters the
+    # per-tuple memo refuses (829)
+    n = oracles.first_refused(sheaves._CHARACTER_BYTES)
+    t = oracles.admissible_tuple(n).format()
     for command in ("invariants", "sheaf-table"):
-        code, out, err = run(capsys, "--modulus", "449", command, t)
+        code, out, err = run(capsys, "--modulus", str(n), command, t)
         assert (code, out) == (2, "")
-        assert err == "error: modulus 449: 201601 characters per tuple over 256 MiB\n"
+        assert err == f"error: modulus {n}: {n * n} characters per tuple over 256 MiB\n"
 
 
 def test_sheaf_table_command_refuses_its_records_before_building(capsys):
-    # 389, the smallest prime whose records sheaf_table refuses: the
+    # the smallest prime whose records sheaf_table refuses (569): the
     # command checks them before the memo's admissibility check
-    t = "1,0,67,3,248,206,0,1,332,163,130,16"
+    n = oracles.first_refused(sheaves._CHARACTER_BYTES + 448)
+    t = oracles.admissible_tuple(n).format()
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "--modulus", "389", "sheaf-table", t)
+        code, out, err = run(capsys, "--modulus", str(n), "sheaf-table", t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == "error: modulus 389: 151321 characters per tuple over 256 MiB\n"
+    assert err == f"error: modulus {n}: {n * n} characters per tuple over 256 MiB\n"
     assert peak < 1 << 20
 
 
@@ -380,11 +385,13 @@ def test_group_order_at_a_large_modulus_builds_no_gl2_array(capsys):
     assert peak < 8 << 20
 
 
-def test_group_above_the_int8_residues_is_refused(capsys):
-    code, out, err = run(capsys, "--modulus", "131", "group")
-    assert code == 2
-    assert out == ""
-    assert "above 127" in err
+def test_group_at_primes_above_127_has_the_closed_form_orders(capsys):
+    # the swap actions are int64 residues: nothing wraps above 127
+    for n in (131, (1 << 31) - 1):
+        code, out, err = run(capsys, "--modulus", str(n), "group")
+        assert (code, err) == (0, "")
+        gl2 = (n * n - 1) * (n * n - n)
+        assert json.loads(out) == {"s5_order": 120, "gl2_order": gl2, "order": 120 * gl2}
 
 
 def test_huge_modulus_is_refused_before_trial_division(capsys):
@@ -497,33 +504,33 @@ def test_report_dump_is_pinned_and_its_csv_streams():
 
 
 def _read_whole(data):
-    """data with every _Rows read whole into a list of rows, for json.dumps."""
-    if isinstance(data, cli._Rows):
-        return data.rows.tolist()
+    """data with every array of rows read whole into a list of rows, for json.dumps."""
+    if isinstance(data, np.ndarray):
+        return data.tolist()
     if isinstance(data, dict):
         return {key: _read_whole(value) for key, value in data.items()}
     return [_read_whole(value) for value in data] if isinstance(data, list) else data
 
 
 def test_json_pieces_write_what_json_dumps_writes():
-    # json.dumps would read the rows whole; the pieces read _Rows a row at a time
+    # json.dumps would read the rows whole; the pieces read an array a row at a time
     rows = covers.admissible_array(5)[:40000]
     for data in (
-        cli._Rows(rows),
-        cli._Rows(rows[:0]),
-        {"b": 1, "a": cli._Rows(rows[:3]), "c": [{"y": 2, "x": None}], "d": 'q"uote'},
-        {"tuples": cli._Rows(rows[:0])},
+        rows,
+        rows[:0],
+        {"b": 1, "a": rows[:3], "c": [{"y": 2, "x": None}], "d": 'q"uote'},
+        {"tuples": rows[:0]},
         [{"b": 1, "a": 2.5}],
         {},
-        {"group": {"order": 7}, "enumerate": {"tuples": cli._Rows(rows[:5]), "count": 5}},  # report --dump
-        {"a": {"c": cli._Rows(rows[:0]), "b": {}}},  # both empty at depth 2
+        {"group": {"order": 7}, "enumerate": {"tuples": rows[:5], "count": 5}},  # report --dump
+        {"a": {"c": rows[:0], "b": {}}},  # both empty at depth 2
         {"text": 'q"uote\nnext line, caf\u00e9'},
     ):
         for indent in (None, 2):
             pieces = list(cli._json_pieces(data, indent))
             assert "".join(pieces) == json.dumps(_read_whole(data), indent=indent, sort_keys=True)
-            if isinstance(data, cli._Rows):
-                assert len(pieces) == len(data.rows) + 1  # never the rows whole
+            if isinstance(data, np.ndarray):
+                assert len(pieces) == len(data) + 1  # never the rows whole
 
 
 def _row_samples():
@@ -534,20 +541,19 @@ def _row_samples():
 
 @pytest.mark.parametrize("name", ["5000 rows at 5", "normal forms at 7"])
 def test_row_lines_match_independent_writers(name):
-    # every format's row text comes from _Rows.lines; each is checked
+    # every format's row text comes from _row_lines; each is checked
     # against a writer that shares no code with it
     rows = _row_samples()[name]
-    table = cli._Rows(rows)
     plain = [",".join(map(str, row)) for row in rows.tolist()]
-    assert list(table.lines()) == plain  # md
+    assert list(cli._row_lines(rows)) == plain  # md
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     for line in plain:
         writer.writerow([line])
-    csv_lines = list(table.lines(head='"', tail='"\n'))
+    csv_lines = list(cli._row_lines(rows, head='"', tail='"\n'))
     assert "".join(csv_lines) == out.getvalue() and len(csv_lines) == len(rows)
     for indent in (None, 2):
-        assert "".join(cli._json_pieces(table, indent)) == json.dumps(rows.tolist(), indent=indent)
+        assert "".join(cli._json_pieces(rows, indent)) == json.dumps(rows.tolist(), indent=indent)
 
 
 @pytest.mark.parametrize("argv, head", [("enumerate --dump --format csv", [b"tuple\n"]), ("group", [])],

@@ -3,8 +3,10 @@ import itertools
 import random
 import re
 import tracemalloc
+from collections import deque
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import enumerate_admissible, is_totally_ramified
-from quadcover import covers, gf, sheaves, symmetry
+from quadcover import cli, covers, gf, sheaves, symmetry
 from quadcover.covers import SixTuple
 
 
@@ -463,16 +465,6 @@ def test_encode_rows_refuses_overflowing_modulus():
         covers.encode_rows(np.full((1, 12), 40), 41)
 
 
-def _admissible_tuple(n):
-    """A seeded admissible tuple mod n: random residues closed to sum zero."""
-    rng = random.Random(n)
-    while True:
-        res = [rng.randrange(n) for _ in range(10)]
-        t = SixTuple.from_residues(res + [-sum(res[0::2]) % n, -sum(res[1::2]) % n])
-        if covers.check_admissibility(t, n):
-            return t
-
-
 def _class_tables(n):
     # a block of forms to look up; the forms are refused from 17 on, the tables from 19
     rows = covers.normal_forms(n)[:covers.CHUNK] if n < 17 else np.zeros((0, 12), dtype=np.int16)
@@ -492,22 +484,34 @@ def _orbit_partition(n):
 
 
 def _evaluation(n):
-    t = _admissible_tuple(n)
-    sheaves._characters(n)
+    t = oracles.admissible_tuple(n)
+    covers._line_table(n), sheaves._characters(n)
     return lambda: sheaves._evaluation.__wrapped__(t.residues, n)
 
 
 def _sheaf_table(n):
-    t = _admissible_tuple(n)
-    sheaves._characters(n), sheaves._evaluation.cache_clear()
+    t = oracles.admissible_tuple(n)
+    covers._line_table(n), sheaves._characters(n), sheaves._evaluation.cache_clear()
     return lambda: sheaves.sheaf_table(t, n)
 
 
+def _sheaf_table_command(n):
+    # the command's records and json dict, and the md and csv rows it writes as it reads the records
+    # (its json text, a class at a time through the pure-Python json.dumps, costs 1.6 times both under tracemalloc)
+    args = SimpleNamespace(modulus=n, tuple=oracles.admissible_tuple(n))
+    covers._line_table(n), sheaves._characters(n), sheaves._evaluation.cache_clear()
+    return lambda: [deque(cli.render(cli._cmd_sheaf_table(args), fmt), 0) for fmt in ("md", "csv")]
+
+
 def _character_pairs(n):
-    t = _admissible_tuple(n)
+    t = oracles.admissible_tuple(n)
     sheaves.coeffs(t, (1, 0), n), sheaves._character_pairs.cache_clear()
     return lambda: sheaves.cover_equations(t, n)
 
+
+# the first moduli refused by the per-tuple memo (829) and with sheaf_table's records (569)
+_MEMO_REFUSED = oracles.first_refused(sheaves._CHARACTER_BYTES)
+_RECORDS_REFUSED = oracles.first_refused(sheaves._CHARACTER_BYTES + 448)
 
 # each stage that calls check_bytes: the call that builds its inputs and
 # returns the stage, two admitted moduli, and the first refused one
@@ -519,8 +523,9 @@ BYTE_STAGES = {
     "class_tables": (_class_tables, (7, 11), 19),
     "admissible_array": (_admissible_array, (3, 5), 7),
     "orbit_partition": (_orbit_partition, (7, 11), None),
-    "evaluation": (_evaluation, (101, 211), 449),
-    "sheaf_table": (_sheaf_table, (101, 211), 389),
+    "evaluation": (_evaluation, (101, 211), _MEMO_REFUSED),
+    "sheaf_table": (_sheaf_table, (101, 211), _RECORDS_REFUSED),
+    "sheaf_table_command": (_sheaf_table_command, (53, 101), _RECORDS_REFUSED),
     "character_pairs": (_character_pairs, (7, 13), 37),
 }
 

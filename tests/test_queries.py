@@ -140,19 +140,16 @@ def _readers(t: SixTuple) -> list:
     return calls
 
 
-def _warm_and_cold(tuples, readers, chunk=6):
-    """Each reader on each tuple, warm: the calls go round the tuples of a
-    chunk, reader by reader, so that every call after the first on a tuple
-    is served by the memo; and cold: each call on a cleared memo.  Also
-    the memo's hits in the warm pass."""
+def _warm_and_cold(tuples, readers):
+    """Each reader on each tuple, warm: a tuple's readers in turn, as
+    callers call them, so that every call after the first on a tuple is
+    served by the memo; and cold: each call on a cleared memo.  Also the
+    memo's hits in the warm pass."""
     warm, cold = {}, {}
     MEMO.cache_clear()
-    for start in range(0, len(tuples), chunk):
-        calls = {t: readers(t) for t in tuples[start:start + chunk]}
-        for k in range(max(map(len, calls.values()))):
-            for t, thunks in calls.items():
-                if k < len(thunks):
-                    warm[t, k] = thunks[k]()
+    for t in tuples:
+        for k, thunk in enumerate(readers(t)):
+            warm[t, k] = thunk()
     hits = MEMO.cache_info().hits
     for t in tuples:
         for k, thunk in enumerate(readers(t)):
@@ -204,23 +201,15 @@ NOT_ADMISSIBLE = ["1,0,1,0,1,0,1,0,1,0,1,0", "1,0,1,0,0,1,4,1,3,2,1,2",  # sum
                   "1,0,1,0,0,1,2,0,2,4,4,0"]  # dependent pair
 
 
-def test_error_paths_on_a_warm_memo(u3):
+def test_error_paths_on_a_warm_memo():
     f7 = SixTuple.from_residues(covers.normal_forms(7)[-1])
     two_dim = SixTuple.parse("1,0,0,1,0,1,0,1,1,0,5,4", 7)
     bad = [SixTuple.parse(text) for text in NOT_ADMISSIBLE]
 
-    def warm_up():
-        # eight tuples, as many as the memo holds
-        query(u3)
-        for t in bad:
-            _outcome(lambda: sheaves.sheaf_table(t))
-        sheaves.sheaf_table(f7, 7)
-        sheaves.sheaf_table(two_dim, 7)
-        assert MEMO.cache_info().currsize == 8
-
-    def fails(call, error, match):
-        # the same refusal warm and cold: warm, the memo serves it with no
-        # new entry; cold, the call adds at most one
+    def fails(call, t, n, error, match):
+        # the same refusal warm and cold: warm, after an earlier call on t,
+        # the memo serves it with no new entry; cold, t is evaluated once
+        _outcome(lambda: sheaves.sheaf_table(t, n))
         before = MEMO.cache_info()
         with pytest.raises(error, match=match):
             call()
@@ -229,27 +218,27 @@ def test_error_paths_on_a_warm_memo(u3):
         MEMO.cache_clear()
         with pytest.raises(error, match=match):
             call()
-        assert MEMO.cache_info().currsize <= 1
-        warm_up()
+        assert MEMO.cache_info().misses <= 1
 
-    warm_up()
     for t in bad:
         reason = oracles.check_admissibility(t, 5).reason
         message = re.escape(f"tuple {t.format()} is not admissible: {reason}")
         assert covers.check_admissibility(t).reason == reason
         for call in (sheaves.invariants, sheaves.cover_equations, canonical.degree_certificate):
-            fails(lambda: call(t), ValueError, f"^{message}$")
-        # sheaf_table checks no admissibility: integral classes give a table
+            fails(lambda: call(t), t, 5, ValueError, f"^{message}$")
+        # sheaf_table checks no admissibility: integral classes give a table,
+        # the same from the memo that holds t and from a cleared one
         warm = _outcome(lambda: sheaves.sheaf_table(t))
+        assert MEMO.cache_info().hits == 1
         MEMO.cache_clear()
         assert _outcome(lambda: sheaves.sheaf_table(t)) == warm
         if sum(t.residues[0::2]) % 5 or sum(t.residues[1::2]) % 5:
             assert warm[0] is ArithmeticError and "is not divisible by 5" in warm[1]
         else:
             assert len(warm) == 25
-        warm_up()
     # f7 is admissible at 7: a warm memo serves its invariants with no new
     # entry, and cold they equal the oracle's, one character at a time
+    sheaves.sheaf_table(f7, 7)
     before = MEMO.cache_info()
     warm = sheaves.invariants(f7, 7)
     after = MEMO.cache_info()
@@ -257,21 +246,20 @@ def test_error_paths_on_a_warm_memo(u3):
     MEMO.cache_clear()
     assert sheaves.invariants(f7, 7) == warm == oracles.invariants_scalar(f7, 7)
     assert MEMO.cache_info().currsize == 1
-    warm_up()
-    fails(lambda: canonical.degree_certificate(f7, 7), ValueError, "only defined for modulus 5")
-    fails(lambda: canonical.basis(two_dim, 7), AssertionError, r"L\(6,6\)\) = 2: .* not a basis")
+    fails(lambda: canonical.degree_certificate(f7, 7), f7, 7, ValueError, "only defined for modulus 5")
+    fails(lambda: canonical.basis(two_dim, 7), two_dim, 7, AssertionError, r"L\(6,6\)\) = 2: .* not a basis")
 
 
 def test_memos_are_bounded_and_not_shared_across_a_pool():
-    bound = sheaves.TUPLE_MEMO
-    assert MEMO.cache_info().maxsize == bound
+    # callers read one tuple at a time, and the memo holds that tuple only
+    assert MEMO.cache_info().maxsize == 1
     arr = covers.admissible_array(5)
-    rows = arr[np.random.default_rng(1813).choice(len(arr), 3 * bound, replace=False)]
+    rows = arr[np.random.default_rng(1813).choice(len(arr), 24, replace=False)]
     pool = [SixTuple.from_residues(row) for row in rows]
     # one call per tuple: a second pass over the pool finds nothing
     for t in pool:
         sheaves.invariants(t)
-    assert MEMO.cache_info().currsize <= bound
+    assert MEMO.cache_info().currsize == 1
     for t in pool:
         sheaves.invariants(t)
     assert MEMO.cache_info().hits == 0
@@ -282,7 +270,7 @@ def test_memos_are_bounded_and_not_shared_across_a_pool():
         for t in pool:
             query(t)
         assert MEMO.cache_info().misses == passes * len(pool)
-        assert MEMO.cache_info().currsize <= bound
+        assert MEMO.cache_info().currsize == 1
 
 
 def test_per_tuple_reads_reduce_residues_far_out_of_range(u3, u3_shifted):

@@ -362,17 +362,19 @@ def test_invariants_rejects_bad_input(u3):
 
 
 def test_per_tuple_calls_refuse_the_memo_bound_before_building():
-    # a full memo and one build take 1344 bytes a character: 443 fits the
-    # limit, 449, the next prime, does not, and no character is evaluated
-    # before the refusal, admissible tuple or not
-    assert 443 ** 2 * sheaves._CHARACTER_BYTES <= covers.MAX_ARRAY_BYTES < 449 ** 2 * sheaves._CHARACTER_BYTES
+    # the memo's one entry and one build take 392 bytes a character: 827
+    # fits the limit, 829, the next prime, does not, and no character is
+    # evaluated before the refusal, admissible tuple or not
+    per = sheaves._CHARACTER_BYTES
+    n = oracles.first_refused(per)
+    assert (per, n) == (392, 829) and 827 ** 2 * per <= covers.MAX_ARRAY_BYTES
     calls = (sheaves.invariants, sheaves.sheaf_table, lambda t, n: sheaves.coeffs(t, (1, 0), n))
-    for text in ("1,0,0,1,97,107,97,366,197,63,57,361", "1,0,0,1,0,0,0,0,0,0,0,0"):
+    for t in (oracles.admissible_tuple(n), SixTuple.parse("1,0,0,1,0,0,0,0,0,0,0,0", n)):
         for call in calls:
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match="^modulus 449: 201601 characters per tuple over 256 MiB$"):
-                    call(SixTuple.parse(text, 449), 449)
+                with pytest.raises(ValueError, match=f"^modulus {n}: {n * n} characters per tuple over 256 MiB$"):
+                    call(t, n)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -380,19 +382,19 @@ def test_per_tuple_calls_refuse_the_memo_bound_before_building():
 
 
 def test_sheaf_table_refuses_its_records_before_building():
-    # a full memo and the records of sheaf_table take 1792 bytes a
-    # character: 383 fits the limit and 389, the next prime, does not,
-    # though its memo alone would; the admissible tuple is refused before
-    # any character is evaluated
+    # the memo and the records of sheaf_table take 840 bytes a character:
+    # 563 fits the limit and 569, the next prime, does not, though its memo
+    # alone would; the admissible tuple is refused before any character is
+    # evaluated
     per = sheaves._CHARACTER_BYTES + 448
-    assert 383 ** 2 * per <= covers.MAX_ARRAY_BYTES < 389 ** 2 * per
-    assert 389 ** 2 * sheaves._CHARACTER_BYTES <= covers.MAX_ARRAY_BYTES
-    t = SixTuple.parse("1,0,67,3,248,206,0,1,332,163,130,16", 389)
-    assert covers.check_admissibility(t, 389)
+    n = oracles.first_refused(per)
+    assert (per, n) == (840, 569) and 563 ** 2 * per <= covers.MAX_ARRAY_BYTES
+    assert n ** 2 * sheaves._CHARACTER_BYTES <= covers.MAX_ARRAY_BYTES
+    t = oracles.admissible_tuple(n)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^modulus 389: 151321 characters per tuple over 256 MiB$"):
-            sheaves.sheaf_table(t, 389)
+        with pytest.raises(ValueError, match=f"^modulus {n}: {n * n} characters per tuple over 256 MiB$"):
+            sheaves.sheaf_table(t, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

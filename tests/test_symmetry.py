@@ -349,7 +349,7 @@ def test_group_order_certificate_detects_a_shared_element(monkeypatch):
 
     def with_scalar(n):
         scalar = symmetry.gl2_action([[2, 0], [0, 2]], n).mat.array
-        return np.concatenate([actions(n), symmetry._restrict([scalar], n).astype(np.int8)])
+        return np.concatenate([actions(n), symmetry._restrict([scalar], n)])
 
     monkeypatch.setattr(symmetry, "_sym5_actions", with_scalar)
     with pytest.raises(AssertionError, match="meets the GL"):
@@ -368,15 +368,16 @@ def test_swaps_from_labels_match_the_hand_written_table(n):
 def test_sym5_actions_match_the_breadth_first_closure(n):
     # content and lexicographic order, as np.unique over the rows gives them
     closure = oracles.mulclose(symmetry.s5_generators(n)).values()
-    expected = np.unique(symmetry._restrict([m.array for m in closure], n).astype(np.int8), axis=0)
+    expected = np.unique(symmetry._restrict([m.array for m in closure], n), axis=0)
     assert len(expected) == 120
     assert np.array_equal(symmetry.group_closure(n).s5_elements, expected)
 
 
-def test_swap_actions_fit_int8_up_to_127():
-    # residues up to 126 are kept exactly; at 131 int8 would wrap them
-    closure = symmetry.group_closure(127)
-    assert len(closure.s5_elements) == 120 and closure.s5_elements.min() == 0
-    assert closure.s5_elements.max() == 126
-    with pytest.raises(ValueError, match="above 127"):
-        symmetry.group_closure(131)
+def test_swap_actions_keep_their_residues_at_large_primes():
+    # int64 residues up to n - 1, where int8 wrapped them from 131 on: the
+    # 120 actions and the closed-form orders at 131 and 2^31 - 1
+    for n in (131, (1 << 31) - 1):
+        closure = symmetry.group_closure(n)
+        gl2 = (n * n - 1) * (n * n - n)
+        assert (closure.s5_order, closure.gl2_order, closure.order) == (120, gl2, 120 * gl2)
+        assert closure.s5_elements.min() == 0 and closure.s5_elements.max() == n - 1

@@ -11,6 +11,14 @@
     the parent's peak over to it at exec;
   * report_dump_<fmt>_rss_mib, report_dump_<fmt>_s: the same of
     `quadcover report --dump --format <fmt>`;
+  * invariants_<n>_rss_mib, invariants_<n>_s, invariants_<n>_exit: the
+    same of `quadcover invariants --modulus <n> <tuple>` at n = 443 and
+    827, the largest prime the per-tuple memo admits, and its exit status
+    (2 where a tree refuses n); sheaf_table_<n>_*: the same of
+    `quadcover sheaf-table` at n = 383 and 563, the largest prime its
+    records admit.  The tuple is a seeded admissible one, found in a
+    child of its own: this process, whose peak Linux carries into each
+    child's ru_maxrss at exec, builds no line table at n;
   * admissible_array_mib: tracemalloc peak of admissible_array(5), with
     normal_forms, the GL(2) action table _vec_table and the line table
     built first;
@@ -49,23 +57,46 @@ BYTECODE = os.path.isdir(os.path.join(PACKAGE, "__pycache__"))
 
 from quadcover import covers, sheaves  # noqa: E402
 
-DUMP = (
+CLI = (
     "import sys\n"
     "from quadcover import cli\n"
-    "code = cli.main([sys.argv[1], '--dump', '--format', sys.argv[2]])\n"
+    "code = cli.main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
     "with open('/proc/self/status') as fh:\n"
     "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
     "raise SystemExit(code)\n"
 )
 
+# a seeded admissible tuple mod argv[1]: random residues closed to sum zero
+SEED = (
+    "import random, sys\n"
+    "from quadcover import covers\n"
+    "n = int(sys.argv[1])\n"
+    "rng = random.Random(n)\n"
+    "while True:\n"
+    "    res = [rng.randrange(n) for _ in range(10)]\n"
+    "    res += [-sum(res[0::2]) % n, -sum(res[1::2]) % n]\n"
+    "    if covers.check_admissibility(covers.SixTuple.from_residues(res), n):\n"
+    "        print(','.join(map(str, res)))\n"
+    "        break\n"
+)
 
-def _child(argv):
-    """Wall time of a child interpreter and its stderr."""
+
+def _child(argv, codes=(0,)):
+    """Wall time of a child interpreter, its stderr and its exit status, one of codes."""
     start = time.perf_counter()
     done = subprocess.run([sys.executable, *argv], stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True, env=os.environ, check=True)
-    return time.perf_counter() - start, done.stderr
+                          stderr=subprocess.PIPE, text=True, env=os.environ)
+    wall = time.perf_counter() - start
+    if done.returncode not in codes:
+        raise subprocess.CalledProcessError(done.returncode, argv, stderr=done.stderr)
+    return wall, done.stderr, done.returncode
+
+
+def _peaks(runs, prefix, out):
+    """The median VmHWM (MiB) and wall time of runs, the children of CLI."""
+    out[f"{prefix}_rss_mib"] = statistics.median(int(err.split()[-2]) / 1024 for _, err, _ in runs)
+    out[f"{prefix}_s"] = statistics.median(wall for wall, _, _ in runs)
 
 
 def _traced_mib(fn):
@@ -102,9 +133,16 @@ def main():
     out = {}
     for command, prefix in (("enumerate", "dump"), ("report", "report_dump")):
         for fmt in ("json", "md", "csv"):
-            runs = [_child(["-c", DUMP, command, fmt]) for _ in range(args.repeats)]
-            out[f"{prefix}_{fmt}_rss_mib"] = statistics.median(int(err.split()[-2]) / 1024 for _, err in runs)
-            out[f"{prefix}_{fmt}_s"] = statistics.median(wall for wall, _ in runs)
+            runs = [_child(["-c", CLI, command, "--dump", "--format", fmt]) for _ in range(args.repeats)]
+            _peaks(runs, f"{prefix}_{fmt}", out)
+    for command, moduli in (("invariants", (443, 827)), ("sheaf-table", (383, 563))):
+        for n in moduli:
+            t = subprocess.run([sys.executable, "-c", SEED, str(n)], capture_output=True, text=True,
+                               env=os.environ, check=True).stdout.strip()
+            runs = [_child(["-c", CLI, command, "--modulus", str(n), t], (0, 2)) for _ in range(args.repeats)]
+            prefix = f"{command.replace('-', '_')}_{n}"
+            _peaks(runs, prefix, out)
+            out[f"{prefix}_exit"] = runs[-1][2]
     covers.normal_forms(5), covers._vec_table(5), covers._line_table(5)
     out["admissible_array_mib"] = _traced_mib(lambda: covers.admissible_array(5))
     rows = covers.admissible_array(5)
